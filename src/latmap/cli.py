@@ -210,7 +210,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-orders", type=int, default=None)
     p.add_argument("--max-placements", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="reserved; runs sequential")
 
 
 def build_parser() -> argparse.ArgumentParser:

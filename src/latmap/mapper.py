@@ -16,13 +16,25 @@ grid realizes the function: terms that are not prime implicants give false
 negatives.  On 2x2, a'bc' + ac', abc' + c and a'bc + a'b'c get no-solution,
 while the same functions written as ac' + bc', ab + c and a'c map
 (acceptance criterion 10, an open defect).
+
+The search breaks the grid's mirror symmetry (lex-leader symmetry breaking,
+Crawford et al., KR 1996).  Connectivity and every check of the search are
+invariant under each mirror that maps the path set onto itself
+(``PathSet.orbit_first``).  So while the grid is empty (every earlier term
+deferred) a term is housed only on paths that come first among their mirror
+images.  Unbudgeted answers do not change: were the first solution under a
+path p with an earlier mirror image q, its mirror would lie under q, whose
+subtree is searched in full before p's.  Under ``max_placements`` a cut
+search may stop at a different place than without the symmetry breaking; a
+solved answer is still truth-table checked, and a cut search still gives
+inconclusive, never no-solution.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .codes import (
@@ -92,14 +104,6 @@ class MapResult:
     solution: Optional[MappingSolution] = None
 
 
-@dataclass
-class MappingProblem:
-    function: Sop
-    dim: LatticeDim
-    paths: PathSet
-    budget: SearchBudget = field(default_factory=SearchBudget)
-
-
 def _has_xxprime(codes: set[int]) -> bool:
     return any(
         is_complement_code(c) and COMPLEMENT_BASE - c in codes for c in codes
@@ -109,13 +113,21 @@ def _has_xxprime(codes: set[int]) -> bool:
 class _OrderSearch:
     """Exhaustive backtracking search for one examination order."""
 
-    def __init__(self, problem: MappingProblem, deadline: Optional[float]):
-        f = problem.function
+    def __init__(
+        self,
+        f: Sop,
+        dim: LatticeDim,
+        paths: PathSet,
+        budget: SearchBudget,
+        deadline: Optional[float],
+    ):
         self.f = f
-        self.dim = problem.dim
-        self.rc = problem.dim.cells
-        self.paths = problem.paths.paths  # canonical = shortest first
-        self.budget = problem.budget
+        self.dim = dim
+        self.rc = dim.cells
+        self.paths = paths.paths  # canonical = shortest first
+        # housings tried while the grid is empty: one path per mirror orbit
+        self.orbit_reps = [pi for pi, first in enumerate(paths.orbit_first) if first]
+        self.budget = budget
         self.deadline = deadline
         self.truncated = False
 
@@ -123,7 +135,16 @@ class _OrderSearch:
         nv = len(self.var_order)
         self.full = (1 << (1 << nv)) - 1
         self.lit_mask = literal_masks(self.var_order)
-        self.f_mask = function_mask(f, self.var_order)
+        term_masks = []
+        for t in f:
+            m = self.full
+            for code in t:
+                m &= self.lit_mask[code]
+            term_masks.append(m)
+        self.term_outside = [self.full & ~m for m in term_masks]
+        self.f_mask = 0
+        for m in term_masks:
+            self.f_mask |= m
 
         self.grid: list[Optional[int]] = [None] * self.rc
         self.placed_by: list[Optional[int]] = [None] * self.rc
@@ -169,13 +190,14 @@ class _OrderSearch:
         return ok
 
     def _neutralized(self, pi: int) -> bool:
-        codes = {self.grid[c] for c in self.paths[pi]}
-        if CONST_ZERO in codes:
-            return True
-        codes.discard(CONST_ONE)
-        if _has_xxprime(codes):
-            return True
-        return any(term <= codes for term in self.f)
+        """A fully fixed path's product mask is 0 exactly when it holds a 0
+        cell or an xx' pair, and 0 lies inside every term's mask; any other
+        product lies inside a term's mask exactly when it contains the term."""
+        ub = self.path_ub[pi]
+        for outside in self.term_outside:
+            if not ub & outside:
+                return True
+        return False
 
     def _undo(self, log: list) -> None:
         for entry in reversed(log):
@@ -188,26 +210,6 @@ class _OrderSearch:
                 self.placed_by[cell] = None
                 for pi in self.through[cell]:
                     self.unfixed[pi] += 1
-
-    def _cancelled(self, pi: int) -> bool:
-        codes = {self.grid[c] for c in self.paths[pi] if self.grid[c] is not None}
-        if CONST_ZERO in codes:
-            return True
-        codes.discard(CONST_ONE)
-        return _has_xxprime(codes)
-
-    def _full_path_mask(self, pi: int) -> Optional[int]:
-        """Product mask of a fully fixed path; None when cancelled."""
-        codes = {self.grid[c] for c in self.paths[pi]}
-        if CONST_ZERO in codes:
-            return None
-        codes.discard(CONST_ONE)
-        if _has_xxprime(codes):
-            return None
-        m = self.full
-        for code in codes:
-            m &= self.lit_mask[code]
-        return m
 
     def _coverage_ub(self) -> int:
         out = 0
@@ -275,7 +277,9 @@ class _OrderSearch:
         term_idx = self.order[ti]
         term = self.f[term_idx]
         max_pl = self.budget.max_placements
-        for pi in range(len(self.paths)):
+        # every earlier term deferred: the grid is empty
+        empty = len(self.deferred) == ti
+        for pi in self.orbit_reps if empty else range(len(self.paths)):
             if self.used[pi]:
                 continue
             path = self.paths[pi]
@@ -317,12 +321,8 @@ class _OrderSearch:
         zeroed = [cell for cell in range(self.rc) if self.grid[cell] is None]
         for cell in zeroed:
             self._fix(cell, CONST_ZERO, None, log)
-        total = 0
-        for pi in range(len(self.paths)):
-            m = self._full_path_mask(pi)
-            if m is not None:
-                total |= m
-        if total != self.f_mask:
+        # every path is fixed now: path_ub is its product mask, 0 if cancelled
+        if self._coverage_ub() != self.f_mask:
             self._undo(log)
             return None
         from .solver import LatticeAssignment
@@ -396,7 +396,6 @@ def map_function(
         budget = SearchBudget()
     if paths is None:
         paths = enumerate_paths(dim)
-    problem = MappingProblem(f, dim, paths, budget)
 
     var_order = sorted(variables(f))
     nv = len(var_order)
@@ -413,7 +412,7 @@ def map_function(
     for k, order in enumerate(itertools.permutations(range(n))):
         if budget.max_orders is not None and k >= budget.max_orders:
             break
-        search = _OrderSearch(problem, deadline)
+        search = _OrderSearch(f, dim, paths, budget, deadline)
         sol = search.run(order)
         if sol is not None:
             return MapResult(SOLVED, sol)

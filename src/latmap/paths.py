@@ -9,7 +9,9 @@ dimensions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .grid import MAX_DIM, SRC, LatticeDim, build_children
 
@@ -24,6 +26,32 @@ class PathSet:
 
     def cell_sets(self) -> set[frozenset[int]]:
         return {frozenset(p) for p in self.paths}
+
+    @cached_property
+    def orbit_first(self) -> tuple[bool, ...]:
+        """Per path: no mirror image of it comes earlier in canonical order.
+
+        The mirrors are left-right, top-bottom and both; only those that map
+        the multiset of path cell sets onto itself count.  ``enumerate_paths``
+        is closed under all three, a hand-written path file may not be.
+        """
+        rows, cols = self.dim.rows, self.dim.cols
+        sets = [frozenset(p) for p in self.paths]
+        first: dict[frozenset[int], int] = {}
+        for i, cells in enumerate(sets):
+            first.setdefault(cells, i)
+        images = []
+        for flip_rows, flip_cols in ((False, True), (True, False), (True, True)):
+            image = [
+                frozenset(
+                    (rows - 1 - r if flip_rows else r) * cols + (cols - 1 - c if flip_cols else c)
+                    for r, c in (divmod(cell, cols) for cell in cells)
+                )
+                for cells in sets
+            ]
+            if Counter(image) == Counter(sets):
+                images.append(image)
+        return tuple(all(first[img[i]] >= i for img in images) for i in range(len(sets)))
 
 
 def _canonical(paths: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:

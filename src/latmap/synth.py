@@ -189,7 +189,6 @@ def expand_plan(plan: SynthesisPlan) -> Sop:
         if pl.aux_code is not None:
             continue  # feeds an aux signal, not the output sum
         terms.extend(solve_lattice(pl.assignment))
-    by_code = {aux.code: aux.product for aux in plan.aux_defs}
     for aux in reversed(plan.aux_defs):
         expanded: Sop = []
         for t in terms:
@@ -197,11 +196,11 @@ def expand_plan(plan: SynthesisPlan) -> Sop:
                 t = (t - {aux.code}) | aux.product
             expanded.append(frozenset(t))
         terms = expanded
+    # later products may hold earlier codes, never the reverse, so a code
+    # still present has no definition
     for t in terms:
         for c in t:
-            if AUX_MIN <= c <= AUX_MAX and c in by_code:
-                raise AssertionError("unsubstituted auxiliary code")
-            if AUX_MIN <= c <= AUX_MAX and c not in by_code:
+            if AUX_MIN <= c <= AUX_MAX:
                 raise ValueError(f"dangling auxiliary code {c}")
     normalized = [normalize_term(t) for t in terms]
     return absorb([t for t in normalized if t is not None])

@@ -9,10 +9,10 @@ from latmap.mapper import (
     SearchBudget,
     map_function,
 )
-from latmap.paths import enumerate_paths
+from latmap.paths import PathSet, enumerate_paths, parse_paths, serialize_paths
 from latmap.solver import verify_witness
 
-from goldens import MAP_EX1, MAP_EX2, MAP_EX3, MAP_EX4, f
+from goldens import MAP_EX1, MAP_EX2, MAP_EX3, MAP_EX4, PATHS_3X3, f
 
 DIM3 = LatticeDim(3, 3)
 
@@ -23,6 +23,48 @@ def test_walkthrough_examples_solve_and_verify(fn):
     assert r.status == SOLVED
     assert verify_witness(r.solution.assignment, fn)
     assert len(r.solution.order) == len(fn)
+
+
+# First solutions of the search without mirror-symmetry breaking:
+# (function, grid codes, order, POI as (kind, subject)).  Breaking the
+# symmetry only skips subtrees without a solution, so they stay the same.
+FIRST_SOLUTIONS = [
+    (MAP_EX1, (997, 1000, 100, 997, 5, 4, 999, 1000, 998), (0, 1, 2),
+     [("saved-escape-path", 0), ("covered-escape-multi-option", 2),
+      ("zero-on-lattice-var", 2)]),
+    (MAP_EX2, (4, 996, 0, 4, 996, 0, 997, 999, 4), (0, 1, 2, 3),
+     [("saved-escape-path", 2), ("placed-by-xxprime", 0),
+      ("placed-by-xxprime", 2), ("placed-by-xxprime", 3),
+      ("path-saved-by-xxprime", 3), ("path-saved-by-xxprime", 4),
+      ("path-saved-by-xxprime", 5), ("path-saved-by-xxprime", 7),
+      ("path-saved-by-xxprime", 8), ("term-hiding", 1)]),
+    (MAP_EX3, (1, 997, 996, 1000, 998, 996, 4, 0, 996), (0, 1, 2, 3),
+     [("covered-escape-multi-option", 3), ("placed-by-xxprime", 0),
+      ("placed-by-xxprime", 2), ("placed-by-xxprime", 3),
+      ("path-saved-by-xxprime", 3), ("path-saved-by-xxprime", 8)]),
+    (MAP_EX4, (3, 1000, 995, 995, 4, 997, 1000, 4, 999), (0, 1, 2, 3),
+     [("covered-escape-multi-option", 1), ("saved-escape-path", 2),
+      ("placed-by-xxprime", 0), ("placed-by-xxprime", 3),
+      ("path-saved-by-xxprime", 7), ("term-hiding", 1)]),
+]
+
+
+@pytest.mark.parametrize("fn,codes,order,poi", FIRST_SOLUTIONS)
+def test_walkthrough_first_solutions_pinned(fn, codes, order, poi):
+    sol = map_function(fn, DIM3).solution
+    assert sol.assignment.codes == codes
+    assert sol.order == order
+    assert sol.poi == tuple(PoiEvent(kind, subject) for kind, subject in poi)
+
+
+def test_path_file_not_closed_under_a_mirror():
+    """Dropping (2, 5, 8) breaks the left-right mirror; the search must not
+    prune by it and still finds a verified witness."""
+    kept = [p for p in PATHS_3X3 if p != (2, 5, 8)]
+    text = serialize_paths(PathSet(DIM3, tuple(kept)))
+    r = map_function(MAP_EX1, DIM3, None, parse_paths(text, DIM3))
+    assert r.status == SOLVED
+    assert verify_witness(r.solution.assignment, MAP_EX1)
 
 
 def test_single_variable_on_2x2():

@@ -90,6 +90,49 @@ def test_parse_rejects_garbage():
         parse_paths("1 4\n2 0 9\n")  # cell out of range
 
 
+def _mirror(cells, dim, flip_cols, flip_rows):
+    out = set()
+    for cell in cells:
+        r, c = divmod(cell, dim.cols)
+        r = dim.rows - 1 - r if flip_rows else r
+        c = dim.cols - 1 - c if flip_cols else c
+        out.add(r * dim.cols + c)
+    return frozenset(out)
+
+
+MIRRORS = [(True, False), (False, True), (True, True)]
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_mirror_orbit_minima_flagged(r):
+    """Every enumerated path set up to 6x6 is closed under the left-right and
+    top-bottom mirrors, and a path is flagged exactly when no mirror image of
+    it comes earlier."""
+    for c in range(2, 7):
+        dim = LatticeDim(r, c)
+        ps = enumerate_paths(dim)
+        sets = [frozenset(p) for p in ps.paths]
+        index = {s: i for i, s in enumerate(sets)}
+        assert len(index) == len(sets)
+        images = [[_mirror(s, dim, *m) for s in sets] for m in MIRRORS]
+        for img in images:
+            assert set(img) == set(sets)
+        minima = [all(index[img[i]] >= i for img in images) for i in range(len(sets))]
+        assert list(ps.orbit_first) == minima
+
+
+def test_mirror_not_closed_is_not_used():
+    """Without (2, 5, 8) the 3x3 set is closed only under the top-bottom
+    mirror: paths pair up with their top-bottom image alone."""
+    kept = [p for p in PATHS_3X3 if p != (2, 5, 8)]
+    text = serialize_paths(PathSet(LatticeDim(3, 3), tuple(kept)))
+    ps = parse_paths(text, LatticeDim(3, 3))
+    assert ps.orbit_first == (True, True, True, False, True, False, True, False)
+    assert enumerate_paths(LatticeDim(3, 3)).orbit_first == (
+        True, True, False, True, False, False, False, True, False
+    )
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(2, 5))
 def test_path_lengths_bounded(r, c):
