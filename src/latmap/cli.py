@@ -131,6 +131,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         res = outcome.result
         outdir = Path(args.outdir)
         outdir.mkdir(parents=True, exist_ok=True)
+        manifest = []
         for name, indices, sol in (
             ("sub1", res.indices_a, res.solution_a),
             ("sub2", res.indices_b, res.solution_b),
@@ -138,11 +139,6 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             (outdir / f"{name}.lat").write_text(
                 solver.serialize_lattice(sol.assignment)
             )
-        manifest = []
-        for name, indices, sol in (
-            ("sub1", res.indices_a, res.solution_a),
-            ("sub2", res.indices_b, res.solution_b),
-        ):
             manifest.append(f"{name}: terms " + " ".join(str(i + 1) for i in indices))
             for ev in sol.poi:
                 manifest.append(f"{name} POI: {ev.text()}")

@@ -28,20 +28,33 @@ subtree is searched in full before p's.  Under ``max_placements`` a cut
 search may stop at a different place than without the symmetry breaking; a
 solved answer is still truth-table checked, and a cut search still gives
 inconclusive, never no-solution.
+
+Undo is by snapshot: before the arrangements of one term on one path are
+tried, the grid, the cell owners, the unfixed-cell counts and the path
+bounds are copied, and they are restored after each arrangement (and around
+the zeroing in the final check).  The arrangements of a term over a path's
+free cells depend only on the term, the number of free cells and the
+literals still needed; they are generated lazily in a fixed lexicographic
+order and memoized per search once fully listed.  That order is the one the
+search has always used, so unbudgeted answers and the point where
+``max_placements`` cuts a search are unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .codes import (
     CONST_ONE,
     CONST_ZERO,
     COMPLEMENT_BASE,
     Sop,
+    _var_mask,
     function_mask,
     is_complement_code,
     literal_masks,
@@ -49,6 +62,7 @@ from .codes import (
 )
 from .grid import LatticeDim
 from .paths import PathSet, enumerate_paths
+from .solver import LatticeAssignment
 
 SOLVED = "solved"
 NO_SOLUTION = "no-solution"
@@ -93,7 +107,7 @@ class PoiEvent:
 
 @dataclass(frozen=True)
 class MappingSolution:
-    assignment: "LatticeAssignment"
+    assignment: LatticeAssignment
     order: tuple[int, ...]
     poi: tuple[PoiEvent, ...]
 
@@ -134,13 +148,15 @@ class _OrderSearch:
         self.var_order = sorted(variables(f))
         nv = len(self.var_order)
         self.full = (1 << (1 << nv)) - 1
-        self.lit_mask = literal_masks(self.var_order)
+        lit_mask = literal_masks(self.var_order)
         term_masks = []
         for t in f:
             m = self.full
             for code in t:
-                m &= self.lit_mask[code]
+                m &= lit_mask[code]
             term_masks.append(m)
+        # a fixed cell ANDs its mask into the bound of every path through it
+        self.code_mask = {**lit_mask, CONST_ZERO: 0, CONST_ONE: self.full}
         self.term_outside = [self.full & ~m for m in term_masks]
         self.f_mask = 0
         for m in term_masks:
@@ -158,36 +174,36 @@ class _OrderSearch:
         self.used = [False] * len(self.paths)
         self.matched: list[Optional[int]] = [None] * len(self.paths)
         self.deferred: list[int] = []
+        # fully listed arrangements by (term index, free cells, literals needed)
+        self.arrangements: dict[tuple, list[tuple[int, ...]]] = {}
 
     # -- state updates ---------------------------------------------------
 
-    def _fix(self, cell: int, code: int, term_idx: Optional[int], log: list) -> bool:
+    def _snapshot(self) -> tuple[list, list, list, list]:
+        return self.grid[:], self.placed_by[:], self.unfixed[:], self.path_ub[:]
+
+    def _restore(self, saved: tuple[list, list, list, list]) -> None:
+        self.grid[:], self.placed_by[:], self.unfixed[:], self.path_ub[:] = saved
+
+    def _fix(self, cell: int, code: int, term_idx: Optional[int]) -> bool:
         """Fix one cell; returns False when a completed path is a live escape.
 
         A fully fixed path must be neutralized: self-cancelling (a 0 cell or
         an xx' pair) or absorbed, i.e. its literal set is a superset of some
         target term.  Anything else can never be fixed later, so the branch
-        dies here.
+        dies here, and the caller's restore discards the partial update.
         """
         self.grid[cell] = code
         self.placed_by[cell] = term_idx
-        log.append(cell)
-        ok = True
+        m = self.code_mask[code]
+        unfixed = self.unfixed
+        path_ub = self.path_ub
         for pi in self.through[cell]:
-            self.unfixed[pi] -= 1
-            old = self.path_ub[pi]
-            if code == CONST_ZERO:
-                new = 0
-            elif code == CONST_ONE:
-                new = old
-            else:
-                new = old & self.lit_mask[code]
-            if new != old:
-                log.append((pi, old))
-                self.path_ub[pi] = new
-            if ok and self.unfixed[pi] == 0 and not self._neutralized(pi):
-                ok = False
-        return ok
+            unfixed[pi] -= 1
+            path_ub[pi] &= m
+            if not unfixed[pi] and not self._neutralized(pi):
+                return False
+        return True
 
     def _neutralized(self, pi: int) -> bool:
         """A fully fixed path's product mask is 0 exactly when it holds a 0
@@ -199,61 +215,62 @@ class _OrderSearch:
                 return True
         return False
 
-    def _undo(self, log: list) -> None:
-        for entry in reversed(log):
-            if isinstance(entry, tuple):
-                pi, old = entry
-                self.path_ub[pi] = old
-            else:
-                cell = entry
-                self.grid[cell] = None
-                self.placed_by[cell] = None
-                for pi in self.through[cell]:
-                    self.unfixed[pi] += 1
-
     def _coverage_ub(self) -> int:
-        out = 0
-        for ub in self.path_ub:
-            out |= ub
-            if out == self.full:
-                break
-        return out
+        return functools.reduce(operator.or_, self.path_ub, 0)
 
     # -- placements ------------------------------------------------------
 
     def _placements(
-        self, term: frozenset[int], path: tuple[int, ...]
-    ) -> Iterator[list[tuple[int, int]]]:
-        """Deterministic enumeration of literal arrangements along the path."""
+        self, term_idx: int, path: tuple[int, ...]
+    ) -> Optional[tuple[list[int], Iterable[tuple[int, ...]]]]:
+        """The path's free cells and the literal arrangements over them, in
+        a fixed order; None when the path's fixed cells rule the term out."""
+        term = self.f[term_idx]
         provided: set[int] = set()
         free: list[int] = []
         for cell in path:
             v = self.grid[cell]
             if v is None:
                 free.append(cell)
-            elif v == CONST_ONE or v in term:
-                if v != CONST_ONE:
-                    provided.add(v)
-            else:
-                return
+            elif v in term:
+                provided.add(v)
+            elif v != CONST_ONE:
+                return None
         need = term - provided
         if len(need) > len(free):
-            return
-        options = sorted(term) + [CONST_ONE]
+            return None
+        key = (term_idx, len(free), need)
+        arrangements = self.arrangements.get(key)
+        if arrangements is None:
+            return free, self._arrange(key, sorted(term) + [CONST_ONE])
+        return free, arrangements
+
+    def _arrange(
+        self, key: tuple[int, int, frozenset[int]], options: list[int]
+    ) -> Iterator[tuple[int, ...]]:
+        """Yield the code tuples over ``nfree`` cells that hold every needed
+        literal, lexicographic in ``options``; memoize them once all are
+        listed.  Yielding as they are made keeps the first placement (and
+        the deadline check) from waiting for a list of (|t|+1)^nfree."""
+        _, nfree, need = key
         chosen: list[int] = []
 
-        def rec(i: int, still: frozenset[int]) -> Iterator[list[tuple[int, int]]]:
-            if len(still) > len(free) - i:
+        def rec(i: int, still: frozenset[int]) -> Iterator[tuple[int, ...]]:
+            if len(still) > nfree - i:
                 return
-            if i == len(free):
-                yield list(zip(free, chosen))
+            if i == nfree:
+                yield tuple(chosen)
                 return
             for code in options:
                 chosen.append(code)
                 yield from rec(i + 1, still - {code} if code in still else still)
                 chosen.pop()
 
-        yield from rec(0, frozenset(need))
+        listed = []
+        for codes in rec(0, need):
+            listed.append(codes)
+            yield codes
+        self.arrangements[key] = listed
 
     # -- search ----------------------------------------------------------
 
@@ -285,21 +302,23 @@ class _OrderSearch:
             path = self.paths[pi]
             if len(term) > len(path):
                 continue
+            housing = self._placements(term_idx, path)
+            if housing is None:
+                continue
+            free, arrangements = housing
+            saved = self._snapshot()
             count = 0
-            for placement in self._placements(term, path):
+            for codes in arrangements:
                 if self._out_of_time():
                     return None
                 count += 1
                 if max_pl is not None and count > max_pl:
                     self.truncated = True
                     break
-                log: list = []
-                ok = True
-                for cell, code in placement:
-                    if not self._fix(cell, code, term_idx, log):
-                        ok = False
+                for cell, code in zip(free, codes):
+                    if not self._fix(cell, code, term_idx):
                         break
-                if ok:
+                else:
                     self.used[pi] = True
                     self.matched[pi] = term_idx
                     sol = self._try_terms(ti + 1)
@@ -307,7 +326,7 @@ class _OrderSearch:
                         return sol
                     self.used[pi] = False
                     self.matched[pi] = None
-                self._undo(log)
+                self._restore(saved)
         # no housing works down this branch: defer, the term may be hiding
         self.deferred.append(term_idx)
         sol = self._try_terms(ti + 1)
@@ -317,16 +336,15 @@ class _OrderSearch:
         return None
 
     def _finish(self) -> Optional[MappingSolution]:
-        log: list = []
         zeroed = [cell for cell in range(self.rc) if self.grid[cell] is None]
+        saved = self._snapshot()
         for cell in zeroed:
-            self._fix(cell, CONST_ZERO, None, log)
+            # a zeroed path is cancelled, so this never meets a live escape
+            self._fix(cell, CONST_ZERO, None)
         # every path is fixed now: path_ub is its product mask, 0 if cancelled
         if self._coverage_ub() != self.f_mask:
-            self._undo(log)
+            self._restore(saved)
             return None
-        from .solver import LatticeAssignment
-
         assignment = LatticeAssignment(self.dim, tuple(self.grid))  # type: ignore[arg-type]
         poi = self._derive_poi(zeroed)
         return MappingSolution(assignment, self.order, tuple(poi))
@@ -373,8 +391,6 @@ class _OrderSearch:
 
 def _semantic_support(f_mask: int, nv: int) -> int:
     """Number of variables the truth table actually depends on."""
-    from .codes import _var_mask
-
     count = 0
     for i in range(nv):
         m = _var_mask(i, nv)

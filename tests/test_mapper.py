@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from latmap.grid import LatticeDim
@@ -12,9 +14,22 @@ from latmap.mapper import (
 from latmap.paths import PathSet, enumerate_paths, parse_paths, serialize_paths
 from latmap.solver import verify_witness
 
-from goldens import MAP_EX1, MAP_EX2, MAP_EX3, MAP_EX4, PATHS_3X3, f
+from goldens import (
+    DECOMP_EVEN8,
+    MAP_EX1,
+    MAP_EX2,
+    MAP_EX3,
+    MAP_EX4,
+    PATHS_3X3,
+    f,
+)
 
 DIM3 = LatticeDim(3, 3)
+
+# An 8-term function (DECOMP_EVEN8) whose exhaustive 3x3 search is a
+# no-solution that takes about a second.
+HARD = f({998, 996, 1, 1000}, {3, 1, 4}, {3, 996, 999}, {998, 996, 999},
+         {3, 1, 1000}, {3, 0, 4}, {3, 0, 999}, {998, 3})
 
 
 @pytest.mark.parametrize("fn", [MAP_EX1, MAP_EX2, MAP_EX3, MAP_EX4])
@@ -94,16 +109,56 @@ def test_deterministic():
 
 
 def test_time_budget_yields_inconclusive():
-    hard = f({998, 996, 1, 1000}, {3, 1, 4}, {3, 996, 999}, {998, 996, 999},
-             {3, 1, 1000}, {3, 0, 4}, {3, 0, 999}, {998, 3})
-    r = map_function(hard, DIM3, SearchBudget(time_limit=0.01))
+    r = map_function(HARD, DIM3, SearchBudget(time_limit=0.01))
     assert r.status == INCONCLUSIVE
 
 
 def test_unbudgeted_negative_is_definite():
-    hard = f({998, 996, 1, 1000}, {3, 1, 4}, {3, 996, 999}, {998, 996, 999},
-             {3, 1, 1000}, {3, 0, 4}, {3, 0, 999}, {998, 3})
-    assert map_function(hard, DIM3).status == NO_SOLUTION
+    assert map_function(HARD, DIM3).status == NO_SOLUTION
+
+
+def test_deadline_respected_on_large_grid():
+    """On 5x5 a long path has more free cells than any arrangement list
+    could hold; the first placement must come before they are all listed,
+    so the deadline still ends the search on time."""
+    t0 = time.monotonic()
+    r = map_function(HARD, LatticeDim(5, 5), SearchBudget(time_limit=0.3))
+    assert r.status == INCONCLUSIVE
+    assert time.monotonic() - t0 < 1.0
+
+
+# Subsets of DECOMP_EVEN8 (1-based term numbers) under placement and order
+# budgets: (subset, max_placements, max_orders, status, grid codes, order),
+# as recorded before the search's undo and arrangement code was rewritten.
+# 1458 and 2568 solve at one placement per path only on a later order.
+BUDGETED = [
+    ("1458", 1, 1, INCONCLUSIVE, None, None),
+    ("1458", 1, 5, SOLVED, (996, 100, 3, 998, 1, 3, 999, 1000, 998), (0, 1, 3, 2)),
+    ("1458", 2, 1, INCONCLUSIVE, None, None),
+    ("1458", 2, 5, SOLVED, (996, 100, 3, 998, 1, 3, 999, 1000, 998), (0, 1, 3, 2)),
+    ("2568", 1, 1, INCONCLUSIVE, None, None),
+    ("2568", 1, 5, SOLVED, (1, 100, 3, 3, 0, 3, 1000, 4, 998), (0, 1, 3, 2)),
+    ("2568", 2, 1, SOLVED, (1, 0, 3, 3, 3, 998, 4, 1000, 3), (0, 1, 2, 3)),
+    ("2568", 2, 5, SOLVED, (1, 0, 3, 3, 3, 998, 4, 1000, 3), (0, 1, 2, 3)),
+    ("2347", 1, 1, INCONCLUSIVE, None, None),
+    ("2347", 1, 5, INCONCLUSIVE, None, None),
+    ("2347", 2, 1, SOLVED, (1, 996, 0, 3, 999, 3, 4, 998, 999), (0, 1, 2, 3)),
+    ("2347", 2, 5, SOLVED, (1, 996, 0, 3, 999, 3, 4, 998, 999), (0, 1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize("subset,max_pl,max_ord,status,codes,order", BUDGETED)
+def test_placement_and_order_budgets_pinned(
+    subset, max_pl, max_ord, status, codes, order
+):
+    fn = [DECOMP_EVEN8[int(d) - 1] for d in subset]
+    budget = SearchBudget(max_placements=max_pl, max_orders=max_ord)
+    r = map_function(fn, DIM3, budget)
+    assert r.status == status
+    if status == SOLVED:
+        assert r.solution.assignment.codes == codes
+        assert r.solution.order == order
+        assert verify_witness(r.solution.assignment, fn)
 
 
 def test_explicit_paths_accepted():
