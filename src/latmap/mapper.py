@@ -20,11 +20,17 @@ while the same functions written as ac' + bc', ab + c and a'c map
 The search breaks the grid's mirror symmetry (lex-leader symmetry breaking,
 Crawford et al., KR 1996).  Connectivity and every check of the search are
 invariant under each mirror that maps the path set onto itself
-(``PathSet.orbit_first``).  So while the grid is empty (every earlier term
-deferred) a term is housed only on paths that come first among their mirror
-images.  Unbudgeted answers do not change: were the first solution under a
-path p with an earlier mirror image q, its mirror would lie under q, whose
-subtree is searched in full before p's.  Under ``max_placements`` a cut
+(``PathSet.mirrors``).  Each node carries its stabilizer: the mirrors that
+map its grid and used paths onto themselves, all of them at the root.  A
+term is not housed on a path that one of them maps to an earlier path, and
+on a path that one of them maps onto itself, an arrangement is skipped when
+its mirror image comes earlier in the arrangement order.  A child keeps the
+mirrors that fix its arrangement, a deferral keeps them all, so the rule
+applies wherever the grid is still symmetric (say, a term on the centre
+column of 3x3) and costs nothing once it is not.  Unbudgeted answers do not
+change: were the first solution under a skipped path or arrangement, its
+mirror would lie under an earlier sibling, whose subtree is searched in full
+first.  Skipped arrangements do not count toward ``max_placements``, so a cut
 search may stop at a different place than without the symmetry breaking; a
 solved answer is still truth-table checked, and a cut search still gives
 inconclusive, never no-solution.
@@ -44,10 +50,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .codes import (
     CONST_ONE,
@@ -64,6 +71,9 @@ from .grid import LatticeDim
 from .paths import PathSet, enumerate_paths
 from .solver import LatticeAssignment
 
+# a grid mirror as (cell map, path map), see ``PathSet.mirrors``
+Mirror = tuple[tuple[int, ...], tuple[int, ...]]
+
 SOLVED = "solved"
 NO_SOLUTION = "no-solution"
 INCONCLUSIVE = "inconclusive"
@@ -79,9 +89,22 @@ POI_PLACED_XXPRIME = "placed-by-xxprime"
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits on one mapping; None leaves a limit off.  Counts must be at
+    least 1 and a time limit finite and positive, since a budget that allows
+    nothing could only ever answer inconclusive."""
+
     max_orders: Optional[int] = None
     max_placements: Optional[int] = None
     time_limit: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_orders", "max_placements"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        t = self.time_limit
+        if t is not None and not (math.isfinite(t) and t > 0):
+            raise ValueError(f"time_limit must be finite and positive, got {t}")
 
 
 @dataclass(frozen=True)
@@ -139,8 +162,7 @@ class _OrderSearch:
         self.dim = dim
         self.rc = dim.cells
         self.paths = paths.paths  # canonical = shortest first
-        # housings tried while the grid is empty: one path per mirror orbit
-        self.orbit_reps = [pi for pi, first in enumerate(paths.orbit_first) if first]
+        self.mirrors = paths.mirrors
         self.budget = budget
         self.deadline = deadline
         self.truncated = False
@@ -276,7 +298,7 @@ class _OrderSearch:
 
     def run(self, order: tuple[int, ...]) -> Optional[MappingSolution]:
         self.order = order
-        return self._try_terms(0)
+        return self._try_terms(0, self.mirrors)
 
     def _out_of_time(self) -> bool:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -284,7 +306,9 @@ class _OrderSearch:
             return True
         return False
 
-    def _try_terms(self, ti: int) -> Optional[MappingSolution]:
+    def _try_terms(self, ti: int, stab: Sequence[Mirror]) -> Optional[MappingSolution]:
+        """Search below the current node; ``stab`` holds the mirrors that map
+        its grid and used paths onto themselves."""
         if self._out_of_time():
             return None
         if self.f_mask & ~self._coverage_ub():
@@ -294,11 +318,11 @@ class _OrderSearch:
         term_idx = self.order[ti]
         term = self.f[term_idx]
         max_pl = self.budget.max_placements
-        # every earlier term deferred: the grid is empty
-        empty = len(self.deferred) == ti
-        for pi in self.orbit_reps if empty else range(len(self.paths)):
+        for pi in range(len(self.paths)):
             if self.used[pi]:
                 continue
+            if stab and any(pmap[pi] < pi for _, pmap in stab):
+                continue  # a mirror image of this path comes earlier
             path = self.paths[pi]
             if len(term) > len(path):
                 continue
@@ -306,11 +330,18 @@ class _OrderSearch:
             if housing is None:
                 continue
             free, arrangements = housing
+            # mirrors that map the path onto itself permute its free cells
+            fixing = [m for m in stab if m[1][pi] == pi]
             saved = self._snapshot()
             count = 0
             for codes in arrangements:
                 if self._out_of_time():
                     return None
+                child: Sequence[Mirror] = ()
+                if fixing:
+                    child = self._arrangement_stab(term, free, codes, fixing)
+                    if child is None:
+                        continue  # a mirror image of it comes earlier
                 count += 1
                 if max_pl is not None and count > max_pl:
                     self.truncated = True
@@ -321,7 +352,7 @@ class _OrderSearch:
                 else:
                     self.used[pi] = True
                     self.matched[pi] = term_idx
-                    sol = self._try_terms(ti + 1)
+                    sol = self._try_terms(ti + 1, child)
                     if sol is not None:
                         return sol
                     self.used[pi] = False
@@ -329,11 +360,32 @@ class _OrderSearch:
                 self._restore(saved)
         # no housing works down this branch: defer, the term may be hiding
         self.deferred.append(term_idx)
-        sol = self._try_terms(ti + 1)
+        sol = self._try_terms(ti + 1, stab)
         if sol is not None:
             return sol
         self.deferred.pop()
         return None
+
+    def _arrangement_stab(
+        self,
+        term: frozenset[int],
+        free: list[int],
+        codes: tuple[int, ...],
+        fixing: list[Mirror],
+    ) -> Optional[list[Mirror]]:
+        """None when a mirror image of the arrangement comes earlier in the
+        arrangement order; otherwise the mirrors that leave it unchanged."""
+        options = sorted(term) + [CONST_ONE]
+        ranks = [options.index(code) for code in codes]
+        rank = dict(zip(free, ranks))
+        child = []
+        for mirror in fixing:
+            image = [rank[mirror[0][cell]] for cell in free]
+            if image < ranks:
+                return None
+            if image == ranks:
+                child.append(mirror)
+        return child
 
     def _finish(self) -> Optional[MappingSolution]:
         zeroed = [cell for cell in range(self.rc) if self.grid[cell] is None]

@@ -28,30 +28,41 @@ class PathSet:
         return {frozenset(p) for p in self.paths}
 
     @cached_property
-    def orbit_first(self) -> tuple[bool, ...]:
-        """Per path: no mirror image of it comes earlier in canonical order.
+    def mirrors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """A (cell map, path map) pair per mirror of the grid that maps the
+        multiset of path cell sets onto itself.
 
-        The mirrors are left-right, top-bottom and both; only those that map
-        the multiset of path cell sets onto itself count.  ``enumerate_paths``
-        is closed under all three, a hand-written path file may not be.
+        The mirrors are left-right, top-bottom and both.  ``enumerate_paths``
+        is closed under all three, a hand-written path file may not be.  The
+        path map sends the k-th path with a cell set to the k-th path with
+        its image, so both maps are involutions.
         """
         rows, cols = self.dim.rows, self.dim.cols
         sets = [frozenset(p) for p in self.paths]
-        first: dict[frozenset[int], int] = {}
+        slots: dict[frozenset[int], list[int]] = {}
         for i, cells in enumerate(sets):
-            first.setdefault(cells, i)
-        images = []
+            slots.setdefault(cells, []).append(i)
+        out = []
         for flip_rows, flip_cols in ((False, True), (True, False), (True, True)):
-            image = [
-                frozenset(
-                    (rows - 1 - r if flip_rows else r) * cols + (cols - 1 - c if flip_cols else c)
-                    for r, c in (divmod(cell, cols) for cell in cells)
-                )
-                for cells in sets
-            ]
-            if Counter(image) == Counter(sets):
-                images.append(image)
-        return tuple(all(first[img[i]] >= i for img in images) for i in range(len(sets)))
+            cell_map = tuple(
+                (rows - 1 - r if flip_rows else r) * cols + (cols - 1 - c if flip_cols else c)
+                for r, c in (divmod(cell, cols) for cell in range(rows * cols))
+            )
+            image = [frozenset(cell_map[c] for c in cells) for cells in sets]
+            if Counter(image) != Counter(sets):
+                continue
+            taken: Counter[frozenset[int]] = Counter()
+            path_map = []
+            for cells in image:
+                path_map.append(slots[cells][taken[cells]])
+                taken[cells] += 1
+            out.append((cell_map, tuple(path_map)))
+        return tuple(out)
+
+    @cached_property
+    def orbit_first(self) -> tuple[bool, ...]:
+        """Per path: no mirror image of it comes earlier in canonical order."""
+        return tuple(all(pm[i] >= i for _, pm in self.mirrors) for i in range(len(self.paths)))
 
 
 def _canonical(paths: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:

@@ -105,6 +105,40 @@ def test_map_inconclusive_exit_code(tmp_path, capsys):
     assert "INCONCLUSIVE" in out
 
 
+@pytest.mark.parametrize("command", ["map", "decompose", "synth"])
+@pytest.mark.parametrize("flag,value", [
+    ("--max-placements", "0"),
+    ("--max-orders", "-1"),
+    ("--time-limit", "-1"),
+    ("--time-limit", "0"),
+    ("--time-limit", "inf"),
+    ("--time-limit", "nan"),
+])
+def test_budget_out_of_range_is_usage_error(tmp_path, capsys, command, flag, value):
+    fn = tmp_path / "f.fn"
+    fn.write_text("1\n2 0 1\n")
+    argv = [command, str(fn), "--dim", "3", "3", flag, value]
+    if command != "map":
+        argv += ["--outdir", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "inf", "nan"])
+def test_time_limit_variable_out_of_range_is_usage_error(
+    tmp_path, capsys, monkeypatch, value
+):
+    monkeypatch.setenv("LATMAP_TIME_LIMIT", value)
+    fn = tmp_path / "f.fn"
+    fn.write_text("1\n2 0 1\n")
+    code, out, err = run(capsys, "map", str(fn), "--dim", "3", "3")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: time_limit") and "Traceback" not in err
+
+
 def test_map_pretty(tmp_path, capsys):
     fn = tmp_path / "f.fn"
     fn.write_text("1\n2 0 999\n")

@@ -72,6 +72,58 @@ def test_walkthrough_first_solutions_pinned(fn, codes, order, poi):
     assert sol.poi == tuple(PoiEvent(kind, subject) for kind, subject in poi)
 
 
+# First solutions where mirror-symmetry breaking prunes below the root, as
+# recorded before it did: the search houses a term on a path that a mirror
+# maps onto itself (a 3x3 column, the 3x4 left column (0, 4, 8)) and skips
+# mirrored paths below it.  (function, dim, grid codes, order, POI)
+BELOW_ROOT = [
+    ([DECOMP_EVEN8[i - 1] for i in (4, 5, 7, 8)], DIM3,
+     (1, 996, 999, 3, 998, 3, 1000, 999, 0), (0, 1, 2, 3),
+     [("covered-escape-multi-option", 3), ("placed-by-xxprime", 0),
+      ("placed-by-xxprime", 1), ("path-saved-by-xxprime", 3),
+      ("term-hiding", 3)]),
+    ([DECOMP_EVEN8[i - 1] for i in (2, 3, 4, 5)], DIM3,
+     (3, 996, 998, 1, 3, 996, 1000, 4, 999), (0, 1, 2, 3),
+     [("covered-escape-multi-option", 3), ("placed-by-xxprime", 0),
+      ("placed-by-xxprime", 1), ("path-saved-by-xxprime", 1),
+      ("path-saved-by-xxprime", 6), ("path-saved-by-xxprime", 7)]),
+    ([DECOMP_EVEN8[i - 1] for i in (3, 4, 5, 7)], DIM3,
+     (996, 0, 1, 999, 3, 3, 998, 999, 1000), (0, 1, 2, 3),
+     [("saved-escape-path", 0), ("saved-escape-path", 3),
+      ("placed-by-xxprime", 0), ("placed-by-xxprime", 2),
+      ("placed-by-xxprime", 3), ("path-saved-by-xxprime", 5),
+      ("path-saved-by-xxprime", 6), ("path-saved-by-xxprime", 8)]),
+    ([DECOMP_EVEN8[i - 1] for i in (2, 4, 5, 6, 7)], DIM3,
+     (3, 0, 998, 1, 3, 996, 1000, 4, 999), (0, 1, 2, 3, 4),
+     [("saved-escape-path", 2), ("saved-escape-path", 4),
+      ("placed-by-xxprime", 0), ("placed-by-xxprime", 1),
+      ("placed-by-xxprime", 2), ("placed-by-xxprime", 3),
+      ("path-saved-by-xxprime", 4), ("path-saved-by-xxprime", 6),
+      ("path-saved-by-xxprime", 7), ("term-hiding", 4)]),
+    # generate_library(LatticeDim(3, 4), 5, 150, 20000), trials 15 and 47
+    (f({0}, {997}), LatticeDim(3, 4),
+     (0, 997, 100, 100, 0, 997, 100, 100, 0, 997, 100, 100), (0, 1),
+     [("covered-escape-multi-option", 0), ("zero-on-lattice-var", 2),
+      ("zero-on-lattice-var", 3), ("zero-on-lattice-var", 6),
+      ("zero-on-lattice-var", 7), ("zero-on-lattice-var", 10),
+      ("zero-on-lattice-var", 11)]),
+    (f({1}, {996}, {0, 3, 998}), LatticeDim(3, 4),
+     (1, 996, 0, 100, 1, 996, 3, 100, 1, 996, 998, 100), (0, 1, 2),
+     [("covered-escape-multi-option", 0), ("covered-escape-multi-option", 1),
+      ("zero-on-lattice-var", 3), ("zero-on-lattice-var", 7),
+      ("zero-on-lattice-var", 11)]),
+]
+
+
+@pytest.mark.parametrize("fn,dim,codes,order,poi", BELOW_ROOT)
+def test_first_solutions_below_root_pinned(fn, dim, codes, order, poi):
+    sol = map_function(fn, dim).solution
+    assert sol.assignment.codes == codes
+    assert sol.order == order
+    assert sol.poi == tuple(PoiEvent(kind, subject) for kind, subject in poi)
+    assert verify_witness(sol.assignment, fn)
+
+
 def test_path_file_not_closed_under_a_mirror():
     """Dropping (2, 5, 8) breaks the left-right mirror; the search must not
     prune by it and still finds a verified witness."""
@@ -159,6 +211,20 @@ def test_placement_and_order_budgets_pinned(
         assert r.solution.assignment.codes == codes
         assert r.solution.order == order
         assert verify_witness(r.solution.assignment, fn)
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_orders": 0},
+    {"max_orders": -1},
+    {"max_placements": 0},
+    {"time_limit": 0.0},
+    {"time_limit": -1.0},
+    {"time_limit": float("inf")},
+    {"time_limit": float("nan")},
+])
+def test_budget_out_of_range_rejected(limits):
+    with pytest.raises(ValueError):
+        SearchBudget(**limits)
 
 
 def test_explicit_paths_accepted():

@@ -133,6 +133,51 @@ def test_mirror_not_closed_is_not_used():
     )
 
 
+@pytest.mark.parametrize("r", range(2, 7))
+def test_mirror_maps_are_involutions(r):
+    """Every enumerated set up to 6x6 keeps all three mirrors; each cell map
+    and path map undoes itself, and the path map sends a path to the path
+    whose cell set is the cell map's image of it."""
+    for c in range(2, 7):
+        dim = LatticeDim(r, c)
+        ps = enumerate_paths(dim)
+        sets = [frozenset(p) for p in ps.paths]
+        assert len(ps.mirrors) == 3
+        for (cell_map, path_map), m in zip(ps.mirrors, MIRRORS):
+            assert [cell_map[cell_map[x]] for x in range(dim.cells)] == list(range(dim.cells))
+            assert [path_map[path_map[i]] for i in range(len(sets))] == list(range(len(sets)))
+            for i, s in enumerate(sets):
+                assert sets[path_map[i]] == frozenset(cell_map[x] for x in s)
+                assert sets[path_map[i]] == _mirror(s, dim, *m)
+
+
+def test_mirror_maps_of_unclosed_set():
+    """Without (2, 5, 8) the 3x3 set keeps only the top-bottom mirror, which
+    maps every cell to the one in its column and the other row."""
+    kept = [p for p in PATHS_3X3 if p != (2, 5, 8)]
+    text = serialize_paths(PathSet(LatticeDim(3, 3), tuple(kept)))
+    ps = parse_paths(text, LatticeDim(3, 3))
+    ((cell_map, path_map),) = ps.mirrors
+    assert cell_map == (6, 7, 8, 3, 4, 5, 0, 1, 2)
+    sets = [frozenset(p) for p in ps.paths]
+    for i, s in enumerate(sets):
+        assert path_map[path_map[i]] == i
+        assert sets[path_map[i]] == frozenset(cell_map[x] for x in s)
+
+
+def test_mirror_maps_with_repeated_paths():
+    """A path file may list a cell set twice; the path map pairs the copies
+    up in order, so it stays an involution and sends the second copy of a
+    mirror-fixed path to itself, not to the first copy."""
+    dim = LatticeDim(3, 3)
+    ps = PathSet(dim, tuple(PATHS_3X3) + ((0, 3, 6), (1, 4, 7), (2, 5, 8)))
+    n = len(ps.paths)
+    lr, tb, both = (path_map for _, path_map in ps.mirrors)
+    assert all(pm[pm[i]] == i for pm in (lr, tb, both) for i in range(n))
+    assert (lr[0], lr[1], lr[n - 3], lr[n - 2]) == (2, 1, n - 1, n - 2)
+    assert [tb[i] for i in (0, 1, 2, n - 3, n - 2, n - 1)] == [0, 1, 2, n - 3, n - 2, n - 1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 5), st.integers(2, 5))
 def test_path_lengths_bounded(r, c):
