@@ -9,10 +9,9 @@ from .codes import (
     complement,
     equivalent,
     parse_function,
-    pretty_function,
     serialize_function,
 )
-from .grid import SRC, LatticeDim, build_children, degree_histogram
+from .grid import SRC, LatticeDim, build_children
 from .paths import PathSet, enumerate_paths, parse_paths, serialize_paths
 from .solver import (
     LatticeAssignment,
@@ -43,12 +42,10 @@ __all__ = [
     "complement",
     "equivalent",
     "parse_function",
-    "pretty_function",
     "serialize_function",
     "SRC",
     "LatticeDim",
     "build_children",
-    "degree_histogram",
     "PathSet",
     "enumerate_paths",
     "parse_paths",

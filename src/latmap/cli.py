@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import codes, decompose, mapper, paths, solver, synth
 from .grid import LatticeDim
@@ -39,11 +40,7 @@ def _budget(args: argparse.Namespace) -> mapper.SearchBudget:
     time_limit = args.time_limit
     if time_limit is None and os.environ.get("LATMAP_TIME_LIMIT"):
         time_limit = float(os.environ["LATMAP_TIME_LIMIT"])
-    return mapper.SearchBudget(
-        max_orders=args.max_orders,
-        max_placements=args.max_placements,
-        time_limit=time_limit,
-    )
+    return mapper.SearchBudget(max_placements=args.max_placements, time_limit=time_limit)
 
 
 def _load_function(path: str) -> codes.Sop:
@@ -203,13 +200,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-orders", type=int, default=None)
     p.add_argument("--max-placements", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 64: argparse's own 2 means inconclusive here."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="latmap")
+    ap = _Parser(prog="latmap")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("paths", help="enumerate irredundant lattice paths")

@@ -23,8 +23,6 @@ COMPLEMENT_BASE = 1000
 Term = frozenset[int]
 Sop = list[Term]
 
-CONSTANT_ONE_FUNCTION: Sop = [frozenset()]
-
 
 def is_positive_code(code: int) -> bool:
     return 0 <= code <= AUX_MAX
@@ -258,9 +256,3 @@ def pretty_term(term: Term) -> str:
     if not term:
         return "1"
     return " ".join(pretty_code(c) for c in sorted(term))
-
-
-def pretty_function(f: Sop) -> str:
-    if not f:
-        return "0"
-    return " + ".join(pretty_term(t) for t in f)

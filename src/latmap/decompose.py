@@ -65,6 +65,8 @@ def decompose_two(
     n = len(f)
     if n < 2:
         raise ValueError("decomposition needs at least 2 terms")
+    if max_stages is not None and max_stages < 1:
+        raise ValueError(f"max_stages must be at least 1, got {max_stages}")
     if paths is None:
         paths = enumerate_paths(dim)
     if memo is None:

@@ -9,7 +9,6 @@ being generated.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 SRC = -1
@@ -58,9 +57,3 @@ def build_children(dim: LatticeDim) -> dict[int, tuple[int, ...]]:
             neigh.append(dim.dst)
         children[i] = tuple(sorted(neigh))
     return children
-
-
-def degree_histogram(dim: LatticeDim) -> dict[int, int]:
-    """Counts of child-list lengths over the cells (SRC/DST lists excluded)."""
-    ch = build_children(dim)
-    return dict(Counter(len(ch[i]) for i in range(dim.cells)))

@@ -1,12 +1,13 @@
 """Backtracking mapper: place a function's product terms onto lattice paths.
 
-Terms are examined in order; each term is housed on an available path
-(shortest first) by assigning its literals to the path cells with constant-1
-fillers, or deferred when no housing works (it may still be present as a
-combination of other paths).  Dangling cells are zeroed at the end and the
-candidate grid is accepted only if its solve is truth-table equivalent to
-the target.  The per-order search backtracks over path choices, placements
-and deferrals.
+Each call runs one search, which examines the terms in the order given;
+each term is housed on an available path (shortest first) by assigning its
+literals to the path cells with constant-1 fillers, or deferred when no
+housing works (it may still be present as a combination of other paths).
+Dangling cells are zeroed at the end and the candidate grid is accepted only
+if its solve is truth-table equivalent to the target.  The search backtracks
+over path choices, placements and deferrals.  A budget cut ends it with
+inconclusive at once: no other examination order is tried.
 
 An exhausted unbudgeted search reports no-solution.  That covers only the
 grids this search builds: the given terms housed on paths of their own
@@ -49,7 +50,6 @@ search has always used, so unbudgeted answers and the point where
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import time
@@ -89,19 +89,17 @@ POI_PLACED_XXPRIME = "placed-by-xxprime"
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits on one mapping; None leaves a limit off.  Counts must be at
-    least 1 and a time limit finite and positive, since a budget that allows
-    nothing could only ever answer inconclusive."""
+    """Limits on one mapping; None leaves a limit off.  The placement count
+    must be at least 1 and a time limit finite and positive, since a budget
+    that allows nothing could only ever answer inconclusive."""
 
-    max_orders: Optional[int] = None
     max_placements: Optional[int] = None
     time_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
-        for name in ("max_orders", "max_placements"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        p = self.max_placements
+        if p is not None and p < 1:
+            raise ValueError(f"max_placements must be at least 1, got {p}")
         t = self.time_limit
         if t is not None and not (math.isfinite(t) and t > 0):
             raise ValueError(f"time_limit must be finite and positive, got {t}")
@@ -131,7 +129,7 @@ class PoiEvent:
 @dataclass(frozen=True)
 class MappingSolution:
     assignment: LatticeAssignment
-    order: tuple[int, ...]
+    order: tuple[int, ...]  # the examination order, always the terms' own
     poi: tuple[PoiEvent, ...]
 
 
@@ -147,8 +145,8 @@ def _has_xxprime(codes: set[int]) -> bool:
     )
 
 
-class _OrderSearch:
-    """Exhaustive backtracking search for one examination order."""
+class _Search:
+    """Exhaustive backtracking search over the terms in the order given."""
 
     def __init__(
         self,
@@ -162,7 +160,6 @@ class _OrderSearch:
         self.dim = dim
         self.rc = dim.cells
         self.paths = paths.paths  # canonical = shortest first
-        self.mirrors = paths.mirrors
         self.budget = budget
         self.deadline = deadline
         self.truncated = False
@@ -296,10 +293,6 @@ class _OrderSearch:
 
     # -- search ----------------------------------------------------------
 
-    def run(self, order: tuple[int, ...]) -> Optional[MappingSolution]:
-        self.order = order
-        return self._try_terms(0, self.mirrors)
-
     def _out_of_time(self) -> bool:
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.truncated = True
@@ -313,10 +306,9 @@ class _OrderSearch:
             return None
         if self.f_mask & ~self._coverage_ub():
             return None
-        if ti == len(self.order):
+        if ti == len(self.f):
             return self._finish()
-        term_idx = self.order[ti]
-        term = self.f[term_idx]
+        term = self.f[ti]
         max_pl = self.budget.max_placements
         for pi in range(len(self.paths)):
             if self.used[pi]:
@@ -326,7 +318,7 @@ class _OrderSearch:
             path = self.paths[pi]
             if len(term) > len(path):
                 continue
-            housing = self._placements(term_idx, path)
+            housing = self._placements(ti, path)
             if housing is None:
                 continue
             free, arrangements = housing
@@ -347,11 +339,11 @@ class _OrderSearch:
                     self.truncated = True
                     break
                 for cell, code in zip(free, codes):
-                    if not self._fix(cell, code, term_idx):
+                    if not self._fix(cell, code, ti):
                         break
                 else:
                     self.used[pi] = True
-                    self.matched[pi] = term_idx
+                    self.matched[pi] = ti
                     sol = self._try_terms(ti + 1, child)
                     if sol is not None:
                         return sol
@@ -359,7 +351,7 @@ class _OrderSearch:
                     self.matched[pi] = None
                 self._restore(saved)
         # no housing works down this branch: defer, the term may be hiding
-        self.deferred.append(term_idx)
+        self.deferred.append(ti)
         sol = self._try_terms(ti + 1, stab)
         if sol is not None:
             return sol
@@ -399,7 +391,7 @@ class _OrderSearch:
             return None
         assignment = LatticeAssignment(self.dim, tuple(self.grid))  # type: ignore[arg-type]
         poi = self._derive_poi(zeroed)
-        return MappingSolution(assignment, self.order, tuple(poi))
+        return MappingSolution(assignment, tuple(range(len(self.f))), tuple(poi))
 
     # -- reporting -------------------------------------------------------
 
@@ -459,7 +451,7 @@ def map_function(
     budget: SearchBudget | None = None,
     paths: PathSet | None = None,
 ) -> MapResult:
-    """STEP 1-10 mapping: backtracking over orders, paths and placements."""
+    """STEP 1-10 mapping: one backtracking search over paths and placements."""
     if budget is None:
         budget = SearchBudget()
     if paths is None:
@@ -475,20 +467,10 @@ def map_function(
     deadline = None
     if budget.time_limit is not None:
         deadline = time.monotonic() + budget.time_limit
-
-    n = len(f)
-    for k, order in enumerate(itertools.permutations(range(n))):
-        if budget.max_orders is not None and k >= budget.max_orders:
-            break
-        search = _OrderSearch(f, dim, paths, budget, deadline)
-        sol = search.run(order)
-        if sol is not None:
-            return MapResult(SOLVED, sol)
-        if not search.truncated:
-            # a cleanly exhausted order ends the search; other orders are
-            # tried only after a budget cut one short.  no-solution is not a
-            # proof that no grid realizes f (see the module docstring)
-            return MapResult(NO_SOLUTION)
-        if deadline is not None and time.monotonic() > deadline:
-            break
-    return MapResult(INCONCLUSIVE)
+    search = _Search(f, dim, paths, budget, deadline)
+    sol = search._try_terms(0, paths.mirrors)
+    if sol is not None:
+        return MapResult(SOLVED, sol)
+    # no-solution is not a proof that no grid realizes f (see the module
+    # docstring)
+    return MapResult(INCONCLUSIVE if search.truncated else NO_SOLUTION)

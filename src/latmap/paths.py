@@ -59,11 +59,6 @@ class PathSet:
             out.append((cell_map, tuple(path_map)))
         return tuple(out)
 
-    @cached_property
-    def orbit_first(self) -> tuple[bool, ...]:
-        """Per path: no mirror image of it comes earlier in canonical order."""
-        return tuple(all(pm[i] >= i for _, pm in self.mirrors) for i in range(len(self.paths)))
-
 
 def _canonical(paths: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(paths, key=lambda p: (len(p), p)))

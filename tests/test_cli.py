@@ -108,7 +108,6 @@ def test_map_inconclusive_exit_code(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["map", "decompose", "synth"])
 @pytest.mark.parametrize("flag,value", [
     ("--max-placements", "0"),
-    ("--max-orders", "-1"),
     ("--time-limit", "-1"),
     ("--time-limit", "0"),
     ("--time-limit", "inf"),
@@ -163,6 +162,43 @@ def test_map_requires_dim_or_paths(tmp_path, capsys):
     fn.write_text("1\n1 0\n")
     with pytest.raises(SystemExit):
         main(["map", str(fn)])
+
+
+@pytest.mark.parametrize("extra", [
+    ["--dim", "3", "3", "--bogus"],
+    [],
+    ["--dim", "x", "3"],
+    ["--dim", "3", "3", "--max-orders", "5"],
+])
+def test_usage_error_exits_64(tmp_path, capsys, extra):
+    """argparse's own exit code 2 would read as inconclusive."""
+    fn = tmp_path / "f.fn"
+    fn.write_text("1\n2 0 1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["map", str(fn), *extra])
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == ""
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["map", "--help"])
+    assert exc.value.code == 0
+    assert "--max-placements" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stages", ["0", "-1"])
+def test_decompose_max_stages_below_one_is_usage_error(tmp_path, capsys, stages):
+    fn = tmp_path / "f.fn"
+    fn.write_text("3\n2 0 1\n2 2 3\n2 4 998\n")
+    code, out, err = run(capsys, "decompose", str(fn), "--dim", "2", "2",
+                         "--outdir", str(tmp_path / "out"), "--max-stages", stages)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: max_stages") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_decompose_outputs(tmp_path, capsys):

@@ -27,6 +27,15 @@ def test_split_schedule_edges():
         split_schedule(1)
 
 
+@pytest.mark.parametrize("stages", [0, -1, -2])
+def test_max_stages_below_one_rejected(stages):
+    """A count below 1 would slice stages off the end of the schedule."""
+    fn = f({0, 1}, {2, 3}, {4, 998})
+    with pytest.raises(ValueError):
+        decompose_two(fn, LatticeDim(2, 2), max_stages=stages)
+    assert decompose_two(fn, LatticeDim(2, 2), max_stages=1).status == SOLVED
+
+
 def test_even8_decomposes_with_or_equivalence():
     out = decompose_two(DECOMP_EVEN8, DIM3)
     assert out.status == SOLVED

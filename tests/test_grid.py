@@ -1,6 +1,6 @@
 import pytest
 
-from latmap.grid import SRC, LatticeDim, build_children, degree_histogram
+from latmap.grid import SRC, LatticeDim, build_children
 
 
 def test_dim_validation():
@@ -47,13 +47,3 @@ def test_horizontal_edges_only_in_middle_rows():
             assert horiz == []
         else:
             assert len(horiz) == (1 if cell % c in (0, c - 1) else 2)
-
-
-def test_degree_histogram_3x3():
-    # six degree-2 cells (top and bottom rows), two degree-3 (middle-row
-    # ends), one degree-4 (middle-row center)
-    assert degree_histogram(LatticeDim(3, 3)) == {2: 6, 3: 2, 4: 1}
-
-
-def test_degree_histogram_2x2():
-    assert degree_histogram(LatticeDim(2, 2)) == {2: 4}

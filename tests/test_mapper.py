@@ -179,32 +179,33 @@ def test_deadline_respected_on_large_grid():
     assert time.monotonic() - t0 < 1.0
 
 
-# Subsets of DECOMP_EVEN8 (1-based term numbers) under placement and order
-# budgets: (subset, max_placements, max_orders, status, grid codes, order),
-# as recorded before the search's undo and arrangement code was rewritten.
-# 1458 and 2568 solve at one placement per path only on a later order.
+def test_placement_budget_answers_at_once():
+    """A placement cut ends the mapping: no other examination order is
+    tried, so one placement per path answers inconclusive long before the
+    unbudgeted search could prove no-solution."""
+    t0 = time.monotonic()
+    r = map_function(HARD, DIM3, SearchBudget(max_placements=1))
+    assert r.status == INCONCLUSIVE
+    assert time.monotonic() - t0 < 1.0
+
+
+# Subsets of DECOMP_EVEN8 (1-based term numbers) under placement budgets:
+# (subset, max_placements, status, grid codes, order), as recorded before
+# the search's undo and arrangement code was rewritten.
 BUDGETED = [
-    ("1458", 1, 1, INCONCLUSIVE, None, None),
-    ("1458", 1, 5, SOLVED, (996, 100, 3, 998, 1, 3, 999, 1000, 998), (0, 1, 3, 2)),
-    ("1458", 2, 1, INCONCLUSIVE, None, None),
-    ("1458", 2, 5, SOLVED, (996, 100, 3, 998, 1, 3, 999, 1000, 998), (0, 1, 3, 2)),
-    ("2568", 1, 1, INCONCLUSIVE, None, None),
-    ("2568", 1, 5, SOLVED, (1, 100, 3, 3, 0, 3, 1000, 4, 998), (0, 1, 3, 2)),
-    ("2568", 2, 1, SOLVED, (1, 0, 3, 3, 3, 998, 4, 1000, 3), (0, 1, 2, 3)),
-    ("2568", 2, 5, SOLVED, (1, 0, 3, 3, 3, 998, 4, 1000, 3), (0, 1, 2, 3)),
-    ("2347", 1, 1, INCONCLUSIVE, None, None),
-    ("2347", 1, 5, INCONCLUSIVE, None, None),
-    ("2347", 2, 1, SOLVED, (1, 996, 0, 3, 999, 3, 4, 998, 999), (0, 1, 2, 3)),
-    ("2347", 2, 5, SOLVED, (1, 996, 0, 3, 999, 3, 4, 998, 999), (0, 1, 2, 3)),
+    ("1458", 1, INCONCLUSIVE, None, None),
+    ("1458", 2, INCONCLUSIVE, None, None),
+    ("2568", 1, INCONCLUSIVE, None, None),
+    ("2568", 2, SOLVED, (1, 0, 3, 3, 3, 998, 4, 1000, 3), (0, 1, 2, 3)),
+    ("2347", 1, INCONCLUSIVE, None, None),
+    ("2347", 2, SOLVED, (1, 996, 0, 3, 999, 3, 4, 998, 999), (0, 1, 2, 3)),
 ]
 
 
-@pytest.mark.parametrize("subset,max_pl,max_ord,status,codes,order", BUDGETED)
-def test_placement_and_order_budgets_pinned(
-    subset, max_pl, max_ord, status, codes, order
-):
+@pytest.mark.parametrize("subset,max_pl,status,codes,order", BUDGETED)
+def test_placement_budget_pinned(subset, max_pl, status, codes, order):
     fn = [DECOMP_EVEN8[int(d) - 1] for d in subset]
-    budget = SearchBudget(max_placements=max_pl, max_orders=max_ord)
+    budget = SearchBudget(max_placements=max_pl)
     r = map_function(fn, DIM3, budget)
     assert r.status == status
     if status == SOLVED:
@@ -214,12 +215,12 @@ def test_placement_and_order_budgets_pinned(
 
 
 @pytest.mark.parametrize("limits", [
-    {"max_orders": 0},
-    {"max_orders": -1},
     {"max_placements": 0},
+    {"max_placements": -1},
     {"time_limit": 0.0},
     {"time_limit": -1.0},
     {"time_limit": float("inf")},
+    {"time_limit": float("-inf")},
     {"time_limit": float("nan")},
 ])
 def test_budget_out_of_range_rejected(limits):

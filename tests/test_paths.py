@@ -105,9 +105,8 @@ MIRRORS = [(True, False), (False, True), (True, True)]
 
 @pytest.mark.parametrize("r", range(2, 7))
 def test_mirror_orbit_minima_flagged(r):
-    """Every enumerated path set up to 6x6 is closed under the left-right and
-    top-bottom mirrors, and a path is flagged exactly when no mirror image of
-    it comes earlier."""
+    """Every enumerated path set up to 6x6 holds distinct cell sets and is
+    closed under the left-right and top-bottom mirrors."""
     for c in range(2, 7):
         dim = LatticeDim(r, c)
         ps = enumerate_paths(dim)
@@ -117,8 +116,6 @@ def test_mirror_orbit_minima_flagged(r):
         images = [[_mirror(s, dim, *m) for s in sets] for m in MIRRORS]
         for img in images:
             assert set(img) == set(sets)
-        minima = [all(index[img[i]] >= i for img in images) for i in range(len(sets))]
-        assert list(ps.orbit_first) == minima
 
 
 def test_mirror_not_closed_is_not_used():
@@ -127,10 +124,8 @@ def test_mirror_not_closed_is_not_used():
     kept = [p for p in PATHS_3X3 if p != (2, 5, 8)]
     text = serialize_paths(PathSet(LatticeDim(3, 3), tuple(kept)))
     ps = parse_paths(text, LatticeDim(3, 3))
-    assert ps.orbit_first == (True, True, True, False, True, False, True, False)
-    assert enumerate_paths(LatticeDim(3, 3)).orbit_first == (
-        True, True, False, True, False, False, False, True, False
-    )
+    assert [path_map for _, path_map in ps.mirrors] == [(0, 1, 3, 2, 5, 4, 7, 6)]
+    assert len(enumerate_paths(LatticeDim(3, 3)).mirrors) == 3
 
 
 @pytest.mark.parametrize("r", range(2, 7))
