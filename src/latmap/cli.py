@@ -51,14 +51,6 @@ def _load_function(path: str) -> codes.Sop:
     return f
 
 
-def _pretty_grid(lat: solver.LatticeAssignment) -> str:
-    c = lat.dim.cols
-    rows = []
-    for r in range(lat.dim.rows):
-        rows.append("\t".join(codes.pretty_code(x) for x in lat.codes[r * c : (r + 1) * c]))
-    return "\n".join(rows)
-
-
 def _print_solution(sol: mapper.MappingSolution, pretty: bool) -> None:
     lat = sol.assignment
     if pretty:

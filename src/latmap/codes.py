@@ -19,6 +19,8 @@ LETTER_MAX = 25
 AUX_MIN = 26
 AUX_MAX = 99
 COMPLEMENT_BASE = 1000
+# most variables ``equivalent`` compares truth tables over (2^20 rows)
+ORACLE_MAX_VARS = 20
 
 Term = frozenset[int]
 Sop = list[Term]
@@ -173,23 +175,6 @@ def serialize_function(f: Sop) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate(f: Sop, assignment: dict[int, int]) -> int:
-    """Standard SOP semantics; complement codes read the negated variable."""
-    for t in f:
-        for code in t:
-            var = variable_of(code)
-            if var not in assignment:
-                raise ValueError(f"assignment misses variable {var}")
-            bit = assignment[var]
-            if is_complement_code(code):
-                bit = 1 - bit
-            if not bit:
-                break
-        else:
-            return 1
-    return 0
-
-
 def _var_mask(index: int, num_vars: int) -> int:
     """Bitmask over all 2^num_vars assignments where variable `index` is 1."""
     half = 1 << index
@@ -228,12 +213,12 @@ def function_mask(f: Sop, var_order: list[int]) -> int:
     return out
 
 
-def equivalent(f: Sop, g: Sop, max_vars: int = 20) -> bool:
+def equivalent(f: Sop, g: Sop) -> bool:
     """Exhaustive truth-table comparison over the union variable universe."""
     universe = sorted(variables(f) | variables(g))
-    if len(universe) > max_vars:
+    if len(universe) > ORACLE_MAX_VARS:
         raise ValueError(
-            f"{len(universe)} variables exceed the oracle bound of {max_vars}"
+            f"{len(universe)} variables exceed the oracle bound of {ORACLE_MAX_VARS}"
         )
     return function_mask(f, universe) == function_mask(g, universe)
 

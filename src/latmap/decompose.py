@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import Sop
+from .codes import Sop, Term
 from .grid import LatticeDim
 from .mapper import (
     INCONCLUSIVE,
@@ -55,27 +55,38 @@ def decompose_two(
     budget: SearchBudget | None = None,
     paths: PathSet | None = None,
     max_stages: int | None = None,
-    memo: dict[frozenset[int], MapResult] | None = None,
+    memo: dict[tuple[Term, ...], MapResult] | None = None,
 ) -> DecomposeOutcome:
     """First schedule pair admitting a mapping of both parts.
 
     NoSolution is claimed only when every subset of every stage was
-    exhausted with trustworthy (non-truncated) negatives.
+    exhausted with trustworthy (non-truncated) negatives.  The time limit
+    bounds the whole call: a mapper call gets the time that remains, and
+    with none left it is skipped and counts as inconclusive.  ``memo`` maps
+    the ordered term tuples mapped to their verdicts; callers may share it.
     """
     n = len(f)
     if n < 2:
         raise ValueError("decomposition needs at least 2 terms")
     if max_stages is not None and max_stages < 1:
         raise ValueError(f"max_stages must be at least 1, got {max_stages}")
+    if budget is None:
+        budget = SearchBudget()
     if paths is None:
         paths = enumerate_paths(dim)
     if memo is None:
         memo = {}
+    deadline = budget.deadline()
 
     def mapped(indices: tuple[int, ...]) -> MapResult:
-        key = frozenset(indices)
+        key = tuple(f[i] for i in indices)
         if key not in memo:
-            memo[key] = map_function([f[i] for i in indices], dim, budget, paths)
+            left = budget.until(deadline)
+            memo[key] = (
+                MapResult(INCONCLUSIVE)
+                if left is None
+                else map_function(list(key), dim, left, paths)
+            )
         return memo[key]
 
     inconclusive_seen = False
@@ -88,16 +99,12 @@ def decompose_two(
             if a == b and 0 not in combo:
                 continue  # visit each unordered pair once
             ra = mapped(combo)
-            if ra.status == INCONCLUSIVE:
-                inconclusive_seen = True
-                continue
-            if ra.status == NO_SOLUTION:
+            inconclusive_seen |= ra.status == INCONCLUSIVE
+            if ra.status != SOLVED:
                 continue
             rest = tuple(i for i in range(n) if i not in combo)
             rb = mapped(rest)
-            if rb.status == INCONCLUSIVE:
-                inconclusive_seen = True
-                continue
+            inconclusive_seen |= rb.status == INCONCLUSIVE
             if rb.status == SOLVED:
                 return DecomposeOutcome(
                     SOLVED,

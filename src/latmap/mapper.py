@@ -36,15 +36,20 @@ search may stop at a different place than without the symmetry breaking; a
 solved answer is still truth-table checked, and a cut search still gives
 inconclusive, never no-solution.
 
-Undo is by snapshot: before the arrangements of one term on one path are
-tried, the grid, the cell owners, the unfixed-cell counts and the path
-bounds are copied, and they are restored after each arrangement (and around
-the zeroing in the final check).  The arrangements of a term over a path's
-free cells depend only on the term, the number of free cells and the
-literals still needed; they are generated lazily in a fixed lexicographic
-order and memoized per search once fully listed.  That order is the one the
-search has always used, so unbudgeted answers and the point where
-``max_placements`` cuts a search are unchanged.
+A node keeps four lists: the grid, each path's count of unfixed cells, each
+path's bound (the AND of its fixed cells' truth-table masks) and the term
+housed on each path, if any.  Whatever else the answer reports is worked out
+at the leaf: a term is hiding when no path houses it, and the points of
+interest read cancellation and absorption off the path bounds, which are the
+paths' product masks once every cell is fixed.  Undo is by snapshot: before
+the arrangements of one term on one path are tried, the grid, the
+unfixed-cell counts and the path bounds are copied, and they are restored
+after each arrangement (and around the zeroing in the final check).  The
+arrangements of a term over a path's free cells depend only on the term, the
+number of free cells and the literals still needed; they are generated
+lazily in a fixed lexicographic order and memoized per search once fully
+listed.  That order is the one the search has always used, so unbudgeted
+answers and the point where ``max_placements`` cuts a search are unchanged.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .codes import (
@@ -62,8 +67,6 @@ from .codes import (
     COMPLEMENT_BASE,
     Sop,
     _var_mask,
-    function_mask,
-    is_complement_code,
     literal_masks,
     variables,
 )
@@ -104,6 +107,19 @@ class SearchBudget:
         if t is not None and not (math.isfinite(t) and t > 0):
             raise ValueError(f"time_limit must be finite and positive, got {t}")
 
+    def deadline(self) -> Optional[float]:
+        """The monotonic time at which a run started now must stop."""
+        t = self.time_limit
+        return None if t is None else time.monotonic() + t
+
+    def until(self, deadline: Optional[float]) -> Optional[SearchBudget]:
+        """This budget for one call of a run that stops at ``deadline``:
+        the time that remains, or None when none does."""
+        if deadline is None:
+            return self
+        left = deadline - time.monotonic()
+        return replace(self, time_limit=left) if left > 0 else None
+
 
 @dataclass(frozen=True)
 class PoiEvent:
@@ -137,12 +153,6 @@ class MappingSolution:
 class MapResult:
     status: str
     solution: Optional[MappingSolution] = None
-
-
-def _has_xxprime(codes: set[int]) -> bool:
-    return any(
-        is_complement_code(c) and COMPLEMENT_BASE - c in codes for c in codes
-    )
 
 
 class _Search:
@@ -182,7 +192,6 @@ class _Search:
             self.f_mask |= m
 
         self.grid: list[Optional[int]] = [None] * self.rc
-        self.placed_by: list[Optional[int]] = [None] * self.rc
         self.through: list[list[int]] = [[] for _ in range(self.rc)]
         for pi, p in enumerate(self.paths):
             for cell in p:
@@ -190,21 +199,20 @@ class _Search:
         self.unfixed = [len(p) for p in self.paths]
         # upper bound on each path's contribution: AND of fixed literal masks
         self.path_ub = [self.full] * len(self.paths)
-        self.used = [False] * len(self.paths)
+        # the term housed on each path, None for an unused path
         self.matched: list[Optional[int]] = [None] * len(self.paths)
-        self.deferred: list[int] = []
         # fully listed arrangements by (term index, free cells, literals needed)
         self.arrangements: dict[tuple, list[tuple[int, ...]]] = {}
 
     # -- state updates ---------------------------------------------------
 
-    def _snapshot(self) -> tuple[list, list, list, list]:
-        return self.grid[:], self.placed_by[:], self.unfixed[:], self.path_ub[:]
+    def _snapshot(self) -> tuple[list, list, list]:
+        return self.grid[:], self.unfixed[:], self.path_ub[:]
 
-    def _restore(self, saved: tuple[list, list, list, list]) -> None:
-        self.grid[:], self.placed_by[:], self.unfixed[:], self.path_ub[:] = saved
+    def _restore(self, saved: tuple[list, list, list]) -> None:
+        self.grid[:], self.unfixed[:], self.path_ub[:] = saved
 
-    def _fix(self, cell: int, code: int, term_idx: Optional[int]) -> bool:
+    def _fix(self, cell: int, code: int) -> bool:
         """Fix one cell; returns False when a completed path is a live escape.
 
         A fully fixed path must be neutralized: self-cancelling (a 0 cell or
@@ -213,7 +221,6 @@ class _Search:
         dies here, and the caller's restore discards the partial update.
         """
         self.grid[cell] = code
-        self.placed_by[cell] = term_idx
         m = self.code_mask[code]
         unfixed = self.unfixed
         path_ub = self.path_ub
@@ -311,7 +318,7 @@ class _Search:
         term = self.f[ti]
         max_pl = self.budget.max_placements
         for pi in range(len(self.paths)):
-            if self.used[pi]:
+            if self.matched[pi] is not None:
                 continue
             if stab and any(pmap[pi] < pi for _, pmap in stab):
                 continue  # a mirror image of this path comes earlier
@@ -339,24 +346,17 @@ class _Search:
                     self.truncated = True
                     break
                 for cell, code in zip(free, codes):
-                    if not self._fix(cell, code, ti):
+                    if not self._fix(cell, code):
                         break
                 else:
-                    self.used[pi] = True
                     self.matched[pi] = ti
                     sol = self._try_terms(ti + 1, child)
                     if sol is not None:
                         return sol
-                    self.used[pi] = False
                     self.matched[pi] = None
                 self._restore(saved)
         # no housing works down this branch: defer, the term may be hiding
-        self.deferred.append(ti)
-        sol = self._try_terms(ti + 1, stab)
-        if sol is not None:
-            return sol
-        self.deferred.pop()
-        return None
+        return self._try_terms(ti + 1, stab)
 
     def _arrangement_stab(
         self,
@@ -384,7 +384,7 @@ class _Search:
         saved = self._snapshot()
         for cell in zeroed:
             # a zeroed path is cancelled, so this never meets a live escape
-            self._fix(cell, CONST_ZERO, None)
+            self._fix(cell, CONST_ZERO)
         # every path is fixed now: path_ub is its product mask, 0 if cancelled
         if self._coverage_ub() != self.f_mask:
             self._restore(saved)
@@ -396,28 +396,35 @@ class _Search:
     # -- reporting -------------------------------------------------------
 
     def _derive_poi(self, zeroed: list[int]) -> list[PoiEvent]:
+        """Points of interest of the finished grid.  Every path is fixed, so
+        its bound is its product mask: an unused path with a nonzero mask is
+        absorbed by the first term whose mask holds it, and one without a 0
+        cell has mask 0 exactly when it holds an xx' pair."""
         absorbed_count: dict[int, int] = {}
         xxprime_paths: list[int] = []
         xxprime_terms: set[int] = set()
+        housed = [(ti, pi) for pi, ti in enumerate(self.matched) if ti is not None]
         for pi, path in enumerate(self.paths):
             if self.matched[pi] is not None:
+                continue
+            ub = self.path_ub[pi]
+            if ub:
+                for t_idx, outside in enumerate(self.term_outside):
+                    if not ub & outside:
+                        absorbed_count[t_idx] = absorbed_count.get(t_idx, 0) + 1
+                        break
                 continue
             codes = {self.grid[c] for c in path}
             if CONST_ZERO in codes:
                 continue
-            codes.discard(CONST_ONE)
-            if _has_xxprime(codes):
-                xxprime_paths.append(pi)
-                for c in path:
-                    t = self.placed_by[c]
-                    code = self.grid[c]
-                    if t is not None and code in codes and COMPLEMENT_BASE - code in codes:
-                        xxprime_terms.add(t)
-                continue
-            for t_idx, term in enumerate(self.f):
-                if term <= codes:
-                    absorbed_count[t_idx] = absorbed_count.get(t_idx, 0) + 1
-                    break
+            xxprime_paths.append(pi)
+            for cell in path:
+                if COMPLEMENT_BASE - self.grid[cell] in codes:
+                    # terms are housed in index order and each fixes the
+                    # free cells of its path, so a literal cell's owner is
+                    # the first housed term whose path holds it
+                    owners = (ti for ti, pj in housed if cell in self.paths[pj])
+                    xxprime_terms.add(min(owners))
         events: list[PoiEvent] = []
         for t_idx in sorted(absorbed_count):
             kind = POI_SAVED_ESCAPE if absorbed_count[t_idx] == 1 else POI_MULTI_OPTION
@@ -428,8 +435,9 @@ class _Search:
             events.append(PoiEvent(POI_PATH_XXPRIME, pi))
         for cell in zeroed:
             events.append(PoiEvent(POI_ZERO_ON_VAR, cell))
-        for t_idx in sorted(self.deferred):
-            events.append(PoiEvent(POI_TERM_HIDING, t_idx))
+        for t_idx in range(len(self.f)):
+            if t_idx not in self.matched:
+                events.append(PoiEvent(POI_TERM_HIDING, t_idx))
         return events
 
 
@@ -457,17 +465,10 @@ def map_function(
     if paths is None:
         paths = enumerate_paths(dim)
 
-    var_order = sorted(variables(f))
-    nv = len(var_order)
-    f_mask = function_mask(f, var_order)
-    if _semantic_support(f_mask, nv) > dim.cells:
+    search = _Search(f, dim, paths, budget, budget.deadline())
+    if _semantic_support(search.f_mask, len(search.var_order)) > dim.cells:
         # a grid of rc cells holds at most rc distinct literals
         return MapResult(NO_SOLUTION)
-
-    deadline = None
-    if budget.time_limit is not None:
-        deadline = time.monotonic() + budget.time_limit
-    search = _Search(f, dim, paths, budget, deadline)
     sol = search._try_terms(0, paths.mirrors)
     if sol is not None:
         return MapResult(SOLVED, sol)

@@ -49,12 +49,11 @@ def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
         t = normalize_term(lat.codes[cell] for cell in p)
         if t is not None:
             terms.append(t)
-    terms = absorb(terms)
-    return sorted(set(terms), key=term_sort_key)
+    return sorted(absorb(terms), key=term_sort_key)
 
 
-def verify_witness(lat: LatticeAssignment, f: Sop, max_vars: int = 20) -> bool:
-    return equivalent(solve_lattice(lat), f, max_vars=max_vars)
+def verify_witness(lat: LatticeAssignment, f: Sop) -> bool:
+    return equivalent(solve_lattice(lat), f)
 
 
 def literal_range(num_vars: int) -> list[int]:

@@ -2,10 +2,14 @@
 
 Terms longer than the longest basic path are shortened with auxiliary
 variables (each auxiliary product gets its own lattice and feeds later
-lattices as an input signal).  The remaining terms are covered by repeatedly
-trying a single lattice, then a two-lattice decomposition, then a half
-split whose mapped pieces are peeled off and whose leftovers are merged
-back into the remainder.
+lattices as an input signal).  The remaining terms are covered by one
+recursion: they go onto one lattice, else onto two (``decompose_two``), else
+they are halved.  Halving peels off the first half if it maps, else the
+larger part of its two-lattice decomposition (the smaller part rejoins the
+second half), else halves the first half in turn; the rest is covered
+anew.  All mapper calls of one run share one memo keyed by the ordered term
+tuple, so no term list is mapped twice, and the time limit bounds the whole
+run: each call gets the time that remains.
 """
 
 from __future__ import annotations
@@ -17,15 +21,14 @@ from .codes import AUX_MAX, AUX_MIN, Sop, Term, absorb, normalize_term
 from .grid import LatticeDim
 from .mapper import (
     INCONCLUSIVE,
-    NO_SOLUTION,
-    SOLVED,
     MappingSolution,
+    MapResult,
     SearchBudget,
     map_function,
 )
-from .decompose import decompose_two
+from .decompose import DecomposeOutcome, DecompositionResult, decompose_two
 from .paths import PathSet, enumerate_paths, longest_path_len
-from .solver import LatticeAssignment
+from .solver import LatticeAssignment, solve_lattice
 
 
 @dataclass(frozen=True)
@@ -85,70 +88,81 @@ def split_long_terms(f: Sop, lb: int) -> tuple[Sop, list[AuxDefinition]]:
     return out, defs
 
 
-def _cover(
-    terms: Sop,
-    dim: LatticeDim,
-    budget: Optional[SearchBudget],
-    paths: PathSet,
-) -> list[PlanLattice]:
-    out: list[PlanLattice] = []
-    working = list(terms)
-    while working:
-        r = map_function(working, dim, budget, paths)
-        if r.status == INCONCLUSIVE:
+class _Run:
+    """One run's verdict memo and deadline.  A call with no time left is
+    skipped as inconclusive, and an inconclusive answer ends the run."""
+
+    def __init__(self, dim: LatticeDim, budget: SearchBudget, paths: PathSet):
+        self.dim = dim
+        self.budget = budget
+        self.paths = paths
+        self.deadline = budget.deadline()
+        self.memo: dict[tuple[Term, ...], MapResult] = {}
+
+    @staticmethod
+    def _settled(outcome: MapResult | DecomposeOutcome):
+        if outcome.status == INCONCLUSIVE:
             raise SynthesisInconclusive
-        if r.status == SOLVED:
-            out.append(PlanLattice(r.solution.assignment, tuple(working)))
-            return out
-        if len(working) == 1:
-            # a single short term always fits on some path
-            raise AssertionError(f"unmappable single term {sorted(working[0])}")
-        d = decompose_two(working, dim, budget, paths)
-        if d.status == INCONCLUSIVE:
-            raise SynthesisInconclusive
-        if d.status == SOLVED:
-            res = d.result
-            out.append(
-                PlanLattice(
-                    res.solution_a.assignment,
-                    tuple(working[i] for i in res.indices_a),
-                )
+        return outcome
+
+    def map(self, terms: Sop) -> Optional[MappingSolution]:
+        """The lattice for ``terms``, None for no-solution."""
+        key = tuple(terms)
+        if key not in self.memo:
+            left = self.budget.until(self.deadline)
+            self.memo[key] = (
+                MapResult(INCONCLUSIVE)
+                if left is None
+                else map_function(terms, self.dim, left, self.paths)
             )
-            out.append(
-                PlanLattice(
-                    res.solution_b.assignment,
-                    tuple(working[i] for i in res.indices_b),
-                )
-            )
-            return out
-        half = (len(working) + 1) // 2
-        h1, h2 = working[:half], working[half:]
-        r1 = map_function(h1, dim, budget, paths)
-        if r1.status == INCONCLUSIVE:
-            raise SynthesisInconclusive
-        if r1.status == SOLVED:
-            out.append(PlanLattice(r1.solution.assignment, tuple(h1)))
-            working = h2
-            continue
-        if len(h1) >= 2:
-            d1 = decompose_two(h1, dim, budget, paths)
-            if d1.status == INCONCLUSIVE:
-                raise SynthesisInconclusive
-            if d1.status == SOLVED:
-                res = d1.result
-                # keep the larger mapped part, recycle the smaller one
-                out.append(
-                    PlanLattice(
-                        res.solution_a.assignment,
-                        tuple(h1[i] for i in res.indices_a),
-                    )
-                )
-                working = [h1[i] for i in res.indices_b] + h2
-                continue
-        # the first half is not even two-lattice implementable: recurse on it
-        out.extend(_cover(h1, dim, budget, paths))
-        working = h2
-    return out
+        return self._settled(self.memo[key]).solution
+
+    def split(self, terms: Sop) -> Optional[DecompositionResult]:
+        """A two-lattice decomposition of ``terms``, None when there is none."""
+        if len(terms) < 2:
+            return None
+        left = self.budget.until(self.deadline)
+        outcome = (
+            DecomposeOutcome(INCONCLUSIVE)
+            if left is None
+            else decompose_two(terms, self.dim, left, self.paths, memo=self.memo)
+        )
+        return self._settled(outcome).result
+
+
+def _part(terms: Sop, indices: tuple[int, ...], sol: MappingSolution) -> PlanLattice:
+    return PlanLattice(sol.assignment, tuple(terms[i] for i in indices))
+
+
+def _cover(run: _Run, terms: Sop) -> list[PlanLattice]:
+    if not terms:
+        return []
+    sol = run.map(terms)
+    if sol is not None:
+        return [PlanLattice(sol.assignment, tuple(terms))]
+    res = run.split(terms)
+    if res is not None:
+        return [
+            _part(terms, res.indices_a, res.solution_a),
+            _part(terms, res.indices_b, res.solution_b),
+        ]
+    return _halve(run, terms)
+
+
+def _halve(run: _Run, terms: Sop) -> list[PlanLattice]:
+    if len(terms) == 1:
+        # a single short term always fits on some path
+        raise AssertionError(f"unmappable single term {sorted(terms[0])}")
+    half = (len(terms) + 1) // 2
+    h1, h2 = terms[:half], terms[half:]
+    sol = run.map(h1)
+    if sol is not None:
+        return [PlanLattice(sol.assignment, tuple(h1))] + _cover(run, h2)
+    res = run.split(h1)
+    if res is not None:
+        rest = [h1[i] for i in res.indices_b] + h2
+        return [_part(h1, res.indices_a, res.solution_a)] + _cover(run, rest)
+    return _halve(run, h1) + _cover(run, h2)
 
 
 def synthesize(
@@ -156,24 +170,23 @@ def synthesize(
     dim: LatticeDim,
     budget: SearchBudget | None = None,
 ) -> Optional[SynthesisPlan]:
-    """Full plan for f on lattices of one dimension; None when inconclusive."""
+    """Full plan for f on lattices of one dimension; None when inconclusive.
+
+    The time limit bounds the whole run, not each mapper call."""
     paths = enumerate_paths(dim)
     lb = longest_path_len(paths)
     working, aux_defs = split_long_terms(f, lb)
+    run = _Run(dim, budget or SearchBudget(), paths)
     lattices: list[PlanLattice] = []
     try:
         for aux in aux_defs:
-            r = map_function([aux.product], dim, budget, paths)
-            if r.status == INCONCLUSIVE:
-                raise SynthesisInconclusive
-            if r.status != SOLVED:
+            sol = run.map([aux.product])
+            if sol is None:
                 raise AssertionError(
                     f"aux product of length {len(aux.product)} <= LB must map"
                 )
-            lattices.append(
-                PlanLattice(r.solution.assignment, (aux.product,), aux.code)
-            )
-        lattices.extend(_cover(working, dim, budget, paths))
+            lattices.append(PlanLattice(sol.assignment, (aux.product,), aux.code))
+        lattices.extend(_cover(run, working))
     except SynthesisInconclusive:
         return None
     return SynthesisPlan(dim, tuple(lattices), tuple(aux_defs))
@@ -182,13 +195,12 @@ def synthesize(
 def expand_plan(plan: SynthesisPlan) -> Sop:
     """Function realized by the plan: OR of the output lattices with every
     auxiliary code substituted by its defining product (innermost last)."""
-    from .solver import solve_lattice
-
+    paths = enumerate_paths(plan.dim)
     terms: Sop = []
     for pl in plan.lattices:
         if pl.aux_code is not None:
             continue  # feeds an aux signal, not the output sum
-        terms.extend(solve_lattice(pl.assignment))
+        terms.extend(solve_lattice(pl.assignment, paths))
     for aux in reversed(plan.aux_defs):
         expanded: Sop = []
         for t in terms:

@@ -247,6 +247,17 @@ def test_verify_negative(tmp_path, capsys):
     assert out.strip() == "NOT equivalent"
 
 
+def test_verify_beyond_oracle_bound_is_usage_error(tmp_path, capsys):
+    lat = tmp_path / "g.lat"
+    lat.write_text("2 2\n0 100\n101 100\n")
+    fn = tmp_path / "f.fn"
+    fn.write_text("21\n" + "".join(f"1 {v}\n" for v in range(21)))
+    code, out, err = run(capsys, "verify", str(lat), str(fn))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_invalid_function_file(tmp_path, capsys):
     fn = tmp_path / "bad.fn"
     fn.write_text("1\n1 500\n")

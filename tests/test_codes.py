@@ -96,13 +96,6 @@ def test_serialize_constant_one():
     assert codes.parse_function(text) == [frozenset()]
 
 
-def test_evaluate():
-    fn = [frozenset({0, 999}), frozenset({2})]
-    assert codes.evaluate(fn, {0: 1, 1: 0, 2: 0}) == 1
-    assert codes.evaluate(fn, {0: 1, 1: 1, 2: 0}) == 0
-    assert codes.evaluate(fn, {0: 0, 1: 1, 2: 1}) == 1
-
-
 def test_equivalent_basics():
     xor = [frozenset({0, 999}), frozenset({1000, 1})]
     assert codes.equivalent(xor, list(reversed(xor)))

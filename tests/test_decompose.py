@@ -1,12 +1,14 @@
+import time
+
 import pytest
 
 from latmap.codes import equivalent
 from latmap.decompose import decompose_two, split_schedule
 from latmap.grid import LatticeDim
-from latmap.mapper import INCONCLUSIVE, NO_SOLUTION, SOLVED
+from latmap.mapper import INCONCLUSIVE, NO_SOLUTION, SOLVED, SearchBudget
 from latmap.solver import solve_lattice
 
-from goldens import DECOMP_EVEN8, f
+from goldens import DECOMP_EVEN8, DECOMP_UNEVEN8, f
 
 DIM3 = LatticeDim(3, 3)
 
@@ -90,3 +92,10 @@ def test_memo_is_shared():
 def test_needs_two_terms():
     with pytest.raises(ValueError):
         decompose_two(f({0}), DIM3)
+
+
+def test_time_limit_bounds_the_whole_call():
+    start = time.monotonic()
+    out = decompose_two(DECOMP_UNEVEN8, DIM3, SearchBudget(time_limit=0.2))
+    assert time.monotonic() - start < 1.0
+    assert out.status in (SOLVED, INCONCLUSIVE)

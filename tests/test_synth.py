@@ -1,5 +1,9 @@
+import time
+
 import pytest
 
+import latmap.decompose
+import latmap.synth
 from latmap.codes import equivalent
 from latmap.grid import LatticeDim
 from latmap.mapper import SearchBudget
@@ -12,9 +16,38 @@ from latmap.synth import (
     synthesize,
 )
 
-from goldens import SYNTH_Q, f
+from goldens import DECOMP_NOSPLIT8, SYNTH_EIGHT, SYNTH_Q, f
 
 DIM3 = LatticeDim(3, 3)
+
+# the 3x3 plan for SYNTH_EIGHT: (grid codes, terms) per output lattice
+SYNTH_EIGHT_PLAN_3X3 = [
+    ((4, 100, 0, 997, 2, 4, 1000, 999, 100),
+     f({4, 997, 1000}, {2, 4, 997, 999}, {0, 2, 4, 999})),
+    ((1, 100, 100, 3, 998, 1, 100, 4, 996),
+     f({1, 3, 4, 998}, {1, 3, 998, 1000}, {1, 3, 996, 998})),
+    ((0, 100, 100, 2, 999, 3, 100, 997, 996),
+     f({0, 2, 997, 999}, {0, 2, 3, 996, 999})),
+]
+
+
+def _synthesize_counting_maps(fn, dim):
+    """The plan and the ordered term lists of every mapper call it made."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (latmap.synth, latmap.decompose):
+            def counting(terms, *args, _map=module.map_function, **kwargs):
+                calls.append(tuple(terms))
+                return _map(terms, *args, **kwargs)
+
+            mp.setattr(module, "map_function", counting)
+        plan = synthesize(fn, dim)
+    return plan, calls
+
+
+@pytest.fixture(scope="module")
+def synth_eight_3x3():
+    return _synthesize_counting_maps(SYNTH_EIGHT, DIM3)
 
 
 def test_split_long_terms_noop_when_short():
@@ -101,3 +134,31 @@ def test_expand_plan_rejects_dangling_aux():
     )
     with pytest.raises(ValueError):
         expand_plan(plan)
+
+
+def test_synthesize_empty_function():
+    plan = synthesize([], DIM3)
+    assert plan == SynthesisPlan(DIM3, (), ())
+
+
+def test_synth_eight_plan_pinned(synth_eight_3x3):
+    plan, _ = synth_eight_3x3
+    assert plan.aux_defs == ()
+    got = [(pl.assignment.codes, list(pl.terms), pl.aux_code) for pl in plan.lattices]
+    assert got == [(codes, terms, None) for codes, terms in SYNTH_EIGHT_PLAN_3X3]
+
+
+def test_no_mapping_asked_twice(synth_eight_3x3):
+    for plan, calls in (
+        synth_eight_3x3,
+        _synthesize_counting_maps(DECOMP_NOSPLIT8, LatticeDim(2, 3)),
+    ):
+        assert plan is not None and calls
+        assert len(set(calls)) == len(calls)
+
+
+def test_time_limit_bounds_the_whole_run():
+    start = time.monotonic()
+    plan = synthesize(SYNTH_EIGHT, DIM3, SearchBudget(time_limit=0.2))
+    assert time.monotonic() - start < 1.0
+    assert plan is None or equivalent(expand_plan(plan), SYNTH_EIGHT)
