@@ -178,11 +178,11 @@ def serialize_function(f: Sop) -> str:
 def _var_mask(index: int, num_vars: int) -> int:
     """Bitmask over all 2^num_vars assignments where variable `index` is 1."""
     half = 1 << index
-    period = half << 1
-    block = ((1 << half) - 1) << half
-    m = 0
-    for start in range(0, 1 << num_vars, period):
-        m |= block << start
+    m = ((1 << half) - 1) << half  # one period: `half` zeros, then `half` ones
+    width, total = half << 1, 1 << num_vars
+    while width < total:  # double the periods until they cover every row
+        m |= m << width
+        width <<= 1
     return m
 
 

@@ -2,9 +2,18 @@
 
 The DFS prunes a candidate cell as soon as it is a child of any earlier cell
 of the developing path other than its immediate predecessor; what survives
-is exactly the antichain of basic paths.  A brute-force variant (generate
-all simple paths, then delete supersets) serves as the oracle for small
-dimensions.
+is exactly the antichain of basic paths.  The prune is one list lookup: a
+blocked count per cell of the path's nodes (the source included) that are
+the cell or have it as a child, raised on push and lowered on pop, so a
+child of the last node may extend the path exactly when its count is 1.
+The DFS recurses through a module-level function, not a closure that names
+itself, so no reference cycle keeps a finished enumeration's path tuples
+alive until a cyclic collection.
+A brute-force variant (generate all simple paths, then delete supersets)
+serves as the oracle for small dimensions.
+
+``PathSet.cell_masks`` holds each path as an int with bit ``c`` set for
+every cell ``c`` on it, the form the solver tests a grid's cells against.
 """
 
 from __future__ import annotations
@@ -26,6 +35,13 @@ class PathSet:
 
     def cell_sets(self) -> set[frozenset[int]]:
         return {frozenset(p) for p in self.paths}
+
+    @cached_property
+    def cell_masks(self) -> tuple[int, ...]:
+        """One int per path, in path order, with bit ``c`` set for each cell
+        ``c`` on it."""
+        bits = [1 << c for c in range(self.dim.cells)]
+        return tuple([sum(map(bits.__getitem__, p)) for p in self.paths])
 
     @cached_property
     def mirrors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -61,7 +77,38 @@ class PathSet:
 
 
 def _canonical(paths: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(paths, key=lambda p: (len(p), p)))
+    """The paths in (length, cells) order; sorts ``paths`` in place."""
+    paths.sort()
+    paths.sort(key=len)  # stable: equal lengths keep the cell order
+    return tuple(paths)
+
+
+def _extend(
+    node: int,
+    path: list[int],
+    blocked: list[int],
+    kids: list[tuple[int, ...]],
+    ends: list[bool],
+    out: list[tuple[int, ...]],
+) -> None:
+    """Record every irredundant extension of ``path``, whose last node is
+    ``node``; ``blocked[y]`` counts the path's nodes that are ``y`` or have
+    it as a child."""
+    for y in kids[node]:
+        if blocked[y] != 1:
+            # y is on the path or a child of a node before ``node``
+            continue
+        path.append(y)
+        blocked[y] += 1
+        for z in kids[y]:
+            blocked[z] += 1
+        if ends[y]:
+            out.append(tuple(path))
+        _extend(y, path, blocked, kids, ends, out)
+        path.pop()
+        blocked[y] -= 1
+        for z in kids[y]:
+            blocked[z] -= 1
 
 
 def enumerate_paths(dim: LatticeDim) -> PathSet:
@@ -69,56 +116,42 @@ def enumerate_paths(dim: LatticeDim) -> PathSet:
     if dim.rows > MAX_DIM or dim.cols > MAX_DIM:
         raise ValueError(f"dimension {dim.rows}x{dim.cols} exceeds the {MAX_DIM} guard")
     children = build_children(dim)
-    child_sets = {i: frozenset(children[i]) for i in range(dim.cells)}
-    dst = dim.dst
+    n, dst = dim.cells, dim.dst
+    # the source is node n: on every path, with the top row as its children
+    kids = [tuple(y for y in children[x] if 0 <= y < n) for x in range(n)]
+    kids.append(children[SRC])
+    ends = [dst in children[x] for x in range(n)]
+    blocked = [1] * dim.cols + [0] * (n - dim.cols)
     out: list[tuple[int, ...]] = []
-    path: list[int] = []
-    on_path: set[int] = set()
-
-    def extend(node: int) -> None:
-        for y in children[node]:
-            if y == dst:
-                out.append(tuple(path))
-                continue
-            if y == SRC or y in on_path:
-                continue
-            # superset prune: y may not be a child of any earlier cell
-            if any(y in child_sets[z] for z in path[:-1]):
-                continue
-            path.append(y)
-            on_path.add(y)
-            extend(y)
-            path.pop()
-            on_path.remove(y)
-
-    extend(SRC)
+    _extend(n, [], blocked, kids, ends, out)
     return PathSet(dim, _canonical(out))
+
+
+def _simple_paths(
+    node: int,
+    path: list[int],
+    children: dict[int, tuple[int, ...]],
+    dst: int,
+    out: list[tuple[int, ...]],
+) -> None:
+    """Record every simple extension of ``path`` (last cell ``node``) to dst."""
+    for y in children[node]:
+        if y == dst:
+            out.append(tuple(path))
+            continue
+        if y == SRC or y in path:
+            continue
+        path.append(y)
+        _simple_paths(y, path, children, dst, out)
+        path.pop()
 
 
 def brute_force_paths(dim: LatticeDim) -> PathSet:
     """Oracle: all simple paths first, supersets deleted afterwards."""
     if dim.rows > 4 or dim.cols > 4:
         raise ValueError("brute-force oracle is limited to dimensions up to 4x4")
-    children = build_children(dim)
-    dst = dim.dst
     all_paths: list[tuple[int, ...]] = []
-    path: list[int] = []
-    on_path: set[int] = set()
-
-    def extend(node: int) -> None:
-        for y in children[node]:
-            if y == dst:
-                all_paths.append(tuple(path))
-                continue
-            if y == SRC or y in on_path:
-                continue
-            path.append(y)
-            on_path.add(y)
-            extend(y)
-            path.pop()
-            on_path.remove(y)
-
-    extend(SRC)
+    _simple_paths(SRC, [], build_children(dim), dim.dst, all_paths)
 
     # equal cell sets: keep the lexicographically smallest sequence
     by_set: dict[frozenset[int], tuple[int, ...]] = {}

@@ -3,6 +3,13 @@
 A literal-assigned lattice evaluates to the exact, unminimized SOP: each
 basic path contributes the product of its cell literals, cancelled paths
 drop out and superset products are absorbed.
+
+The solve works on ``PathSet.cell_masks``.  One pass over the grid builds a
+mask of its constant-0 cells, a cell mask per distinct literal and the mask
+pairs of each variable whose two polarities both occur.  A path that meets a
+0 cell, or both cell masks of a pair, is cancelled; any other contributes
+the literals whose masks it meets.  Equal products are collapsed in a set
+before absorption, so the answer does not depend on the path order.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .codes import (
     absorb,
     check_code,
     equivalent,
-    normalize_term,
+    is_complement_code,
     term_sort_key,
 )
 from .grid import LatticeDim
@@ -44,12 +51,34 @@ def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
     """Exact SOP of the lattice, in canonical (size, codes) order."""
     if paths is None:
         paths = enumerate_paths(lat.dim)
-    terms = []
-    for p in paths.paths:
-        t = normalize_term(lat.codes[cell] for cell in p)
-        if t is not None:
-            terms.append(t)
-    return sorted(absorb(terms), key=term_sort_key)
+    elif paths.dim != lat.dim:
+        raise ValueError(
+            f"{paths.dim.rows}x{paths.dim.cols} paths for a "
+            f"{lat.dim.rows}x{lat.dim.cols} lattice"
+        )
+    zero = 0
+    cells_of: dict[int, int] = {}
+    for cell, code in enumerate(lat.codes):
+        if code == CONST_ZERO:
+            zero |= 1 << cell
+        elif code != CONST_ONE:
+            cells_of[code] = cells_of.get(code, 0) | 1 << cell
+    clashes = [
+        (m, cells_of[COMPLEMENT_BASE - code])
+        for code, m in cells_of.items()
+        if is_complement_code(code) and COMPLEMENT_BASE - code in cells_of
+    ]
+    literals = list(cells_of.items())
+    distinct: set[frozenset[int]] = set()
+    for pm in paths.cell_masks:
+        if pm & zero:
+            continue
+        for a, b in clashes:
+            if pm & a and pm & b:
+                break
+        else:
+            distinct.add(frozenset([code for code, m in literals if pm & m]))
+    return sorted(absorb(list(distinct)), key=term_sort_key)
 
 
 def verify_witness(lat: LatticeAssignment, f: Sop) -> bool:

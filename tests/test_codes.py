@@ -59,6 +59,14 @@ def test_absorb_removes_supersets_keeps_order():
     assert codes.absorb([a, a]) == [a]
 
 
+@pytest.mark.parametrize("num_vars", range(1, 11))
+def test_var_mask_matches_assignments(num_vars):
+    """Bit k of variable i's mask is bit i of assignment k."""
+    for index in range(num_vars):
+        want = sum(1 << k for k in range(1 << num_vars) if k >> index & 1)
+        assert codes._var_mask(index, num_vars) == want
+
+
 def test_parse_function_basic():
     text = "3\n2 997 999\n4 997 5 4 998\n2 1000 5\n"
     fn = codes.parse_function(text)

@@ -147,6 +147,15 @@ def test_too_many_variables_is_no_solution():
     assert r.status == NO_SOLUTION
 
 
+def test_wide_support_answers_at_once():
+    """Twenty single-literal terms fail the 2x2 support check; building
+    their 2^20-row truth tables must not take seconds."""
+    t0 = time.monotonic()
+    r = map_function([frozenset({v}) for v in range(20)], LatticeDim(2, 2))
+    assert r.status == NO_SOLUTION
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_term_longer_than_longest_path_fails():
     r = map_function(f({0, 1, 2}), LatticeDim(2, 2))
     assert r.status == NO_SOLUTION

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +54,26 @@ def test_canonical_order():
     ps = enumerate_paths(LatticeDim(4, 4))
     keys = [(len(p), p) for p in ps.paths]
     assert keys == sorted(keys)
+
+
+def test_enumeration_leaves_no_garbage_cycles():
+    """A finished enumeration's path tuples are freed by reference counting,
+    not kept alive until a cyclic collection."""
+    gc.collect()
+    enumerate_paths(LatticeDim(4, 4))
+    assert gc.collect() == 0
+    brute_force_paths(LatticeDim(3, 3))
+    assert gc.collect() == 0
+
+
+def test_cell_masks_follow_path_order():
+    """One mask per path, index by index, also when a file lists a cell
+    set twice."""
+    ps = parse_paths("4 4\n2 0 2\n2 2 0\n2 1 3\n3 0 1 3\n")
+    assert ps.paths == ((0, 2), (1, 3), (2, 0), (0, 1, 3))
+    assert ps.cell_masks == (0b0101, 0b1010, 0b0101, 0b1011)
+    big = enumerate_paths(LatticeDim(4, 5))
+    assert big.cell_masks == tuple(sum(1 << c for c in p) for p in big.paths)
 
 
 def test_longest_path_len():

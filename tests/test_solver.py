@@ -1,6 +1,9 @@
-import pytest
+import gc
 
-from latmap.codes import serialize_function, term_sort_key
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from latmap.codes import absorb, normalize_term, serialize_function, term_sort_key
 from latmap.grid import LatticeDim
 from latmap.paths import enumerate_paths
 from latmap.solver import (
@@ -15,6 +18,7 @@ from latmap.solver import (
 )
 
 from goldens import GRID_AB_C, GRID_AB_C_SOLVE, GRID_6X6, WITNESSES
+from test_acceptance import _realizes  # flood-fill truth tables, no latmap import
 
 
 def test_assignment_validation():
@@ -54,6 +58,55 @@ def test_solve_output_is_canonical_and_absorbed():
     assert fn == sorted(set(fn), key=term_sort_key)
     for i, t in enumerate(fn):
         assert not any(u < t for j, u in enumerate(fn) if j != i)
+
+
+def test_solve_rejects_paths_of_another_dimension():
+    """A smaller path set would solve part of the grid, a larger one would
+    reach past it."""
+    lat = LatticeAssignment(LatticeDim(3, 3), GRID_AB_C)
+    for dim in (LatticeDim(2, 3), LatticeDim(3, 4), LatticeDim(4, 3)):
+        with pytest.raises(ValueError):
+            solve_lattice(lat, enumerate_paths(dim))
+    assert solve_lattice(lat, enumerate_paths(LatticeDim(3, 3))) == GRID_AB_C_SOLVE
+
+
+def test_solve_leaves_no_garbage_cycles():
+    lat = LatticeAssignment(LatticeDim(3, 3), GRID_AB_C)
+    paths = enumerate_paths(LatticeDim(3, 3))
+    gc.collect()
+    solve_lattice(lat, paths)
+    assert gc.collect() == 0
+    solve_lattice(lat)
+    assert gc.collect() == 0
+
+
+# -- random grids against the per-path definition and a flood fill ----------
+
+# letters (a, b, c, z), their complements, two auxiliary variables, 0 and 1
+CODES = (0, 1, 2, 25, 1000, 999, 998, 975, 26, 99, 100, 101)
+
+
+def _solve_by_paths(lat, paths):
+    """The solver's definition: each path's product, cancelled on 0 or on
+    x x', then absorbed and sorted."""
+    terms = [normalize_term(lat.codes[cell] for cell in p) for p in paths.paths]
+    return sorted(absorb([t for t in terms if t is not None]), key=term_sort_key)
+
+
+@st.composite
+def _grids(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    codes = draw(st.lists(st.sampled_from(CODES), min_size=rows * cols, max_size=rows * cols))
+    return LatticeAssignment(LatticeDim(rows, cols), tuple(codes))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grids())
+def test_solve_matches_per_path_definition_and_flood_fill(lat):
+    paths = enumerate_paths(lat.dim)
+    fn = solve_lattice(lat, paths)
+    assert fn == _solve_by_paths(lat, paths)
+    assert _realizes(lat.dim.rows, lat.codes, fn)
 
 
 @pytest.mark.parametrize("name,rows,codes,fn", WITNESSES[:5])
