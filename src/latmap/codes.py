@@ -19,7 +19,8 @@ LETTER_MAX = 25
 AUX_MIN = 26
 AUX_MAX = 99
 COMPLEMENT_BASE = 1000
-# most variables ``equivalent`` compares truth tables over (2^20 rows)
+# most variables a truth table is built over (2^20 rows), by ``equivalent``
+# and by the mapper
 ORACLE_MAX_VARS = 20
 
 Term = frozenset[int]
@@ -213,13 +214,21 @@ def function_mask(f: Sop, var_order: list[int]) -> int:
     return out
 
 
-def equivalent(f: Sop, g: Sop) -> bool:
-    """Exhaustive truth-table comparison over the union variable universe."""
-    universe = sorted(variables(f) | variables(g))
+def table_variables(*fs: Sop) -> list[int]:
+    """The sorted variables of the functions; ValueError when there are more
+    than ORACLE_MAX_VARS, since each truth table over them has 2^n bits."""
+    universe = sorted(set().union(*map(variables, fs)))
     if len(universe) > ORACLE_MAX_VARS:
         raise ValueError(
-            f"{len(universe)} variables exceed the oracle bound of {ORACLE_MAX_VARS}"
+            f"{len(universe)} variables exceed the truth-table bound "
+            f"of {ORACLE_MAX_VARS}"
         )
+    return universe
+
+
+def equivalent(f: Sop, g: Sop) -> bool:
+    """Exhaustive truth-table comparison over the union variable universe."""
+    universe = table_variables(f, g)
     return function_mask(f, universe) == function_mask(g, universe)
 
 

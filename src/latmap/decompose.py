@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import Sop, Term
+from .codes import Sop, Term, table_variables
 from .grid import LatticeDim
 from .mapper import (
     INCONCLUSIVE,
@@ -70,6 +70,7 @@ def decompose_two(
         raise ValueError("decomposition needs at least 2 terms")
     if max_stages is not None and max_stages < 1:
         raise ValueError(f"max_stages must be at least 1, got {max_stages}")
+    table_variables(f)  # bound f's variables before any part is mapped
     if budget is None:
         budget = SearchBudget()
     if paths is None:

@@ -41,15 +41,20 @@ path's bound (the AND of its fixed cells' truth-table masks) and the term
 housed on each path, if any.  Whatever else the answer reports is worked out
 at the leaf: a term is hiding when no path houses it, and the points of
 interest read cancellation and absorption off the path bounds, which are the
-paths' product masks once every cell is fixed.  Undo is by snapshot: before
-the arrangements of one term on one path are tried, the grid, the
-unfixed-cell counts and the path bounds are copied, and they are restored
-after each arrangement (and around the zeroing in the final check).  The
-arrangements of a term over a path's free cells depend only on the term, the
-number of free cells and the literals still needed; they are generated
-lazily in a fixed lexicographic order and memoized per search once fully
-listed.  That order is the one the search has always used, so unbudgeted
-answers and the point where ``max_placements`` cuts a search are unchanged.
+paths' product masks once every cell is fixed.  A term skips a path whose
+bound does not contain the term's mask (a fixed cell holds 0 or a literal
+the term lacks); the paths that pass are scanned for their free cells.
+Undo is by snapshot: before the arrangements of one term on one path are
+tried, the grid, the unfixed-cell counts and the path bounds are copied, and
+they are restored after each arrangement (and around the zeroing in the
+final check).  An arrangement is a tuple of ranks into the term's options,
+its sorted literals and then constant 1, and is placed by one ``_fix`` call.
+The arrangements over a path's free cells depend only on the number of
+options, the number of free cells and the ranks still needed, so terms of
+equal length share them; they are generated lazily in a fixed lexicographic
+order and memoized per search once fully listed.  That order is the one the
+search has always used, so unbudgeted answers and the point where
+``max_placements`` cuts a search are unchanged.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from .codes import (
     Sop,
     _var_mask,
     literal_masks,
-    variables,
+    table_variables,
 )
 from .grid import LatticeDim
 from .paths import PathSet, enumerate_paths
@@ -174,22 +179,21 @@ class _Search:
         self.deadline = deadline
         self.truncated = False
 
-        self.var_order = sorted(variables(f))
+        self.var_order = table_variables(f)
         nv = len(self.var_order)
         self.full = (1 << (1 << nv)) - 1
         lit_mask = literal_masks(self.var_order)
-        term_masks = []
-        for t in f:
-            m = self.full
-            for code in t:
-                m &= lit_mask[code]
-            term_masks.append(m)
         # a fixed cell ANDs its mask into the bound of every path through it
         self.code_mask = {**lit_mask, CONST_ZERO: 0, CONST_ONE: self.full}
-        self.term_outside = [self.full & ~m for m in term_masks]
-        self.f_mask = 0
-        for m in term_masks:
-            self.f_mask |= m
+        mask = self.code_mask.__getitem__
+        self.term_mask = [
+            functools.reduce(operator.and_, map(mask, t), self.full) for t in f
+        ]
+        self.term_outside = [self.full & ~m for m in self.term_mask]
+        self.f_mask = functools.reduce(operator.or_, self.term_mask, 0)
+        # an arrangement holds ranks into its term's options
+        self.options = [tuple(sorted(t)) + (CONST_ONE,) for t in f]
+        self.rank = [{code: r for r, code in enumerate(o)} for o in self.options]
 
         self.grid: list[Optional[int]] = [None] * self.rc
         self.through: list[list[int]] = [[] for _ in range(self.rc)]
@@ -201,7 +205,7 @@ class _Search:
         self.path_ub = [self.full] * len(self.paths)
         # the term housed on each path, None for an unused path
         self.matched: list[Optional[int]] = [None] * len(self.paths)
-        # fully listed arrangements by (term index, free cells, literals needed)
+        # fully listed arrangements by (options, free cells, ranks needed)
         self.arrangements: dict[tuple, list[tuple[int, ...]]] = {}
 
     # -- state updates ---------------------------------------------------
@@ -212,34 +216,33 @@ class _Search:
     def _restore(self, saved: tuple[list, list, list]) -> None:
         self.grid[:], self.unfixed[:], self.path_ub[:] = saved
 
-    def _fix(self, cell: int, code: int) -> bool:
-        """Fix one cell; returns False when a completed path is a live escape.
+    def _fix(
+        self, cells: list[int], ranks: tuple[int, ...], options: tuple[int, ...]
+    ) -> bool:
+        """Fix each cell to its ranked option; False at a live escape.
 
-        A fully fixed path must be neutralized: self-cancelling (a 0 cell or
-        an xx' pair) or absorbed, i.e. its literal set is a superset of some
-        target term.  Anything else can never be fixed later, so the branch
+        A fully fixed path must be neutralized: its product mask is 0 (a 0
+        cell or an xx' pair) or lies inside a term's mask (its literals
+        contain the term).  Nothing fixed later changes that, so the branch
         dies here, and the caller's restore discards the partial update.
         """
-        self.grid[cell] = code
-        m = self.code_mask[code]
+        grid = self.grid
         unfixed = self.unfixed
         path_ub = self.path_ub
-        for pi in self.through[cell]:
-            unfixed[pi] -= 1
-            path_ub[pi] &= m
-            if not unfixed[pi] and not self._neutralized(pi):
-                return False
+        for cell, rank in zip(cells, ranks):
+            code = options[rank]
+            grid[cell] = code
+            m = self.code_mask[code]
+            for pi in self.through[cell]:
+                unfixed[pi] -= 1
+                ub = path_ub[pi] = path_ub[pi] & m
+                if not unfixed[pi]:
+                    for outside in self.term_outside:
+                        if not ub & outside:
+                            break
+                    else:
+                        return False
         return True
-
-    def _neutralized(self, pi: int) -> bool:
-        """A fully fixed path's product mask is 0 exactly when it holds a 0
-        cell or an xx' pair, and 0 lies inside every term's mask; any other
-        product lies inside a term's mask exactly when it contains the term."""
-        ub = self.path_ub[pi]
-        for outside in self.term_outside:
-            if not ub & outside:
-                return True
-        return False
 
     def _coverage_ub(self) -> int:
         return functools.reduce(operator.or_, self.path_ub, 0)
@@ -249,36 +252,35 @@ class _Search:
     def _placements(
         self, term_idx: int, path: tuple[int, ...]
     ) -> Optional[tuple[list[int], Iterable[tuple[int, ...]]]]:
-        """The path's free cells and the literal arrangements over them, in
-        a fixed order; None when the path's fixed cells rule the term out."""
-        term = self.f[term_idx]
+        """The path's free cells and the rank arrangements over them, in a
+        fixed order; None when the path's fixed cells rule the term out."""
+        rank = self.rank[term_idx]
         provided: set[int] = set()
         free: list[int] = []
         for cell in path:
             v = self.grid[cell]
             if v is None:
                 free.append(cell)
-            elif v in term:
-                provided.add(v)
-            elif v != CONST_ONE:
+            elif v in rank:
+                provided.add(rank[v])
+            else:
                 return None
-        need = term - provided
+        # the last rank is the constant-1 filler, never needed
+        need = frozenset(range(len(rank) - 1)).difference(provided)
         if len(need) > len(free):
             return None
-        key = (term_idx, len(free), need)
+        key = (len(rank), len(free), need)
         arrangements = self.arrangements.get(key)
         if arrangements is None:
-            return free, self._arrange(key, sorted(term) + [CONST_ONE])
+            return free, self._arrange(key)
         return free, arrangements
 
-    def _arrange(
-        self, key: tuple[int, int, frozenset[int]], options: list[int]
-    ) -> Iterator[tuple[int, ...]]:
-        """Yield the code tuples over ``nfree`` cells that hold every needed
-        literal, lexicographic in ``options``; memoize them once all are
-        listed.  Yielding as they are made keeps the first placement (and
-        the deadline check) from waiting for a list of (|t|+1)^nfree."""
-        _, nfree, need = key
+    def _arrange(self, key: tuple[int, int, frozenset[int]]) -> Iterator[tuple]:
+        """Yield the rank tuples over ``nfree`` cells that hold every needed
+        rank, lexicographic; memoize them once all are listed.  Yielding as
+        they are made keeps the first placement (and the deadline check)
+        from waiting for a list of noptions^nfree."""
+        noptions, nfree, need = key
         chosen: list[int] = []
 
         def rec(i: int, still: frozenset[int]) -> Iterator[tuple[int, ...]]:
@@ -287,15 +289,15 @@ class _Search:
             if i == nfree:
                 yield tuple(chosen)
                 return
-            for code in options:
-                chosen.append(code)
-                yield from rec(i + 1, still - {code} if code in still else still)
+            for rank in range(noptions):
+                chosen.append(rank)
+                yield from rec(i + 1, still - {rank} if rank in still else still)
                 chosen.pop()
 
         listed = []
-        for codes in rec(0, need):
-            listed.append(codes)
-            yield codes
+        for ranks in rec(0, need):
+            listed.append(ranks)
+            yield ranks
         self.arrangements[key] = listed
 
     # -- search ----------------------------------------------------------
@@ -316,10 +318,15 @@ class _Search:
         if ti == len(self.f):
             return self._finish()
         term = self.f[ti]
+        term_mask = self.term_mask[ti]
+        options = self.options[ti]
+        path_ub = self.path_ub
         max_pl = self.budget.max_placements
         for pi in range(len(self.paths)):
             if self.matched[pi] is not None:
                 continue
+            if term_mask & ~path_ub[pi]:
+                continue  # a fixed cell holds 0 or a literal the term lacks
             if stab and any(pmap[pi] < pi for _, pmap in stab):
                 continue  # a mirror image of this path comes earlier
             path = self.paths[pi]
@@ -333,22 +340,19 @@ class _Search:
             fixing = [m for m in stab if m[1][pi] == pi]
             saved = self._snapshot()
             count = 0
-            for codes in arrangements:
+            for ranks in arrangements:
                 if self._out_of_time():
                     return None
                 child: Sequence[Mirror] = ()
                 if fixing:
-                    child = self._arrangement_stab(term, free, codes, fixing)
+                    child = self._arrangement_stab(free, ranks, fixing)
                     if child is None:
                         continue  # a mirror image of it comes earlier
                 count += 1
                 if max_pl is not None and count > max_pl:
                     self.truncated = True
                     break
-                for cell, code in zip(free, codes):
-                    if not self._fix(cell, code):
-                        break
-                else:
+                if self._fix(free, ranks, options):
                     self.matched[pi] = ti
                     sol = self._try_terms(ti + 1, child)
                     if sol is not None:
@@ -359,20 +363,14 @@ class _Search:
         return self._try_terms(ti + 1, stab)
 
     def _arrangement_stab(
-        self,
-        term: frozenset[int],
-        free: list[int],
-        codes: tuple[int, ...],
-        fixing: list[Mirror],
+        self, free: list[int], ranks: tuple[int, ...], fixing: list[Mirror]
     ) -> Optional[list[Mirror]]:
         """None when a mirror image of the arrangement comes earlier in the
         arrangement order; otherwise the mirrors that leave it unchanged."""
-        options = sorted(term) + [CONST_ONE]
-        ranks = [options.index(code) for code in codes]
         rank = dict(zip(free, ranks))
         child = []
         for mirror in fixing:
-            image = [rank[mirror[0][cell]] for cell in free]
+            image = tuple(rank[mirror[0][cell]] for cell in free)
             if image < ranks:
                 return None
             if image == ranks:
@@ -383,8 +381,9 @@ class _Search:
         zeroed = [cell for cell in range(self.rc) if self.grid[cell] is None]
         saved = self._snapshot()
         for cell in zeroed:
-            # a zeroed path is cancelled, so this never meets a live escape
-            self._fix(cell, CONST_ZERO)
+            self.grid[cell] = CONST_ZERO
+            for pi in self.through[cell]:
+                self.path_ub[pi] = 0  # cancelled, so never a live escape
         # every path is fixed now: path_ub is its product mask, 0 if cancelled
         if self._coverage_ub() != self.f_mask:
             self._restore(saved)
@@ -459,7 +458,8 @@ def map_function(
     budget: SearchBudget | None = None,
     paths: PathSet | None = None,
 ) -> MapResult:
-    """STEP 1-10 mapping: one backtracking search over paths and placements."""
+    """STEP 1-10 mapping: one backtracking search over paths and placements;
+    ValueError past ``ORACLE_MAX_VARS`` variables, before any truth table."""
     if budget is None:
         budget = SearchBudget()
     if paths is None:

@@ -2,7 +2,7 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail line
 per criterion.  Published reference data that the flood-fill oracle below
-refutes is kept verbatim in ``goldens.py``, and the tests check the
+refutes is kept verbatim in ``lattice_goldens.py``, and the tests check the
 refutation together with the true, oracle-verified facts.  Criteria 07 and
 10 stay red while the mapper answers ``no-solution`` for functions that a
 grid does realize.
@@ -33,7 +33,7 @@ from latmap.solver import (
 )
 from latmap.synth import expand_plan, synthesize
 
-from goldens import (
+from lattice_goldens import (
     DECOMP_EVEN8,
     DECOMP_NOSPLIT8,
     DECOMP_UNEVEN8,

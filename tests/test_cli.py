@@ -266,6 +266,20 @@ def test_invalid_function_file(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["map", "decompose", "synth"])
+def test_too_many_variables_is_usage_error(tmp_path, capsys, command):
+    """21 variables exceed the truth-table bound: a usage error before any
+    table is built, not a traceback."""
+    fn = tmp_path / "wide.fn"
+    fn.write_text("21\n" + "".join(f"1 {v}\n" for v in range(21)))
+    extra = [] if command == "map" else ["--outdir", str(tmp_path / "out")]
+    code, out, err = run(capsys, command, str(fn), "--dim", "2", "2", *extra)
+    assert code == 64
+    assert out == ""
+    assert "error: 21 variables exceed" in err
+    assert not (tmp_path / "out").exists()
+
+
 def _installed_distribution():
     try:
         return importlib.metadata.distribution("latmap")

@@ -8,7 +8,7 @@ from latmap.grid import LatticeDim
 from latmap.mapper import INCONCLUSIVE, NO_SOLUTION, SOLVED, SearchBudget
 from latmap.solver import solve_lattice
 
-from goldens import DECOMP_EVEN8, DECOMP_UNEVEN8, f
+from lattice_goldens import DECOMP_EVEN8, DECOMP_UNEVEN8, f
 
 DIM3 = LatticeDim(3, 3)
 

@@ -14,7 +14,7 @@ from latmap.mapper import (
 from latmap.paths import PathSet, enumerate_paths, parse_paths, serialize_paths
 from latmap.solver import verify_witness
 
-from goldens import (
+from lattice_goldens import (
     DECOMP_EVEN8,
     MAP_EX1,
     MAP_EX2,
@@ -61,6 +61,10 @@ FIRST_SOLUTIONS = [
      [("covered-escape-multi-option", 1), ("saved-escape-path", 2),
       ("placed-by-xxprime", 0), ("placed-by-xxprime", 3),
       ("path-saved-by-xxprime", 7), ("term-hiding", 1)]),
+    # equal-length terms on different literals share their arrangements
+    (f({0, 1}, {2, 3}, {4, 997}), (0, 2, 4, 0, 2, 4, 1, 3, 997), (0, 1, 2),
+     [("covered-escape-multi-option", 0), ("covered-escape-multi-option", 1),
+      ("covered-escape-multi-option", 2)]),
 ]
 
 
@@ -112,6 +116,13 @@ BELOW_ROOT = [
      [("covered-escape-multi-option", 0), ("covered-escape-multi-option", 1),
       ("zero-on-lattice-var", 3), ("zero-on-lattice-var", 7),
       ("zero-on-lattice-var", 11)]),
+    # four 2-literal terms on different literals, one arrangement list
+    (f({1, 1000}, {0, 996}, {4, 1000}, {4, 997}), DIM3,
+     (1, 0, 4, 1000, 101, 4, 1000, 996, 997), (0, 1, 2, 3),
+     [("covered-escape-multi-option", 0), ("saved-escape-path", 3),
+      ("placed-by-xxprime", 0), ("placed-by-xxprime", 1),
+      ("placed-by-xxprime", 2), ("path-saved-by-xxprime", 4),
+      ("path-saved-by-xxprime", 6)]),
 ]
 
 
@@ -154,6 +165,33 @@ def test_wide_support_answers_at_once():
     r = map_function([frozenset({v}) for v in range(20)], LatticeDim(2, 2))
     assert r.status == NO_SOLUTION
     assert time.monotonic() - t0 < 1.0
+
+
+def test_too_many_variables_for_a_truth_table_rejected():
+    """21 variables would need 2^21-bit truth tables; the mapper refuses
+    them before building any."""
+    with pytest.raises(ValueError, match="21 variables"):
+        map_function([frozenset({v}) for v in range(21)], LatticeDim(2, 2))
+
+
+@pytest.mark.parametrize("dim", [LatticeDim(2, 2), DIM3])
+def test_empty_function_maps_to_zero_grid(dim):
+    """Constant 0: every cell is zeroed and every path cancelled."""
+    sol = map_function([], dim).solution
+    assert sol.assignment.codes == (100,) * dim.cells
+    assert sol.order == ()
+    zeroed = range(dim.cells)
+    assert sol.poi == tuple(PoiEvent("zero-on-lattice-var", c) for c in zeroed)
+
+
+def test_contradictory_term_housed_by_scan():
+    """x x' has an all-zero mask, so only the path scan rules paths out for
+    it; answer as recorded before the mask pre-test."""
+    fn = [frozenset({0, 1000}), frozenset({1})]
+    sol = map_function(fn, LatticeDim(2, 2)).solution
+    assert sol.assignment.codes == (0, 1, 1000, 1)
+    assert sol.order == (0, 1)
+    assert sol.poi == ()
 
 
 def test_term_longer_than_longest_path_fails():

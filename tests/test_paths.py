@@ -13,7 +13,7 @@ from latmap.paths import (
     serialize_paths,
 )
 
-from goldens import PATH_COUNTS, PATHS_3X3
+from lattice_goldens import PATH_COUNTS, PATHS_3X3
 
 
 def test_3x3_paths_exact():

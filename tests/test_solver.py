@@ -17,7 +17,7 @@ from latmap.solver import (
     verify_witness,
 )
 
-from goldens import GRID_AB_C, GRID_AB_C_SOLVE, GRID_6X6, WITNESSES
+from lattice_goldens import GRID_AB_C, GRID_AB_C_SOLVE, GRID_6X6, WITNESSES
 from test_acceptance import _realizes  # flood-fill truth tables, no latmap import
 
 

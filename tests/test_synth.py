@@ -16,7 +16,7 @@ from latmap.synth import (
     synthesize,
 )
 
-from goldens import DECOMP_NOSPLIT8, SYNTH_EIGHT, SYNTH_Q, f
+from lattice_goldens import DECOMP_NOSPLIT8, SYNTH_EIGHT, SYNTH_Q, f
 
 DIM3 = LatticeDim(3, 3)
 
