@@ -93,13 +93,9 @@ def cmd_genlib(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     f = _load_function(args.function)
-    if args.paths:
-        ps = paths.parse_paths(_read(args.paths))
-        dim = ps.dim
-    else:
-        dim = LatticeDim(args.dim[0], args.dim[1])
-        ps = paths.enumerate_paths(dim)
-    result = mapper.map_function(f, dim, _budget(args), ps)
+    dim = LatticeDim(*args.dim) if args.dim else None
+    ps = paths.parse_paths(_read(args.paths), dim) if args.paths else None
+    result = mapper.map_function(f, dim or ps.dim, _budget(args), ps)
     if result.status == mapper.SOLVED:
         _print_solution(result.solution, args.pretty)
         if args.output:
@@ -230,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="map a function onto a lattice")
     p.add_argument("function")
     p.add_argument("--dim", nargs=2, type=int, metavar=("R", "C"))
-    p.add_argument("--paths", help="path file instead of --dim")
+    p.add_argument("--paths", help="path file, checked against --dim if given")
     p.add_argument("--pretty", action="store_true")
     p.add_argument("-o", "--output", default=None, help="also write the lattice file")
     _add_budget_flags(p)

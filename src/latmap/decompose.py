@@ -25,7 +25,7 @@ from .mapper import (
     SearchBudget,
     map_function,
 )
-from .paths import PathSet, enumerate_paths
+from .paths import PathSet, paths_for
 
 
 def split_schedule(n: int) -> list[tuple[int, int]]:
@@ -73,8 +73,7 @@ def decompose_two(
     table_variables(f)  # bound f's variables before any part is mapped
     if budget is None:
         budget = SearchBudget()
-    if paths is None:
-        paths = enumerate_paths(dim)
+    paths = paths_for(dim, paths)
     if memo is None:
         memo = {}
     deadline = budget.deadline()

@@ -76,7 +76,7 @@ from .codes import (
     table_variables,
 )
 from .grid import LatticeDim
-from .paths import PathSet, enumerate_paths
+from .paths import PathSet, paths_for
 from .solver import LatticeAssignment
 
 # a grid mirror as (cell map, path map), see ``PathSet.mirrors``
@@ -166,15 +166,14 @@ class _Search:
     def __init__(
         self,
         f: Sop,
-        dim: LatticeDim,
         paths: PathSet,
         budget: SearchBudget,
         deadline: Optional[float],
     ):
         self.f = f
-        self.dim = dim
-        self.rc = dim.cells
+        self.dim = paths.dim
         self.paths = paths.paths  # canonical = shortest first
+        self.through = paths.through
         self.budget = budget
         self.deadline = deadline
         self.truncated = False
@@ -195,11 +194,7 @@ class _Search:
         self.options = [tuple(sorted(t)) + (CONST_ONE,) for t in f]
         self.rank = [{code: r for r, code in enumerate(o)} for o in self.options]
 
-        self.grid: list[Optional[int]] = [None] * self.rc
-        self.through: list[list[int]] = [[] for _ in range(self.rc)]
-        for pi, p in enumerate(self.paths):
-            for cell in p:
-                self.through[cell].append(pi)
+        self.grid: list[Optional[int]] = [None] * self.dim.cells
         self.unfixed = [len(p) for p in self.paths]
         # upper bound on each path's contribution: AND of fixed literal masks
         self.path_ub = [self.full] * len(self.paths)
@@ -378,7 +373,7 @@ class _Search:
         return child
 
     def _finish(self) -> Optional[MappingSolution]:
-        zeroed = [cell for cell in range(self.rc) if self.grid[cell] is None]
+        zeroed = [cell for cell, v in enumerate(self.grid) if v is None]
         saved = self._snapshot()
         for cell in zeroed:
             self.grid[cell] = CONST_ZERO
@@ -402,7 +397,6 @@ class _Search:
         absorbed_count: dict[int, int] = {}
         xxprime_paths: list[int] = []
         xxprime_terms: set[int] = set()
-        housed = [(ti, pi) for pi, ti in enumerate(self.matched) if ti is not None]
         for pi, path in enumerate(self.paths):
             if self.matched[pi] is not None:
                 continue
@@ -422,8 +416,8 @@ class _Search:
                     # terms are housed in index order and each fixes the
                     # free cells of its path, so a literal cell's owner is
                     # the first housed term whose path holds it
-                    owners = (ti for ti, pj in housed if cell in self.paths[pj])
-                    xxprime_terms.add(min(owners))
+                    owners = (self.matched[pj] for pj in self.through[cell])
+                    xxprime_terms.add(min(ti for ti in owners if ti is not None))
         events: list[PoiEvent] = []
         for t_idx in sorted(absorbed_count):
             kind = POI_SAVED_ESCAPE if absorbed_count[t_idx] == 1 else POI_MULTI_OPTION
@@ -459,13 +453,13 @@ def map_function(
     paths: PathSet | None = None,
 ) -> MapResult:
     """STEP 1-10 mapping: one backtracking search over paths and placements;
-    ValueError past ``ORACLE_MAX_VARS`` variables, before any truth table."""
+    ValueError for ``paths`` of another dimension, and past
+    ``ORACLE_MAX_VARS`` variables before any truth table."""
     if budget is None:
         budget = SearchBudget()
-    if paths is None:
-        paths = enumerate_paths(dim)
+    paths = paths_for(dim, paths)
 
-    search = _Search(f, dim, paths, budget, budget.deadline())
+    search = _Search(f, paths, budget, budget.deadline())
     if _semantic_support(search.f_mask, len(search.var_order)) > dim.cells:
         # a grid of rc cells holds at most rc distinct literals
         return MapResult(NO_SOLUTION)

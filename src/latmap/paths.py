@@ -12,13 +12,14 @@ alive until a cyclic collection.
 A brute-force variant (generate all simple paths, then delete supersets)
 serves as the oracle for small dimensions.
 
-``PathSet.cell_masks`` holds each path as an int with bit ``c`` set for
-every cell ``c`` on it, the form the solver tests a grid's cells against.
+A ``PathSet`` owns the tables derived from its paths, each built at its
+first use and then kept: ``cell_masks`` (each path as an int with bit ``c``
+set for every cell ``c`` on it), which the solver reads, and ``through``
+(the paths on each cell) and ``mirrors``, which the mapper reads.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,9 +34,6 @@ class PathSet:
     def __len__(self) -> int:
         return len(self.paths)
 
-    def cell_sets(self) -> set[frozenset[int]]:
-        return {frozenset(p) for p in self.paths}
-
     @cached_property
     def cell_masks(self) -> tuple[int, ...]:
         """One int per path, in path order, with bit ``c`` set for each cell
@@ -44,35 +42,40 @@ class PathSet:
         return tuple([sum(map(bits.__getitem__, p)) for p in self.paths])
 
     @cached_property
+    def through(self) -> tuple[tuple[int, ...], ...]:
+        """For each cell, the ascending indices of the paths on it."""
+        through: list[list[int]] = [[] for _ in range(self.dim.cells)]
+        for pi, p in enumerate(self.paths):
+            for cell in p:
+                through[cell].append(pi)
+        return tuple(map(tuple, through))
+
+    @cached_property
     def mirrors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """A (cell map, path map) pair per mirror of the grid that maps the
-        multiset of path cell sets onto itself.
+        multiset of path cell masks onto itself.
 
         The mirrors are left-right, top-bottom and both.  ``enumerate_paths``
         is closed under all three, a hand-written path file may not be.  The
-        path map sends the k-th path with a cell set to the k-th path with
+        path map sends the k-th path with a cell mask to the k-th path with
         its image, so both maps are involutions.
         """
-        rows, cols = self.dim.rows, self.dim.cols
-        sets = [frozenset(p) for p in self.paths]
-        slots: dict[frozenset[int], list[int]] = {}
-        for i, cells in enumerate(sets):
-            slots.setdefault(cells, []).append(i)
+        rows, cols = range(self.dim.rows), range(self.dim.cols)
+        masks = self.cell_masks
+        # stable sorts keep the paths of an equal mask in index order
+        by_mask = sorted(range(len(masks)), key=masks.__getitem__)
+        sorted_masks = [masks[i] for i in by_mask]
         out = []
-        for flip_rows, flip_cols in ((False, True), (True, False), (True, True)):
-            cell_map = tuple(
-                (rows - 1 - r if flip_rows else r) * cols + (cols - 1 - c if flip_cols else c)
-                for r, c in (divmod(cell, cols) for cell in range(rows * cols))
-            )
-            image = [frozenset(cell_map[c] for c in cells) for cells in sets]
-            if Counter(image) != Counter(sets):
-                continue
-            taken: Counter[frozenset[int]] = Counter()
-            path_map = []
-            for cells in image:
-                path_map.append(slots[cells][taken[cells]])
-                taken[cells] += 1
-            out.append((cell_map, tuple(path_map)))
+        for rs, cs in ((rows, cols[::-1]), (rows[::-1], cols), (rows[::-1], cols[::-1])):
+            cell_map = tuple(r * len(cols) + c for r in rs for c in cs)
+            bits = [1 << c for c in cell_map]
+            image = [sum(map(bits.__getitem__, p)) for p in self.paths]
+            by_image = sorted(range(len(image)), key=image.__getitem__)
+            if [image[i] for i in by_image] == sorted_masks:
+                path_map = [0] * len(masks)
+                for i, j in zip(by_image, by_mask):
+                    path_map[i] = j
+                out.append((cell_map, tuple(path_map)))
         return tuple(out)
 
 
@@ -125,6 +128,15 @@ def enumerate_paths(dim: LatticeDim) -> PathSet:
     out: list[tuple[int, ...]] = []
     _extend(n, [], blocked, kids, ends, out)
     return PathSet(dim, _canonical(out))
+
+
+def paths_for(dim: LatticeDim, paths: PathSet | None) -> PathSet:
+    """``paths``, enumerated when None; ValueError for another dimension."""
+    if paths is None:
+        return enumerate_paths(dim)
+    if paths.dim != dim:
+        raise ValueError(f"{paths.dim.rows}x{paths.dim.cols} paths for {dim.rows}x{dim.cols}")
+    return paths
 
 
 def _simple_paths(
@@ -217,4 +229,8 @@ def parse_paths(text: str, dim: LatticeDim | None = None) -> PathSet:
         dim = _infer_dim(num_cells, parsed)
     elif dim.cells != num_cells:
         raise ValueError("header cell count does not match the given dimension")
+    for p in parsed:
+        rc = [divmod(cell, dim.cols) for cell in p]
+        if any(abs(r - s) + abs(c - d) != 1 for (r, c), (s, d) in zip(rc, rc[1:])):
+            raise ValueError(f"path {p} is not a path of a {dim.rows}x{dim.cols} lattice")
     return PathSet(dim, _canonical(parsed))

@@ -30,7 +30,7 @@ from .codes import (
     term_sort_key,
 )
 from .grid import LatticeDim
-from .paths import PathSet, enumerate_paths
+from .paths import PathSet, enumerate_paths, paths_for
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,7 @@ class LatticeAssignment:
 
 def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
     """Exact SOP of the lattice, in canonical (size, codes) order."""
-    if paths is None:
-        paths = enumerate_paths(lat.dim)
-    elif paths.dim != lat.dim:
-        raise ValueError(
-            f"{paths.dim.rows}x{paths.dim.cols} paths for a "
-            f"{lat.dim.rows}x{lat.dim.cols} lattice"
-        )
+    paths = paths_for(lat.dim, paths)
     zero = 0
     cells_of: dict[int, int] = {}
     for cell, code in enumerate(lat.codes):

@@ -146,8 +146,8 @@ def test_criterion_02_enumeration_matches_brute_force_oracle():
     for r in range(2, 5):
         for c in range(2, 5):
             dim = LatticeDim(r, c)
-            fast = enumerate_paths(dim).cell_sets()
-            slow = brute_force_paths(dim).cell_sets()
+            fast = {frozenset(p) for p in enumerate_paths(dim).paths}
+            slow = {frozenset(p) for p in brute_force_paths(dim).paths}
             assert fast == slow, (r, c)
 
 

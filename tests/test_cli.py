@@ -157,6 +157,20 @@ def test_map_with_path_file(tmp_path, capsys):
     assert out.startswith("SOLUTION FOUND:")
 
 
+def test_map_path_file_checked_against_dim(tmp_path, capsys):
+    """With --dim, a path file of another cell count is a usage error; the
+    file's own shape is used only without --dim."""
+    pfile = tmp_path / "p.txt"
+    run(capsys, "paths", "--dim", "2", "2", "-o", str(pfile))
+    fn = tmp_path / "f.fn"
+    fn.write_text("2\n1 0\n1 1\n")
+    code, out, err = run(capsys, "map", str(fn), "--paths", str(pfile), "--dim", "3", "3")
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ")
+    code, out, _ = run(capsys, "map", str(fn), "--paths", str(pfile), "--dim", "2", "2")
+    assert code == 0 and out.startswith("SOLUTION FOUND:")
+
+
 def test_map_requires_dim_or_paths(tmp_path, capsys):
     fn = tmp_path / "f.fn"
     fn.write_text("1\n1 0\n")

@@ -6,6 +6,7 @@ from latmap.codes import equivalent
 from latmap.decompose import decompose_two, split_schedule
 from latmap.grid import LatticeDim
 from latmap.mapper import INCONCLUSIVE, NO_SOLUTION, SOLVED, SearchBudget
+from latmap.paths import enumerate_paths
 from latmap.solver import solve_lattice
 
 from lattice_goldens import DECOMP_EVEN8, DECOMP_UNEVEN8, f
@@ -27,6 +28,12 @@ def test_split_schedule_edges():
     assert split_schedule(3) == [(2, 1)]
     with pytest.raises(ValueError):
         split_schedule(1)
+
+
+@pytest.mark.parametrize("dim,paths_dim", [(DIM3, LatticeDim(2, 2)), (LatticeDim(2, 2), DIM3)])
+def test_paths_of_another_dimension_rejected(dim, paths_dim):
+    with pytest.raises(ValueError):
+        decompose_two(f({0}, {1}), dim, None, enumerate_paths(paths_dim))
 
 
 @pytest.mark.parametrize("stages", [0, -1, -2])

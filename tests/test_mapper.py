@@ -281,6 +281,14 @@ def test_explicit_paths_accepted():
     assert r.status == SOLVED
 
 
+@pytest.mark.parametrize("dim,paths_dim", [(DIM3, LatticeDim(2, 2)), (LatticeDim(2, 2), DIM3)])
+def test_paths_of_another_dimension_rejected(dim, paths_dim):
+    """Smaller paths would leave cells off every path (a wrong solved),
+    larger ones index past the grid."""
+    with pytest.raises(ValueError):
+        map_function(f({0}, {1}), dim, None, enumerate_paths(paths_dim))
+
+
 def test_poi_text_vocabulary():
     assert PoiEvent("saved-escape-path", 0).text() == "term 1 saved escape path"
     assert (

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,15 +30,19 @@ def test_path_counts_row(r):
         assert len(enumerate_paths(LatticeDim(r, c))) == PATH_COUNTS[r][c - 2]
 
 
+def _cell_sets(ps):
+    return {frozenset(p) for p in ps.paths}
+
+
 @pytest.mark.parametrize("r,c", [(r, c) for r in range(2, 5) for c in range(2, 5)])
 def test_matches_brute_force(r, c):
     dim = LatticeDim(r, c)
-    assert enumerate_paths(dim).cell_sets() == brute_force_paths(dim).cell_sets()
+    assert _cell_sets(enumerate_paths(dim)) == _cell_sets(brute_force_paths(dim))
 
 
 def test_paths_form_an_antichain():
     for dim in (LatticeDim(3, 3), LatticeDim(4, 3), LatticeDim(3, 4)):
-        sets = list(enumerate_paths(dim).cell_sets())
+        sets = list(_cell_sets(enumerate_paths(dim)))
         for i, a in enumerate(sets):
             for b in sets[i + 1 :]:
                 assert not (a <= b or b <= a)
@@ -110,6 +115,8 @@ def test_parse_rejects_garbage():
         parse_paths("1 4\n3 0 2\n")  # count prefix disagrees with the cells
     with pytest.raises(ValueError):
         parse_paths("1 4\n2 0 9\n")  # cell out of range
+    with pytest.raises(ValueError):  # 2x3 paths step diagonally on 3x2
+        parse_paths(serialize_paths(enumerate_paths(LatticeDim(2, 3))), LatticeDim(3, 2))
 
 
 def _mirror(cells, dim, flip_cols, flip_rows):
@@ -193,6 +200,55 @@ def test_mirror_maps_with_repeated_paths():
     assert all(pm[pm[i]] == i for pm in (lr, tb, both) for i in range(n))
     assert (lr[0], lr[1], lr[n - 3], lr[n - 2]) == (2, 1, n - 1, n - 2)
     assert [tb[i] for i in (0, 1, 2, n - 3, n - 2, n - 1)] == [0, 1, 2, n - 3, n - 2, n - 1]
+
+
+def reference_mirrors(ps):
+    """``PathSet.mirrors`` on cell sets: a mirror is kept when the multiset
+    of image sets equals the path set's, and the k-th path with a cell set
+    goes to the k-th path with its image."""
+    rows, cols = ps.dim.rows, ps.dim.cols
+    sets = [frozenset(p) for p in ps.paths]
+    slots = {}
+    for i, cells in enumerate(sets):
+        slots.setdefault(cells, []).append(i)
+    out = []
+    for flip_rows, flip_cols in ((False, True), (True, False), (True, True)):
+        cell_map = tuple(
+            (rows - 1 - r if flip_rows else r) * cols + (cols - 1 - c if flip_cols else c)
+            for r, c in (divmod(cell, cols) for cell in range(rows * cols))
+        )
+        image = [frozenset(cell_map[c] for c in cells) for cells in sets]
+        if Counter(image) != Counter(sets):
+            continue
+        taken = Counter()
+        path_map = []
+        for cells in image:
+            path_map.append(slots[cells][taken[cells]])
+            taken[cells] += 1
+        out.append((cell_map, tuple(path_map)))
+    return tuple(out)
+
+
+def _table_cases():
+    yield from (enumerate_paths(LatticeDim(r, c)) for r in range(1, 7) for c in range(1, 7))
+    kept = [p for p in PATHS_3X3 if p != (2, 5, 8)]
+    yield parse_paths(serialize_paths(PathSet(LatticeDim(3, 3), tuple(kept))), LatticeDim(3, 3))
+    yield parse_paths("4 4\n2 0 2\n2 2 0\n2 1 3\n3 0 1 3\n")
+    yield PathSet(LatticeDim(3, 3), tuple(PATHS_3X3) + ((0, 3, 6), (1, 4, 7), (2, 5, 8)))
+
+
+def test_mirrors_match_cell_set_reference():
+    """Enumerated sets up to 6x6, the unclosed 3x3 set and sets that list a
+    cell set twice."""
+    for ps in _table_cases():
+        assert ps.mirrors == reference_mirrors(ps), ps.dim
+
+
+def test_through_lists_the_paths_on_each_cell():
+    for ps in _table_cases():
+        assert ps.through == tuple(
+            tuple(i for i, p in enumerate(ps.paths) if c in p) for c in range(ps.dim.cells)
+        ), ps.dim
 
 
 @settings(max_examples=25, deadline=None)

@@ -48,8 +48,7 @@ def test_solve_distinct_variables_reproduces_paths():
     dim = LatticeDim(3, 3)
     lat = LatticeAssignment(dim, tuple(range(9)))
     fn = solve_lattice(lat)
-    path_sets = enumerate_paths(dim).cell_sets()
-    assert {frozenset(t) for t in fn} == path_sets
+    assert {frozenset(t) for t in fn} == {frozenset(p) for p in enumerate_paths(dim).paths}
 
 
 def test_solve_output_is_canonical_and_absorbed():
