@@ -36,25 +36,38 @@ search may stop at a different place than without the symmetry breaking; a
 solved answer is still truth-table checked, and a cut search still gives
 inconclusive, never no-solution.
 
-A node keeps four lists: the grid, each path's count of unfixed cells, each
-path's bound (the AND of its fixed cells' truth-table masks) and the term
-housed on each path, if any.  Whatever else the answer reports is worked out
-at the leaf: a term is hiding when no path houses it, and the points of
-interest read cancellation and absorption off the path bounds, which are the
-paths' product masks once every cell is fixed.  A term skips a path whose
-bound does not contain the term's mask (a fixed cell holds 0 or a literal
-the term lacks); the paths that pass are scanned for their free cells.
-Undo is by snapshot: before the arrangements of one term on one path are
-tried, the grid, the unfixed-cell counts and the path bounds are copied, and
-they are restored after each arrangement (and around the zeroing in the
-final check).  An arrangement is a tuple of ranks into the term's options,
-its sorted literals and then constant 1, and is placed by one ``_fix`` call.
-The arrangements over a path's free cells depend only on the number of
-options, the number of free cells and the ranks still needed, so terms of
-equal length share them; they are generated lazily in a fixed lexicographic
-order and memoized per search once fully listed.  That order is the one the
-search has always used, so unbudgeted answers and the point where
-``max_placements`` cuts a search are unchanged.
+A node keeps the grid, the set of unset cells, each path's bound (the AND
+of its fixed cells' truth-table masks) and the term housed on each path, if
+any.  Whatever else the answer reports is worked out at the leaf: a term is
+hiding when no path houses it, and the points of interest read cancellation
+and absorption off the path bounds, which are the paths' product masks once
+every cell is fixed.  A term skips a path whose bound does not contain the
+term's mask (a fixed cell holds 0 or a literal the term lacks); the paths
+that pass are scanned for their free cells.
+
+Each arrangement is probed before it is placed.  The probe ANDs the
+arrangement's option masks into a copy of the node's path bounds.  It
+rejects the arrangement when a path it completes is a live escape (a
+nonzero bound inside no term's mask) or when the new bounds, ORed, no longer
+cover the function; which paths a placement completes depends only on the
+node and the path, so they are listed once for all its arrangements.  An
+arrangement that passes opens a node: its cells are written to the grid and
+the copy becomes the bounds.  A node never writes its own lists, so undo is
+putting them back and clearing the cells.  So a node's placements always
+cover the function, and a deferral, which keeps its parent's state, needs
+no test of its own.
+
+An arrangement is a tuple of ranks into the term's options, its sorted
+literals and then constant 1.  The arrangements over a path's free cells
+depend only on the number of options, the number of free cells and the
+ranks still needed, so terms of equal length share them.  ``arrangements``
+builds them from ``itertools``, lazily and in lexicographic order: a
+product when no rank is needed, the permutations of the needed ranks when
+every free cell is needed, and otherwise each first rank followed by the
+arrangements of the remaining cells.  A search memoizes each list once it
+is fully listed.  That order is the one the search has always used, and a
+rejected arrangement still counts toward ``max_placements``, so unbudgeted
+answers and the point where a placement budget cuts a search are unchanged.
 """
 
 from __future__ import annotations
@@ -63,6 +76,7 @@ import functools
 import math
 import operator
 import time
+from itertools import chain, permutations, product
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -183,19 +197,24 @@ class _Search:
         self.full = (1 << (1 << nv)) - 1
         lit_mask = literal_masks(self.var_order)
         # a fixed cell ANDs its mask into the bound of every path through it
-        self.code_mask = {**lit_mask, CONST_ZERO: 0, CONST_ONE: self.full}
-        mask = self.code_mask.__getitem__
+        code_mask = {**lit_mask, CONST_ZERO: 0, CONST_ONE: self.full}
+        mask = code_mask.__getitem__
         self.term_mask = [
             functools.reduce(operator.and_, map(mask, t), self.full) for t in f
         ]
         self.term_outside = [self.full & ~m for m in self.term_mask]
         self.f_mask = functools.reduce(operator.or_, self.term_mask, 0)
+        self.f_outside = self.full & ~self.f_mask
         # an arrangement holds ranks into its term's options
         self.options = [tuple(sorted(t)) + (CONST_ONE,) for t in f]
         self.rank = [{code: r for r, code in enumerate(o)} for o in self.options]
+        self.option_masks = [tuple(map(mask, o)) for o in self.options]
+
+        self.cell_masks = paths.cell_masks
 
         self.grid: list[Optional[int]] = [None] * self.dim.cells
-        self.unfixed = [len(p) for p in self.paths]
+        # the cells not yet fixed, bit c for cell c
+        self.unset = (1 << self.dim.cells) - 1
         # upper bound on each path's contribution: AND of fixed literal masks
         self.path_ub = [self.full] * len(self.paths)
         # the term housed on each path, None for an unused path
@@ -203,44 +222,53 @@ class _Search:
         # fully listed arrangements by (options, free cells, ranks needed)
         self.arrangements: dict[tuple, list[tuple[int, ...]]] = {}
 
-    # -- state updates ---------------------------------------------------
+    # -- probing --------------------------------------------------------
 
-    def _snapshot(self) -> tuple[list, list, list]:
-        return self.grid[:], self.unfixed[:], self.path_ub[:]
+    def _completed(self, pi: int, unset: int) -> list[int]:
+        """The paths other than ``pi`` that a placement on its free cells
+        completes: they hold one of the cells, which are unset now, and none
+        of ``unset``, the cells left unset after the placement."""
+        placed = self.unset & ~unset
+        return [
+            pj
+            for pj, cells in enumerate(self.cell_masks)
+            if cells & placed and not cells & unset and pj != pi
+        ]
 
-    def _restore(self, saved: tuple[list, list, list]) -> None:
-        self.grid[:], self.unfixed[:], self.path_ub[:] = saved
+    def _probe(
+        self,
+        free: list[int],
+        ranks: tuple[int, ...],
+        option_masks: tuple[int, ...],
+        done: list[int],
+    ) -> Optional[list[int]]:
+        """The path bounds after fixing each free cell to its ranked option,
+        in a new list; None when the placement is dead.
 
-    def _fix(
-        self, cells: list[int], ranks: tuple[int, ...], options: tuple[int, ...]
-    ) -> bool:
-        """Fix each cell to its ranked option; False at a live escape.
-
-        A fully fixed path must be neutralized: its product mask is 0 (a 0
-        cell or an xx' pair) or lies inside a term's mask (its literals
-        contain the term).  Nothing fixed later changes that, so the branch
-        dies here, and the caller's restore discards the partial update.
-        """
-        grid = self.grid
-        unfixed = self.unfixed
-        path_ub = self.path_ub
-        for cell, rank in zip(cells, ranks):
-            code = options[rank]
-            grid[cell] = code
-            m = self.code_mask[code]
-            for pi in self.through[cell]:
-                unfixed[pi] -= 1
-                ub = path_ub[pi] = path_ub[pi] & m
-                if not unfixed[pi]:
-                    for outside in self.term_outside:
-                        if not ub & outside:
-                            break
-                    else:
-                        return False
-        return True
-
-    def _coverage_ub(self) -> int:
-        return functools.reduce(operator.or_, self.path_ub, 0)
+        It is dead when a path it completes (``done``) is a live escape, or
+        when the bounds no longer cover the function.  A completed path
+        must be neutralized: its product mask is 0 (a 0 cell or an xx'
+        pair) or lies inside a term's mask.  Nothing fixed later changes
+        that, nor makes a bound larger."""
+        bounds = self.path_ub[:]
+        through = self.through
+        for cell, rank in zip(free, ranks):
+            m = option_masks[rank]
+            for pj in through[cell]:
+                bounds[pj] &= m
+        for pj in done:
+            ub = bounds[pj]
+            if ub:
+                if ub & self.f_outside:
+                    return None
+                for outside in self.term_outside:
+                    if not ub & outside:
+                        break
+                else:
+                    return None
+        if self.f_mask & ~functools.reduce(operator.or_, bounds, 0):
+            return None
+        return bounds
 
     # -- placements ------------------------------------------------------
 
@@ -267,30 +295,13 @@ class _Search:
         key = (len(rank), len(free), need)
         arrangements = self.arrangements.get(key)
         if arrangements is None:
-            return free, self._arrange(key)
+            return free, self._listed(key)
         return free, arrangements
 
-    def _arrange(self, key: tuple[int, int, frozenset[int]]) -> Iterator[tuple]:
-        """Yield the rank tuples over ``nfree`` cells that hold every needed
-        rank, lexicographic; memoize them once all are listed.  Yielding as
-        they are made keeps the first placement (and the deadline check)
-        from waiting for a list of noptions^nfree."""
-        noptions, nfree, need = key
-        chosen: list[int] = []
-
-        def rec(i: int, still: frozenset[int]) -> Iterator[tuple[int, ...]]:
-            if len(still) > nfree - i:
-                return
-            if i == nfree:
-                yield tuple(chosen)
-                return
-            for rank in range(noptions):
-                chosen.append(rank)
-                yield from rec(i + 1, still - {rank} if rank in still else still)
-                chosen.pop()
-
+    def _listed(self, key: tuple[int, int, frozenset[int]]) -> Iterator[tuple]:
+        """``arrangements(key)``, memoized once all are listed."""
         listed = []
-        for ranks in rec(0, need):
+        for ranks in arrangements(key, self.arrangements):
             listed.append(ranks)
             yield ranks
         self.arrangements[key] = listed
@@ -305,17 +316,19 @@ class _Search:
 
     def _try_terms(self, ti: int, stab: Sequence[Mirror]) -> Optional[MappingSolution]:
         """Search below the current node; ``stab`` holds the mirrors that map
-        its grid and used paths onto themselves."""
+        its grid and used paths onto themselves.  The node's placements cover
+        the function: the parent probed that before opening it."""
         if self._out_of_time():
-            return None
-        if self.f_mask & ~self._coverage_ub():
             return None
         if ti == len(self.f):
             return self._finish()
         term = self.f[ti]
         term_mask = self.term_mask[ti]
         options = self.options[ti]
+        option_masks = self.option_masks[ti]
+        grid = self.grid
         path_ub = self.path_ub
+        node_unset = self.unset
         max_pl = self.budget.max_placements
         for pi in range(len(self.paths)):
             if self.matched[pi] is not None:
@@ -331,41 +344,66 @@ class _Search:
             if housing is None:
                 continue
             free, arrangements = housing
-            # mirrors that map the path onto itself permute its free cells
-            fixing = [m for m in stab if m[1][pi] == pi]
-            saved = self._snapshot()
+            unset = node_unset & ~self.cell_masks[pi]  # all of the path is set
+            done = self._completed(pi, unset)
+            fixing = self._fixing(pi, free, stab) if stab else ()
             count = 0
             for ranks in arrangements:
                 if self._out_of_time():
                     return None
                 child: Sequence[Mirror] = ()
                 if fixing:
-                    child = self._arrangement_stab(free, ranks, fixing)
+                    child = self._arrangement_stab(ranks, fixing)
                     if child is None:
                         continue  # a mirror image of it comes earlier
                 count += 1
                 if max_pl is not None and count > max_pl:
                     self.truncated = True
                     break
-                if self._fix(free, ranks, options):
-                    self.matched[pi] = ti
-                    sol = self._try_terms(ti + 1, child)
-                    if sol is not None:
-                        return sol
-                    self.matched[pi] = None
-                self._restore(saved)
+                bounds = self._probe(free, ranks, option_masks, done)
+                if bounds is None:
+                    continue  # a live escape, or the function is lost
+                # place it: the node's own lists are never written, so
+                # putting them back undoes the placement
+                for cell, rank in zip(free, ranks):
+                    grid[cell] = options[rank]
+                self.path_ub = bounds
+                self.unset = unset
+                self.matched[pi] = ti
+                sol = self._try_terms(ti + 1, child)
+                if sol is not None:
+                    return sol
+                self.matched[pi] = None
+                self.unset = node_unset
+                self.path_ub = path_ub
+                for cell in free:
+                    grid[cell] = None
         # no housing works down this branch: defer, the term may be hiding
         return self._try_terms(ti + 1, stab)
 
+    @staticmethod
+    def _fixing(
+        pi: int, free: list[int], stab: Sequence[Mirror]
+    ) -> list[tuple[tuple[int, ...], Mirror]]:
+        """The mirrors that map path ``pi`` onto itself, each with the
+        permutation of ``free`` it makes: the position among ``free`` of
+        each free cell's image.  They map the node's grid onto itself, so
+        free cells onto free cells."""
+        fixing = [m for m in stab if m[1][pi] == pi]
+        if not fixing:
+            return []
+        position = {cell: k for k, cell in enumerate(free)}.__getitem__
+        return [(tuple(map(position, map(m[0].__getitem__, free))), m) for m in fixing]
+
+    @staticmethod
     def _arrangement_stab(
-        self, free: list[int], ranks: tuple[int, ...], fixing: list[Mirror]
+        ranks: tuple[int, ...], fixing: list[tuple[tuple[int, ...], Mirror]]
     ) -> Optional[list[Mirror]]:
         """None when a mirror image of the arrangement comes earlier in the
         arrangement order; otherwise the mirrors that leave it unchanged."""
-        rank = dict(zip(free, ranks))
         child = []
-        for mirror in fixing:
-            image = tuple(rank[mirror[0][cell]] for cell in free)
+        for perm, mirror in fixing:
+            image = tuple(map(ranks.__getitem__, perm))
             if image < ranks:
                 return None
             if image == ranks:
@@ -374,15 +412,17 @@ class _Search:
 
     def _finish(self) -> Optional[MappingSolution]:
         zeroed = [cell for cell, v in enumerate(self.grid) if v is None]
-        saved = self._snapshot()
+        path_ub = self.path_ub[:]
+        for cell in zeroed:
+            for pi in self.through[cell]:
+                path_ub[pi] = 0  # cancelled, so never a live escape
+        # every path is fixed now: path_ub is its product mask, 0 if cancelled
+        if functools.reduce(operator.or_, path_ub, 0) != self.f_mask:
+            return None
+        # a solution ends the search, so its state need not be undone
         for cell in zeroed:
             self.grid[cell] = CONST_ZERO
-            for pi in self.through[cell]:
-                self.path_ub[pi] = 0  # cancelled, so never a live escape
-        # every path is fixed now: path_ub is its product mask, 0 if cancelled
-        if self._coverage_ub() != self.f_mask:
-            self._restore(saved)
-            return None
+        self.path_ub = path_ub
         assignment = LatticeAssignment(self.dim, tuple(self.grid))  # type: ignore[arg-type]
         poi = self._derive_poi(zeroed)
         return MappingSolution(assignment, tuple(range(len(self.f))), tuple(poi))
@@ -432,6 +472,32 @@ class _Search:
             if t_idx not in self.matched:
                 events.append(PoiEvent(POI_TERM_HIDING, t_idx))
         return events
+
+
+def arrangements(
+    key: tuple[int, int, frozenset[int]], memo: dict
+) -> Iterable[tuple[int, ...]]:
+    """The rank tuples over ``nfree`` cells, ``key = (noptions, nfree,
+    need)``, that hold every rank in ``need``, in lexicographic order: those
+    of ``product(range(noptions), repeat=nfree)`` that contain ``need``.
+    Lazy, so the first comes at once even where the whole list could never
+    be held; a key found in ``memo`` gives its list.  A first rank ``r`` is
+    followed by the arrangements of ``nfree - 1`` cells that hold the rest
+    of ``need``, and none when too few cells remain for it."""
+    listed = memo.get(key)
+    if listed is not None:
+        return listed
+    noptions, nfree, need = key
+    if len(need) > nfree:
+        return ()
+    if not need:
+        return product(range(noptions), repeat=nfree)
+    if len(need) == nfree:
+        return permutations(sorted(need))
+    return chain.from_iterable(
+        map((r,).__add__, arrangements((noptions, nfree - 1, need - {r}), memo))
+        for r in range(noptions)
+    )
 
 
 def _semantic_support(f_mask: int, nv: int) -> int:

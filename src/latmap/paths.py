@@ -229,8 +229,12 @@ def parse_paths(text: str, dim: LatticeDim | None = None) -> PathSet:
         dim = _infer_dim(num_cells, parsed)
     elif dim.cells != num_cells:
         raise ValueError("header cell count does not match the given dimension")
+    bottom = dim.cells - dim.cols
     for p in parsed:
         rc = [divmod(cell, dim.cols) for cell in p]
         if any(abs(r - s) + abs(c - d) != 1 for (r, c), (s, d) in zip(rc, rc[1:])):
             raise ValueError(f"path {p} is not a path of a {dim.rows}x{dim.cols} lattice")
+        ends = sorted(p[:1] + p[-1:])
+        if not p or ends[0] >= dim.cols or ends[-1] < bottom:
+            raise ValueError(f"path {p} does not run from the top row to the bottom row")
     return PathSet(dim, _canonical(parsed))

@@ -171,6 +171,24 @@ def test_map_path_file_checked_against_dim(tmp_path, capsys):
     assert code == 0 and out.startswith("SOLUTION FOUND:")
 
 
+@pytest.mark.parametrize("paths_text,extra", [
+    ("1 4\n1 0\n", ["--dim", "2", "2"]),
+    ("1 4\n1 0\n", []),
+    ("1 4\n0\n", ["--dim", "2", "2"]),
+])
+def test_map_path_file_not_crossing_is_usage_error(tmp_path, capsys, paths_text, extra):
+    """A path must run from the top row to the bottom row; cell 0 alone
+    does not on 2x2 (nor on 4x1, the shape read from the file), and a
+    path with no cells never does."""
+    pfile = tmp_path / "p.txt"
+    pfile.write_text(paths_text)
+    fn = tmp_path / "f.fn"
+    fn.write_text("1\n1 0\n")
+    code, out, err = run(capsys, "map", str(fn), "--paths", str(pfile), *extra)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ")
+
+
 def test_map_requires_dim_or_paths(tmp_path, capsys):
     fn = tmp_path / "f.fn"
     fn.write_text("1\n1 0\n")

@@ -1,4 +1,5 @@
 import time
+from itertools import combinations, product
 
 import pytest
 
@@ -9,6 +10,7 @@ from latmap.mapper import (
     SOLVED,
     PoiEvent,
     SearchBudget,
+    arrangements,
     map_function,
 )
 from latmap.paths import PathSet, enumerate_paths, parse_paths, serialize_paths
@@ -133,6 +135,75 @@ def test_first_solutions_below_root_pinned(fn, dim, codes, order, poi):
     assert sol.order == order
     assert sol.poi == tuple(PoiEvent(kind, subject) for kind, subject in poi)
     assert verify_witness(sol.assignment, fn)
+
+
+@pytest.mark.parametrize("noptions", range(1, 6))
+def test_arrangements_match_their_definition(noptions):
+    """Every rank tuple over the free cells that holds the needed ranks, in
+    lexicographic order; the last option (constant 1) is never needed."""
+    literals = range(noptions - 1)
+    for nfree in range(7):
+        for size in range(len(literals) + 1):
+            for need in map(frozenset, combinations(literals, size)):
+                want = [r for r in product(range(noptions), repeat=nfree) if need <= set(r)]
+                assert list(arrangements((noptions, nfree, need), {})) == want
+
+
+def test_arrangements_read_the_memo():
+    key = (3, 2, frozenset({0}))
+    listed = list(arrangements(key, {}))
+    assert arrangements(key, {key: listed}) is listed
+    # a longer key builds on the listed one
+    sub = {(3, 2, frozenset({0, 1})): [(0, 1), (1, 0)], key: listed}
+    want = [r for r in product(range(3), repeat=3) if {0, 1} <= set(r)]
+    assert list(arrangements((3, 3, frozenset({0, 1})), sub)) == want
+
+
+def test_first_arrangement_arrives_at_once():
+    """12 options over 20 cells with 11 ranks needed: far more than memory
+    could hold, so the first comes only if they are not listed first."""
+    first = next(iter(arrangements((12, 20, frozenset(range(11))), {})))
+    assert first == (0,) * 9 + tuple(range(11))
+
+
+# A mirror that fixes a path with 0 or 1 free cells, on hand-made 5x5 path
+# sets: no input on the enumerated 4x4 or 5x5 paths was found to reach it.
+# The top-bottom mirror maps every path of both sets onto itself.  Column 1
+# is housed first; a second copy of it then has no free cell, and after the
+# bent column 0 (BENT0) the bent column 1 (BENT1) has one, cell 10.
+# (function, paths, grid codes, order, zeroed cells), as recorded before the
+# mirror test became a precomputed permutation.
+DIM5 = LatticeDim(5, 5)
+COL1 = (1, 6, 11, 16, 21)
+BENT0 = (0, 5, 6, 11, 16, 15, 20)
+BENT1 = (1, 6, 5, 10, 15, 16, 21)
+FEW_FREE = [
+    (f({1}, {1}), (COL1, COL1),
+     (100, 1, 100, 100, 100) * 5, (0, 1),
+     [0, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15, 17, 18, 19, 20, 22, 23, 24]),
+    (f({1}, {1}, {1}), (COL1, BENT0, BENT1),
+     (1, 1, 100, 100, 100) * 5, (0, 1, 2),
+     [2, 3, 4, 7, 8, 9, 12, 13, 14, 17, 18, 19, 22, 23, 24]),
+]
+
+
+@pytest.mark.parametrize("fn,paths,codes,order,zeroed", FEW_FREE)
+def test_mirror_fixing_a_path_with_few_free_cells(fn, paths, codes, order, zeroed):
+    ps = PathSet(DIM5, paths)
+    assert [path_map for _, path_map in ps.mirrors] == [tuple(range(len(paths)))]
+    sol = map_function(fn, DIM5, None, ps).solution
+    assert sol.assignment.codes == codes
+    assert sol.order == order
+    assert sol.poi == tuple(PoiEvent("zero-on-lattice-var", c) for c in zeroed)
+    assert verify_witness(sol.assignment, fn)
+
+
+def test_search_state_is_not_kept_on_the_path_set():
+    """A path set outlives its searches, so it holds only the tables of
+    its own paths; whatever a search builds goes with the search."""
+    ps = PathSet(DIM3, enumerate_paths(DIM3).paths)
+    assert map_function(HARD, DIM3, None, ps).status == NO_SOLUTION
+    assert set(vars(ps)) == {"dim", "paths", "cell_masks", "through", "mirrors"}
 
 
 def test_path_file_not_closed_under_a_mirror():

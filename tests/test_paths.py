@@ -117,6 +117,22 @@ def test_parse_rejects_garbage():
         parse_paths("1 4\n2 0 9\n")  # cell out of range
     with pytest.raises(ValueError):  # 2x3 paths step diagonally on 3x2
         parse_paths(serialize_paths(enumerate_paths(LatticeDim(2, 3))), LatticeDim(3, 2))
+    with pytest.raises(ValueError, match="top row to the bottom row"):
+        parse_paths("1 4\n1 0\n", LatticeDim(2, 2))  # cell 0 alone does not cross
+    with pytest.raises(ValueError, match="top row to the bottom row"):
+        parse_paths("1 4\n0\n", LatticeDim(2, 2))  # a path with no cells
+    with pytest.raises(ValueError, match="top row to the bottom row"):
+        parse_paths("1 9\n3 0 1 2\n", LatticeDim(3, 3))  # along the top row
+
+
+def test_parse_accepts_paths_either_way_round():
+    """A path may be listed from the bottom row up; enumerated files of
+    every shape parse back."""
+    ps = parse_paths("2 4\n2 2 0\n2 1 3\n", LatticeDim(2, 2))
+    assert ps.paths == ((1, 3), (2, 0))
+    for dim in (LatticeDim(1, 3), LatticeDim(3, 1), LatticeDim(3, 4), LatticeDim(4, 4)):
+        ps = enumerate_paths(dim)
+        assert parse_paths(serialize_paths(ps), dim).paths == ps.paths
 
 
 def _mirror(cells, dim, flip_cols, flip_rows):
