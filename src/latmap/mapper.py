@@ -429,6 +429,17 @@ class _Search:
 
     # -- reporting -------------------------------------------------------
 
+    def _owners(self) -> list[int]:
+        """Per cell, the term that fixed it (``len(f)`` for a zeroed cell).
+        Terms are housed in index order and each fixes the free cells of its
+        path, so a cell's owner is the least term whose path holds it."""
+        owner = [len(self.f)] * self.dim.cells
+        for pi, ti in enumerate(self.matched):
+            if ti is not None:
+                for cell in self.paths[pi]:
+                    owner[cell] = min(owner[cell], ti)
+        return owner
+
     def _derive_poi(self, zeroed: list[int]) -> list[PoiEvent]:
         """Points of interest of the finished grid.  Every path is fixed, so
         its bound is its product mask: an unused path with a nonzero mask is
@@ -437,6 +448,7 @@ class _Search:
         absorbed_count: dict[int, int] = {}
         xxprime_paths: list[int] = []
         xxprime_terms: set[int] = set()
+        owner: list[int] = []  # built at the first xx' path
         for pi, path in enumerate(self.paths):
             if self.matched[pi] is not None:
                 continue
@@ -451,13 +463,11 @@ class _Search:
             if CONST_ZERO in codes:
                 continue
             xxprime_paths.append(pi)
+            if not owner:
+                owner = self._owners()
             for cell in path:
                 if COMPLEMENT_BASE - self.grid[cell] in codes:
-                    # terms are housed in index order and each fixes the
-                    # free cells of its path, so a literal cell's owner is
-                    # the first housed term whose path holds it
-                    owners = (self.matched[pj] for pj in self.through[cell])
-                    xxprime_terms.add(min(ti for ti in owners if ti is not None))
+                    xxprime_terms.add(owner[cell])
         events: list[PoiEvent] = []
         for t_idx in sorted(absorbed_count):
             kind = POI_SAVED_ESCAPE if absorbed_count[t_idx] == 1 else POI_MULTI_OPTION

@@ -2,10 +2,16 @@
 
 The DFS prunes a candidate cell as soon as it is a child of any earlier cell
 of the developing path other than its immediate predecessor; what survives
-is exactly the antichain of basic paths.  The prune is one list lookup: a
-blocked count per cell of the path's nodes (the source included) that are
-the cell or have it as a child, raised on push and lowered on pop, so a
-child of the last node may extend the path exactly when its count is 1.
+is exactly the antichain of basic paths.  The prune is one bit test: the
+DFS carries an int ``forbid`` with a bit set for each cell on the path
+before the last one, for each child of such a cell and for each child of
+the source (the top row), so a child of the last cell may extend the path
+exactly when its bit is clear.  A step ORs in the last cell and its
+children.
+The lattice graph is left-right symmetric, so the DFS starts only from the
+left half of the top row, the middle column of an odd width included, and
+each path found from a column other than its own mirror column adds its
+left-right image.
 The DFS recurses through a module-level function, not a closure that names
 itself, so no reference cycle keeps a finished enumeration's path tuples
 alive until a cyclic collection.
@@ -68,6 +74,11 @@ class PathSet:
         out = []
         for rs, cs in ((rows, cols[::-1]), (rows[::-1], cols), (rows[::-1], cols[::-1])):
             cell_map = tuple(r * len(cols) + c for r in rs for c in cs)
+            if len(out) == 2:
+                # both mirrors above hold: this one is their composition
+                (_, lr), (_, tb) = out
+                out.append((cell_map, tuple(map(tb.__getitem__, lr))))
+                continue
             bits = [1 << c for c in cell_map]
             image = [sum(map(bits.__getitem__, p)) for p in self.paths]
             by_image = sorted(range(len(image)), key=image.__getitem__)
@@ -89,29 +100,24 @@ def _canonical(paths: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
 def _extend(
     node: int,
     path: list[int],
-    blocked: list[int],
+    forbid: int,
     kids: list[tuple[int, ...]],
+    near: list[int],
     ends: list[bool],
     out: list[tuple[int, ...]],
 ) -> None:
     """Record every irredundant extension of ``path``, whose last node is
-    ``node``; ``blocked[y]`` counts the path's nodes that are ``y`` or have
-    it as a child."""
+    ``node``; ``forbid`` has bit ``y`` set for each node on the path before
+    ``node`` and for each child of one."""
+    inner = forbid | near[node]  # what a child of ``y`` must avoid
     for y in kids[node]:
-        if blocked[y] != 1:
-            # y is on the path or a child of a node before ``node``
+        if forbid >> y & 1:
             continue
         path.append(y)
-        blocked[y] += 1
-        for z in kids[y]:
-            blocked[z] += 1
         if ends[y]:
             out.append(tuple(path))
-        _extend(y, path, blocked, kids, ends, out)
+        _extend(y, path, inner, kids, near, ends, out)
         path.pop()
-        blocked[y] -= 1
-        for z in kids[y]:
-            blocked[z] -= 1
 
 
 def enumerate_paths(dim: LatticeDim) -> PathSet:
@@ -119,14 +125,24 @@ def enumerate_paths(dim: LatticeDim) -> PathSet:
     if dim.rows > MAX_DIM or dim.cols > MAX_DIM:
         raise ValueError(f"dimension {dim.rows}x{dim.cols} exceeds the {MAX_DIM} guard")
     children = build_children(dim)
-    n, dst = dim.cells, dim.dst
-    # the source is node n: on every path, with the top row as its children
+    n, cols = dim.cells, dim.cols
     kids = [tuple(y for y in children[x] if 0 <= y < n) for x in range(n)]
-    kids.append(children[SRC])
-    ends = [dst in children[x] for x in range(n)]
-    blocked = [1] * dim.cols + [0] * (n - dim.cols)
+    near = [sum(1 << y for y in (x,) + kids[x]) for x in range(n)]
+    ends = [dim.dst in children[x] for x in range(n)]
+    top = (1 << cols) - 1  # the source's children
+    flip = [x - x % cols + cols - 1 - x % cols for x in range(n)]
     out: list[tuple[int, ...]] = []
-    _extend(n, [], blocked, kids, ends, out)
+    for col in range((cols + 1) // 2):
+        start = len(out)
+        if ends[col]:
+            out.append((col,))
+        _extend(col, [col], top, kids, near, ends, out)
+        if flip[col] != col:
+            # the lattice is left-right symmetric: the paths from the
+            # mirror column are the images of these.  A tuple made from a
+            # list is allocated at its size; one made from an iterator is
+            # shrunk to it, which on 7x8 leaves the peak RSS about 1 MB higher.
+            out.extend(tuple([flip[c] for c in out[i]]) for i in range(start, len(out)))
     return PathSet(dim, _canonical(out))
 
 
@@ -160,8 +176,8 @@ def _simple_paths(
 
 def brute_force_paths(dim: LatticeDim) -> PathSet:
     """Oracle: all simple paths first, supersets deleted afterwards."""
-    if dim.rows > 4 or dim.cols > 4:
-        raise ValueError("brute-force oracle is limited to dimensions up to 4x4")
+    if dim.cells > 20:
+        raise ValueError("brute-force oracle is limited to 20 cells")
     all_paths: list[tuple[int, ...]] = []
     _simple_paths(SRC, [], build_children(dim), dim.dst, all_paths)
 

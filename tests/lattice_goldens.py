@@ -26,6 +26,68 @@ PATH_COUNTS = {
     7: [26, 163, 602, 1905, 6562, 26317],
 }
 
+# Path count and sha256 of ``serialize_paths(enumerate_paths(r x c))`` for
+# every 1 <= r <= 7 and 1 <= c <= 8, recorded before the DFS moved to a
+# bitmask prune and mirror halving: the path tuples and their order are pinned.
+PATH_DIGESTS = {
+    (1, 1): (1, "4e3a24612b0482a1a900e3e8f9924d8cac3eed3f2e9701faef818f239196d637"),
+    (1, 2): (2, "fc05466f7cc7fdf7f12da83916dc1a8a938ec744ad683cb862a2b57c8c7d5bb2"),
+    (1, 3): (3, "87396f5d0a3b33b17ef3150acd0f6bac7d942b8b7a421a7ca4f90491a85018ed"),
+    (1, 4): (4, "2c4a9b9b80fb02fce0748f931c78e6e5d7cb823dfc28e800870c3e96b22ccb4a"),
+    (1, 5): (5, "4d1595623601e536b7696355c7f80a08c6eeb096c18238ba194579df113fc8b9"),
+    (1, 6): (6, "630ed861aa6649499a897afc4a15cbfd27c551d52d8dcf6243d2f774648ad3e6"),
+    (1, 7): (7, "ff4446ca2375fe2c8eb0c25783a8cc9d9d58032910d49f4234f5744ca16ebdc7"),
+    (1, 8): (8, "db186bb2aed84da232be8e01f80fc1997b3af2e316762d9304d74a3a0b045b3f"),
+    (2, 1): (1, "428d4ce951c3f280073a659bf29391b6e79189d0746d59e82d5684d641b8e50b"),
+    (2, 2): (2, "1f26988255d04776e3777c29815c0d0fde39464f2d12735e196f47a4b2f2c9e8"),
+    (2, 3): (3, "b086b43434a3a038ad75c8b948e04c2ef806bf2008714c2f4da7c6b4db002642"),
+    (2, 4): (4, "a72a0173468b449008c23db32879d7d68458c117b105edc45ede5f53ac864d4b"),
+    (2, 5): (5, "14d788699cb2f947bbbd3edbcd1a0ca89411714b21eff52b3b2bbfcec4bf926c"),
+    (2, 6): (6, "5b76584c3f2a6dec40ef7cf23a62aa118f485307c15e82a44937275cf53195d0"),
+    (2, 7): (7, "0399230c194df2f88c64163ebd83a852e26cea94303510e5adc3b42b28a361ed"),
+    (2, 8): (8, "bbe22437dbfd563080aef186853aca3a31c7e3f5a01387e2bce7dc7fbabcb469"),
+    (3, 1): (1, "a23c71badead38d62b997c326f3b72f48ec1bd22fc82c3b6e75b6ff96fc8a706"),
+    (3, 2): (4, "0e94c1d83eb6bd5bddfcf5cc7f2ccc5b49499ad9a6b0f024f603c0e9f2808d27"),
+    (3, 3): (9, "829659255579b05343854a10ac005ee835d06c90fbc056afda8880df169f4737"),
+    (3, 4): (16, "72648ef59e3095a6dce8ddcd063d8625dd4f69cfb13ee2dc751bcaa61804b31c"),
+    (3, 5): (25, "aba8516a66a6143238dcfa7d4877c5685fda076fa819f0c577244ea6fe4aacb9"),
+    (3, 6): (36, "e0bb644bc9b36b716efa7b0204cdbef351a50363b64ace9910d93e49ba845ba8"),
+    (3, 7): (49, "6678d3343b83f44b38c3c125588f867bece317e3dfc4dc542d0dfcd2a54b6fd8"),
+    (3, 8): (64, "f2b07ed46699e7530f56bbb3869bc2fd471ed8cdd3d836faeb6b7276c3888b18"),
+    (4, 1): (1, "4175ba2ed7cfbe98f7ac287cbbfcc1c2778585b2e8da8814dd8919c34c7d1922"),
+    (4, 2): (6, "8f553605cc929c680a4bd9df218246607947ee2feed9848a8721dd160fef05a2"),
+    (4, 3): (17, "0b61270259098d9865f158385a9a5b58f6921cf8fd19397706c5da6698d344bc"),
+    (4, 4): (36, "6f0092a605c28281ccd9cc42dab2212a2b589b2ea4cef593246c56431ee497ad"),
+    (4, 5): (67, "8d758ac571046e381173336c4b741022754d753ee680793d1202bb1ed3c62c36"),
+    (4, 6): (118, "4d79c49bdc103f3c201bd8c005f48329a04a8713cd4026bfa24cba1b64304c0d"),
+    (4, 7): (203, "9e66984db2958b330778a0aa3dd472e7053159b7d4616a8bc2574ce44987d9d4"),
+    (4, 8): (344, "1b98311e117923d3ad0d472217c3aa397289e00100ce722baab5cce6c9d29efc"),
+    (5, 1): (1, "b54f619fc6acbc3b2a84d81d69838a55f63ddf27005318cd6fe5263b7b7c91f3"),
+    (5, 2): (10, "7f5d6a88efb6ae43130858092471fcd7148449533041f70a8dceefbe8639537d"),
+    (5, 3): (37, "6f169a9b3c664f85b12405f81f538cddddc8e253d4464174d98ee85ba1ef6e63"),
+    (5, 4): (94, "6337d918b75962e03bed9fe0fc4b3155b368dfaaca405befd43a6215a658e6d0"),
+    (5, 5): (205, "db63288e918c53ca1b15a86e603afbd905988bf2bbce2af7b3582f2214fd5b0d"),
+    (5, 6): (436, "2362cf43ce211627130af11c36a53153dd1a7494ece4aadc9f8bb5f1f4f798b3"),
+    (5, 7): (957, "f558d2907ac2d7335250c71e9ec59eb5a7f602caf8e1a0541b1871fdb55c5607"),
+    (5, 8): (2146, "d2868c0a13c68e08ceb05d12a9e659e55191bd26780b7cdaddd1581c8bfbca29"),
+    (6, 1): (1, "6c02f60018a361a641e042ad56c671fd344438a566c8d6b22c4fc5741e76fba6"),
+    (6, 2): (16, "3a6f62d0398ec036ce644b2e573596e056fbe261e0dae7bdd9a81f6b7b1cf397"),
+    (6, 3): (77, "9a6a3d9f2de431d5b7ea8ad96dc0c7719193602477978ae1d3322663a45a0309"),
+    (6, 4): (236, "e7d0dee24daf83cc1d13382492f6036578f0fb5ad2c1f95ed4918b18ecf5d200"),
+    (6, 5): (621, "3d366d4ffcd3fdec30b9da8c8dd947c114dc19e20b5b3aa26e17f95641153dc7"),
+    (6, 6): (1668, "121ee164c32fa1a418f521a8b9eae1958bd588785672d62ed0450c26ccd1ff52"),
+    (6, 7): (4883, "439ba1b0c4fe6165fb5aead2289f3c789598a7bb196a68cb6a7074d3e797c0b8"),
+    (6, 8): (14880, "669391b25f01b15a6e397132cf61154d031d746455cdb7e7d6c55afb289f32b3"),
+    (7, 1): (1, "5478235ba72af101b60eef0dc15fb1e7624dab139b672108d27cf0781f92d3af"),
+    (7, 2): (26, "229d839f9cf94d8acf5787727ec1ee5e5e6fbfb2638b503c1eadcd4d171b42cd"),
+    (7, 3): (163, "3347491dd2d3e81adca6eb85e2c3599e6d62fb229e77276ff1aa79da7fbf52b2"),
+    (7, 4): (602, "4fcbb9b152d069c5fc840dd2eeb1e05a7e4e35c5da29bc08ae477a5f146b3026"),
+    (7, 5): (1905, "16ff035d59ac585669e4e642d2b42011c3d36fe97a6c00305f3acca041654e16"),
+    (7, 6): (6562, "dd9539bc6ba63ee9eac8d201419e8ae0fa6271bfca5e0cb6e6b7c5ee6b98ef50"),
+    (7, 7): (26317, "b7b9df7192681d1b50cb98ee9c9df4f1eb906fb2077de7f24a17cd46a624573d"),
+    (7, 8): (110838, "8f25ad03c88ec890cd610a94c1884a1a044c6ffddafa7b53ccbf3291c4f8ef4e"),
+}
+
 # The nine 3x3 paths in canonical (length, lexicographic) order.
 PATHS_3X3 = [
     (0, 3, 6),

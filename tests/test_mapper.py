@@ -297,6 +297,21 @@ def test_deadline_respected_on_large_grid():
     assert time.monotonic() - t0 < 1.0
 
 
+def test_time_limit_respected_when_reporting_on_7x8():
+    """On 7x8 about 24,000 paths cross each cell; the points of interest of
+    a found grid must not scan them per literal cell, or the answer comes
+    long after the time limit."""
+    dim = LatticeDim(7, 8)
+    paths = enumerate_paths(dim)
+    t0 = time.monotonic()
+    r = map_function(HARD, dim, SearchBudget(time_limit=3), paths)
+    assert time.monotonic() - t0 < 30.0
+    if r.status == SOLVED:
+        assert verify_witness(r.solution.assignment, HARD)
+    else:
+        assert r.status == INCONCLUSIVE
+
+
 def test_placement_budget_answers_at_once():
     """A placement cut ends the mapping: no other examination order is
     tried, so one placement per path answers inconclusive long before the

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 from collections import Counter
 
 import pytest
@@ -14,7 +15,7 @@ from latmap.paths import (
     serialize_paths,
 )
 
-from lattice_goldens import PATH_COUNTS, PATHS_3X3
+from lattice_goldens import PATH_COUNTS, PATH_DIGESTS, PATHS_3X3
 
 
 def test_3x3_paths_exact():
@@ -34,10 +35,20 @@ def _cell_sets(ps):
     return {frozenset(p) for p in ps.paths}
 
 
-@pytest.mark.parametrize("r,c", [(r, c) for r in range(2, 5) for c in range(2, 5)])
+@pytest.mark.parametrize("r,c", [(r, c) for r in range(1, 5) for c in range(1, 6)])
 def test_matches_brute_force(r, c):
+    """The same path tuples, cell order included, single rows and columns
+    too: the mapper reads a path's cells in order."""
     dim = LatticeDim(r, c)
-    assert _cell_sets(enumerate_paths(dim)) == _cell_sets(brute_force_paths(dim))
+    assert enumerate_paths(dim).paths == brute_force_paths(dim).paths
+
+
+def test_enumeration_pinned():
+    """Every dimension up to 7x8 gives the recorded paths, in order."""
+    for (r, c), (count, digest) in PATH_DIGESTS.items():
+        ps = enumerate_paths(LatticeDim(r, c))
+        assert len(ps) == count, (r, c)
+        assert hashlib.sha256(serialize_paths(ps).encode()).hexdigest() == digest, (r, c)
 
 
 def test_paths_form_an_antichain():
@@ -89,6 +100,8 @@ def test_longest_path_len():
 def test_dimension_guard():
     with pytest.raises(ValueError):
         enumerate_paths(LatticeDim(9, 2))
+    with pytest.raises(ValueError):
+        brute_force_paths(LatticeDim(5, 5))
 
 
 def test_serialize_format():

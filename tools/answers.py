@@ -5,6 +5,8 @@
 Two checkouts answer alike exactly when their outputs are equal (``diff``).
 In order, the lines are:
 
+- each dimension r x c with r <= 7 and c <= 8: its path count and the
+  sha256 of ``serialize_paths(enumerate_paths(r x c))``;
 - each negative of ``bench/data/pools.json``, mapped on 3x3 (its id indexes
   ``bench/goldens.STUDY8``);
 - each kept entry of the ``solved`` library pools, mapped on its pool's
@@ -31,7 +33,13 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402  (bench/, on the path above)
-from latmap import LatticeDim, cli, enumerate_paths, generate_library  # noqa: E402
+from latmap import (  # noqa: E402
+    LatticeDim,
+    cli,
+    enumerate_paths,
+    generate_library,
+    serialize_paths,
+)
 from latmap.mapper import map_function  # noqa: E402
 
 
@@ -66,7 +74,19 @@ def _pipeline_line(name: str, argv: list[str], workdir: Path) -> str:
     })
 
 
+def _paths_line(dim: LatticeDim) -> str:
+    ps = enumerate_paths(dim)
+    return json.dumps({
+        "id": f"paths/{dim.rows}x{dim.cols}",
+        "paths": len(ps),
+        "sha256": _sha(serialize_paths(ps)),
+    })
+
+
 def main() -> None:
+    for r in range(1, 8):
+        for c in range(1, 9):
+            print(_paths_line(LatticeDim(r, c)))
     pools = workloads.load_pools()
     dim = LatticeDim(3, 3)
     paths = enumerate_paths(dim)
