@@ -6,7 +6,6 @@ from .codes import (
     COMPLEMENT_BASE,
     Sop,
     Term,
-    complement,
     equivalent,
     parse_function,
     serialize_function,
@@ -39,7 +38,6 @@ __all__ = [
     "COMPLEMENT_BASE",
     "Sop",
     "Term",
-    "complement",
     "equivalent",
     "parse_function",
     "serialize_function",

@@ -7,10 +7,16 @@ letter variable v is 1000 - v, constant one is 101 and constant zero is 100.
 A product term is a frozenset of literal codes with constants already
 normalized away; a function is an ordered list of such terms.  The empty
 list is constant 0, and [frozenset()] (the empty product) is constant 1.
+
+This module owns the truth-table layout (bit k of a table is the value where
+the i-th variable of the order is bit i of k): other modules only combine the
+tables that ``literal_masks`` gives each grid code.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Optional
 
 CONST_ZERO = 100
@@ -47,16 +53,6 @@ def check_code(code: int) -> int:
     if not is_valid_code(code):
         raise ValueError(f"invalid literal code {code}")
     return code
-
-
-def complement(code: int) -> int:
-    """1000 - code.  Involutive on letter variables and their complements."""
-    if code in (CONST_ZERO, CONST_ONE):
-        raise ValueError("constants have no complement")
-    check_code(code)
-    if AUX_MIN <= code <= AUX_MAX:
-        raise ValueError(f"auxiliary variable {code} has no complement code")
-    return COMPLEMENT_BASE - code
 
 
 def variable_of(code: int) -> int:
@@ -138,8 +134,6 @@ def parse_function(text: str, warnings: Optional[list[str]] = None) -> Sop:
             nums = [int(tok) for tok in ln.split()]
         except ValueError:
             raise ValueError(f"non-integer token on line {ln!r}") from None
-        if not nums:
-            raise ValueError("empty term line")
         k, codes = nums[0], nums[1:]
         if k != len(codes):
             raise ValueError(
@@ -187,11 +181,19 @@ def _var_mask(index: int, num_vars: int) -> int:
     return m
 
 
+def support_size(table: int, num_vars: int) -> int:
+    """Number of variables the truth table depends on: those whose two
+    cofactors, laid out on the rows where the variable is 0, differ."""
+    masks = [_var_mask(i, num_vars) for i in range(num_vars)]
+    return sum((table & m) >> (1 << i) != table & ~m for i, m in enumerate(masks))
+
+
 def literal_masks(var_order: list[int]) -> dict[int, int]:
-    """Truth-table bitmasks for every positive and complement code of var_order."""
+    """Truth-table bitmasks for every positive and complement code of
+    var_order, and for constant zero (0) and constant one (every row)."""
     nv = len(var_order)
     full = (1 << (1 << nv)) - 1
-    masks: dict[int, int] = {}
+    masks: dict[int, int] = {CONST_ZERO: 0, CONST_ONE: full}
     for i, var in enumerate(var_order):
         m = _var_mask(i, nv)
         masks[var] = m
@@ -200,18 +202,14 @@ def literal_masks(var_order: list[int]) -> dict[int, int]:
     return masks
 
 
+def term_masks(f: Sop, masks: dict[int, int]) -> list[int]:
+    """The truth table of each term of f, from ``literal_masks`` tables."""
+    return [reduce(and_, map(masks.__getitem__, t), masks[CONST_ONE]) for t in f]
+
+
 def function_mask(f: Sop, var_order: list[int]) -> int:
     """Truth table of f as a bitmask over the 2^len(var_order) assignments."""
-    nv = len(var_order)
-    full = (1 << (1 << nv)) - 1
-    lits = literal_masks(var_order)
-    out = 0
-    for t in f:
-        m = full
-        for code in t:
-            m &= lits[code]
-        out |= m
-    return out
+    return reduce(or_, term_masks(f, literal_masks(var_order)), 0)
 
 
 def table_variables(*fs: Sop) -> list[int]:

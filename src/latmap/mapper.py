@@ -38,12 +38,15 @@ inconclusive, never no-solution.
 
 A node keeps the grid, the set of unset cells, each path's bound (the AND
 of its fixed cells' truth-table masks) and the term housed on each path, if
-any.  Whatever else the answer reports is worked out at the leaf: a term is
-hiding when no path houses it, and the points of interest read cancellation
-and absorption off the path bounds, which are the paths' product masks once
-every cell is fixed.  A term skips a path whose bound does not contain the
-term's mask (a fixed cell holds 0 or a literal the term lacks); the paths
-that pass are scanned for their free cells.
+any.  A placement also writes its term as the owner of each cell it fixes,
+and no undo clears it: an owner is read only for a cell that holds a literal
+in the finished grid, and the placement that wrote that literal wrote its
+owner too.  The rest is worked out at the leaf: a term is hiding when no
+path houses it, and the points of interest read cancellation and absorption
+off the path bounds, which are the paths' product masks once every cell is
+fixed.  A term skips a path whose bound does not contain the term's mask (a
+fixed cell holds a literal the term lacks); the paths that pass are scanned
+for their free cells.
 
 Each arrangement is probed before it is placed.  The probe ANDs the
 arrangement's option masks into a copy of the node's path bounds.  It
@@ -52,7 +55,7 @@ nonzero bound inside no term's mask) or when the new bounds, ORed, no longer
 cover the function; which paths a placement completes depends only on the
 node and the path, so they are listed once for all its arrangements.  An
 arrangement that passes opens a node: its cells are written to the grid and
-the copy becomes the bounds.  A node never writes its own lists, so undo is
+the copy becomes the bounds.  A node never writes its own bounds, so undo is
 putting them back and clearing the cells.  So a node's placements always
 cover the function, and a deferral, which keeps its parent's state, needs
 no test of its own.
@@ -85,9 +88,10 @@ from .codes import (
     CONST_ZERO,
     COMPLEMENT_BASE,
     Sop,
-    _var_mask,
     literal_masks,
+    support_size,
     table_variables,
+    term_masks,
 )
 from .grid import LatticeDim
 from .paths import PathSet, paths_for
@@ -193,26 +197,23 @@ class _Search:
         self.truncated = False
 
         self.var_order = table_variables(f)
-        nv = len(self.var_order)
-        self.full = (1 << (1 << nv)) - 1
-        lit_mask = literal_masks(self.var_order)
         # a fixed cell ANDs its mask into the bound of every path through it
-        code_mask = {**lit_mask, CONST_ZERO: 0, CONST_ONE: self.full}
-        mask = code_mask.__getitem__
-        self.term_mask = [
-            functools.reduce(operator.and_, map(mask, t), self.full) for t in f
-        ]
+        masks = literal_masks(self.var_order)
+        self.full = masks[CONST_ONE]
+        self.term_mask = term_masks(f, masks)
         self.term_outside = [self.full & ~m for m in self.term_mask]
         self.f_mask = functools.reduce(operator.or_, self.term_mask, 0)
         self.f_outside = self.full & ~self.f_mask
         # an arrangement holds ranks into its term's options
         self.options = [tuple(sorted(t)) + (CONST_ONE,) for t in f]
         self.rank = [{code: r for r, code in enumerate(o)} for o in self.options]
-        self.option_masks = [tuple(map(mask, o)) for o in self.options]
+        self.option_masks = [tuple(map(masks.__getitem__, o)) for o in self.options]
 
         self.cell_masks = paths.cell_masks
 
         self.grid: list[Optional[int]] = [None] * self.dim.cells
+        # the term whose placement last wrote each cell, never undone
+        self.owner = [0] * self.dim.cells
         # the cells not yet fixed, bit c for cell c
         self.unset = (1 << self.dim.cells) - 1
         # upper bound on each path's contribution: AND of fixed literal masks
@@ -276,7 +277,7 @@ class _Search:
         self, term_idx: int, path: tuple[int, ...]
     ) -> Optional[tuple[list[int], Iterable[tuple[int, ...]]]]:
         """The path's free cells and the rank arrangements over them, in a
-        fixed order; None when the path's fixed cells rule the term out."""
+        fixed order; None when fewer cells are free than literals needed."""
         rank = self.rank[term_idx]
         provided: set[int] = set()
         free: list[int] = []
@@ -284,10 +285,10 @@ class _Search:
             v = self.grid[cell]
             if v is None:
                 free.append(cell)
-            elif v in rank:
-                provided.add(rank[v])
             else:
-                return None
+                # ``_try_terms`` skipped the path unless the term's mask lies
+                # in its bound, so a fixed cell holds 1 or one of its literals
+                provided.add(rank[v])
         # the last rank is the constant-1 filler, never needed
         need = frozenset(range(len(rank) - 1)).difference(provided)
         if len(need) > len(free):
@@ -327,6 +328,7 @@ class _Search:
         options = self.options[ti]
         option_masks = self.option_masks[ti]
         grid = self.grid
+        owner = self.owner
         path_ub = self.path_ub
         node_unset = self.unset
         max_pl = self.budget.max_placements
@@ -334,7 +336,7 @@ class _Search:
             if self.matched[pi] is not None:
                 continue
             if term_mask & ~path_ub[pi]:
-                continue  # a fixed cell holds 0 or a literal the term lacks
+                continue  # a fixed cell holds a literal the term lacks
             if stab and any(pmap[pi] < pi for _, pmap in stab):
                 continue  # a mirror image of this path comes earlier
             path = self.paths[pi]
@@ -367,6 +369,7 @@ class _Search:
                 # putting them back undoes the placement
                 for cell, rank in zip(free, ranks):
                     grid[cell] = options[rank]
+                    owner[cell] = ti
                 self.path_ub = bounds
                 self.unset = unset
                 self.matched[pi] = ti
@@ -429,17 +432,6 @@ class _Search:
 
     # -- reporting -------------------------------------------------------
 
-    def _owners(self) -> list[int]:
-        """Per cell, the term that fixed it (``len(f)`` for a zeroed cell).
-        Terms are housed in index order and each fixes the free cells of its
-        path, so a cell's owner is the least term whose path holds it."""
-        owner = [len(self.f)] * self.dim.cells
-        for pi, ti in enumerate(self.matched):
-            if ti is not None:
-                for cell in self.paths[pi]:
-                    owner[cell] = min(owner[cell], ti)
-        return owner
-
     def _derive_poi(self, zeroed: list[int]) -> list[PoiEvent]:
         """Points of interest of the finished grid.  Every path is fixed, so
         its bound is its product mask: an unused path with a nonzero mask is
@@ -448,7 +440,6 @@ class _Search:
         absorbed_count: dict[int, int] = {}
         xxprime_paths: list[int] = []
         xxprime_terms: set[int] = set()
-        owner: list[int] = []  # built at the first xx' path
         for pi, path in enumerate(self.paths):
             if self.matched[pi] is not None:
                 continue
@@ -463,11 +454,9 @@ class _Search:
             if CONST_ZERO in codes:
                 continue
             xxprime_paths.append(pi)
-            if not owner:
-                owner = self._owners()
             for cell in path:
                 if COMPLEMENT_BASE - self.grid[cell] in codes:
-                    xxprime_terms.add(owner[cell])
+                    xxprime_terms.add(self.owner[cell])
         events: list[PoiEvent] = []
         for t_idx in sorted(absorbed_count):
             kind = POI_SAVED_ESCAPE if absorbed_count[t_idx] == 1 else POI_MULTI_OPTION
@@ -510,18 +499,6 @@ def arrangements(
     )
 
 
-def _semantic_support(f_mask: int, nv: int) -> int:
-    """Number of variables the truth table actually depends on."""
-    count = 0
-    for i in range(nv):
-        m = _var_mask(i, nv)
-        half = 1 << i
-        # both cofactors laid out on the "variable = 0" positions
-        if ((f_mask & m) >> half) != f_mask & ~m:
-            count += 1
-    return count
-
-
 def map_function(
     f: Sop,
     dim: LatticeDim,
@@ -536,7 +513,7 @@ def map_function(
     paths = paths_for(dim, paths)
 
     search = _Search(f, paths, budget, budget.deadline())
-    if _semantic_support(search.f_mask, len(search.var_order)) > dim.cells:
+    if support_size(search.f_mask, len(search.var_order)) > dim.cells:
         # a grid of rc cells holds at most rc distinct literals
         return MapResult(NO_SOLUTION)
     sol = search._try_terms(0, paths.mirrors)

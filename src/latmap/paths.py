@@ -240,6 +240,8 @@ def parse_paths(text: str, dim: LatticeDim | None = None) -> PathSet:
         cells = tuple(nums[1:])
         if any(c < 0 or c >= num_cells for c in cells):
             raise ValueError(f"cell index out of range on line {ln!r}")
+        if len(set(cells)) != len(cells):
+            raise ValueError(f"path repeats a cell on line {ln!r}")
         parsed.append(cells)
     if dim is None:
         dim = _infer_dim(num_cells, parsed)

@@ -2,11 +2,15 @@
 
 import importlib
 import importlib.metadata
+import io
 from pathlib import Path
 
 import pytest
 
 from latmap.cli import main
+from latmap.codes import serialize_function
+
+from lattice_goldens import DECOMP_EVEN8
 
 
 def run(capsys, *argv):
@@ -189,6 +193,22 @@ def test_map_path_file_not_crossing_is_usage_error(tmp_path, capsys, paths_text,
     assert err.startswith("error: ")
 
 
+def test_map_path_file_repeating_a_cell_is_usage_error(tmp_path, capsys):
+    """Path (0, 3, 0, 3) on 2x3 visits cells 0 and 3 twice.  Were it read,
+    its cell mask would carry into cells 1 and 4, and the grid found for
+    abc on it would not realize abc."""
+    pfile = tmp_path / "p.txt"
+    pfile.write_text("1 6\n4 0 3 0 3\n")
+    fn = tmp_path / "f.fn"
+    fn.write_text("1\n3 0 1 2\n")
+    grid = tmp_path / "g.lat"
+    code, out, err = run(capsys, "map", str(fn), "--paths", str(pfile),
+                         "--dim", "2", "3", "-o", str(grid))
+    assert (code, out) == (64, "")
+    assert err.startswith("error: path repeats a cell")
+    assert not grid.exists()
+
+
 def test_map_requires_dim_or_paths(tmp_path, capsys):
     fn = tmp_path / "f.fn"
     fn.write_text("1\n1 0\n")
@@ -310,6 +330,69 @@ def test_too_many_variables_is_usage_error(tmp_path, capsys, command):
     assert out == ""
     assert "error: 21 variables exceed" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text,argv", [
+    ("\n", ["map", "{file}", "--dim", "2", "2"]),  # empty function file
+    ("x\n1 0\n", ["map", "{file}", "--dim", "2", "2"]),  # bad count line
+    ("-1\n", ["map", "{file}", "--dim", "2", "2"]),  # negative count
+    ("1\n1 a\n", ["map", "{file}", "--dim", "2", "2"]),  # non-integer token
+    ("1\n1 0\n", ["map", "{fn}", "--paths", "{file}"]),  # bad path header
+    # a step of 3 cells on a 5-cell grid: no width divides it
+    ("1 5\n2 0 3\n", ["map", "{fn}", "--paths", "{file}"]),
+    ("2\n0 1\n1 0\n", ["verify", "{file}", "{fn}"]),  # bad dimension line
+    ("", ["genlib", "--dim", "2", "2", "--trials", "0"]),
+])
+def test_malformed_input_is_usage_error(tmp_path, capsys, text, argv):
+    """The input file holds ``text``; ``fn`` is a well-formed function."""
+    target, fn = tmp_path / "input", tmp_path / "ok.fn"
+    target.write_text(text)
+    fn.write_text("1\n1 0\n")
+    code, out, err = run(capsys, *(a.format(file=target, fn=fn) for a in argv))
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_decompose_inconclusive(tmp_path, capsys):
+    """a + b + c + d on 2x2 needs a second split stage; one stage allowed
+    ends the run inconclusive, with no output directory."""
+    fn = tmp_path / "f.fn"
+    fn.write_text("4\n1 0\n1 1\n1 2\n1 3\n")
+    outdir = tmp_path / "split"
+    code, out, _ = run(capsys, "decompose", str(fn), "--dim", "2", "2",
+                       "--max-stages", "1", "--outdir", str(outdir))
+    assert (code, out) == (2, "INCONCLUSIVE (budget)\n")
+    assert not outdir.exists()
+
+
+def test_synth_inconclusive(tmp_path, capsys):
+    fn = tmp_path / "hard.fn"
+    fn.write_text(serialize_function(DECOMP_EVEN8))
+    outdir = tmp_path / "plan"
+    code, out, _ = run(capsys, "synth", str(fn), "--dim", "3", "3",
+                       "--max-placements", "1", "--outdir", str(outdir))
+    assert (code, out) == (2, "INCONCLUSIVE (budget)\n")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "2\n1 0\n1 0\n",  # a + a: the repeat is absorbed
+    "2\n2 0 1000\n1 0\n",  # a a' + a: the first term cancels
+])
+def test_normalized_input_warns(tmp_path, capsys, text):
+    fn = tmp_path / "f.fn"
+    fn.write_text(text)
+    code, out, err = run(capsys, "map", str(fn), "--dim", "2", "2")
+    assert code == 0
+    assert out.startswith("SOLUTION FOUND:")
+    assert err == "warning: input function was normalized/absorbed\n"
+
+
+def test_function_read_from_stdin(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n2 0 1\n"))
+    code, out, err = run(capsys, "map", "-", "--dim", "2", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "ASSG v0=0 v1=100 v2=1 v3=100"
 
 
 def _installed_distribution():

@@ -18,18 +18,6 @@ def test_code_classification():
         assert not codes.is_valid_code(c)
 
 
-def test_complement_round_trip():
-    assert codes.complement(0) == 1000
-    assert codes.complement(1000) == 0
-    assert codes.complement(codes.complement(7)) == 7
-    with pytest.raises(ValueError):
-        codes.complement(100)
-    with pytest.raises(ValueError):
-        codes.complement(101)
-    with pytest.raises(ValueError):
-        codes.complement(26)  # synthesizer variables are never complemented
-
-
 def test_variable_of():
     assert codes.variable_of(5) == 5
     assert codes.variable_of(995) == 5
@@ -65,6 +53,27 @@ def test_var_mask_matches_assignments(num_vars):
     for index in range(num_vars):
         want = sum(1 << k for k in range(1 << num_vars) if k >> index & 1)
         assert codes._var_mask(index, num_vars) == want
+
+
+def test_literal_masks_cover_every_grid_code():
+    masks = codes.literal_masks([0, 26])  # a letter and an auxiliary variable
+    full = (1 << 4) - 1
+    assert masks[codes.CONST_ZERO] == 0 and masks[codes.CONST_ONE] == full
+    assert masks[0] == 0b1010 and masks[1000] == 0b0101
+    assert masks[26] == 0b1100 and 974 not in masks  # no complement of x1
+    # a'x1 and the empty product (constant one)
+    assert codes.term_masks([frozenset({1000, 26}), frozenset()], masks) == [0b0100, full]
+
+
+@given(st.integers(0, 3), st.data())
+def test_support_size_counts_the_variables_a_table_reads(num_vars, data):
+    table = data.draw(st.integers(0, (1 << (1 << num_vars)) - 1))
+    rows = range(1 << num_vars)
+
+    def reads(i):
+        return any(table >> k & 1 != table >> (k ^ 1 << i) & 1 for k in rows)
+
+    assert codes.support_size(table, num_vars) == sum(map(reads, range(num_vars)))
 
 
 def test_parse_function_basic():
@@ -133,6 +142,7 @@ def test_pretty():
     assert codes.pretty_code(101) == "1"
     assert codes.pretty_code(26) == "x1"
     assert codes.pretty_term(frozenset({3, 999})) == "d b'"
+    assert codes.pretty_term(frozenset()) == "1"
 
 
 _terms = st.lists(

@@ -136,6 +136,16 @@ def test_parse_rejects_garbage():
         parse_paths("1 4\n0\n", LatticeDim(2, 2))  # a path with no cells
     with pytest.raises(ValueError, match="top row to the bottom row"):
         parse_paths("1 9\n3 0 1 2\n", LatticeDim(3, 3))  # along the top row
+    with pytest.raises(ValueError, match="repeats a cell"):
+        parse_paths("1 6\n4 0 3 0 3\n", LatticeDim(2, 3))  # 0 and 3 twice
+
+
+def test_parse_single_cell_paths_as_one_row():
+    """With no step to read a width from, one single-cell path per cell is
+    a 1xN grid."""
+    ps = parse_paths("3 3\n1 2\n1 0\n1 1\n")
+    assert ps.dim == LatticeDim(1, 3)
+    assert ps.paths == ((0,), (1,), (2,))
 
 
 def test_parse_accepts_paths_either_way_round():

@@ -18,6 +18,7 @@ from latmap.synth import (
 
 from lattice_goldens import DECOMP_NOSPLIT8, SYNTH_EIGHT, SYNTH_Q, f
 
+DIM2 = LatticeDim(2, 2)
 DIM3 = LatticeDim(3, 3)
 
 # the 3x3 plan for SYNTH_EIGHT: (grid codes, terms) per output lattice
@@ -28,6 +29,29 @@ SYNTH_EIGHT_PLAN_3X3 = [
      f({1, 3, 4, 998}, {1, 3, 998, 1000}, {1, 3, 996, 998})),
     ((0, 100, 100, 2, 999, 3, 100, 997, 996),
      f({0, 2, 997, 999}, {0, 2, 3, 996, 999})),
+]
+
+
+# Inputs whose 2x2 plans take the two less common turns of the halving: in
+# HALVE_AGAIN no half-split maps or splits, so the first half is halved in
+# turn; in FIRST_HALF_MAPS the first half of a half-split maps on its own.
+# Each with its plan: (grid codes, terms) per output lattice.
+HALVE_AGAIN = f({5, 999}, {1, 5}, {3, 999}, {4}, {0, 998}, {0, 3}, {2},
+                {995, 1000}, {997})
+HALVE_AGAIN_PLAN_2X2 = [
+    ((4, 2, 4, 2), f({4}, {2})),
+    ((997, 5, 997, 999), f({997}, {5, 999})),
+    ((1, 100, 5, 100), f({1, 5})),
+    ((3, 0, 999, 998), f({3, 999}, {0, 998})),
+    ((0, 995, 3, 1000), f({0, 3}, {995, 1000})),
+]
+FIRST_HALF_MAPS = f({2, 5}, {0, 2}, {0, 996}, {997}, {1000}, {0, 999},
+                    {3, 999}, {995})
+FIRST_HALF_MAPS_PLAN_2X2 = [
+    ((997, 1000, 997, 1000), f({997}, {1000})),
+    ((995, 2, 995, 5), f({995}, {2, 5}, {0, 2})),
+    ((0, 0, 996, 999), f({0, 996}, {0, 999})),
+    ((3, 100, 999, 100), f({3, 999})),
 ]
 
 
@@ -148,10 +172,24 @@ def test_synth_eight_plan_pinned(synth_eight_3x3):
     assert got == [(codes, terms, None) for codes, terms in SYNTH_EIGHT_PLAN_3X3]
 
 
+@pytest.mark.parametrize("fn,want", [
+    (HALVE_AGAIN, HALVE_AGAIN_PLAN_2X2),
+    (FIRST_HALF_MAPS, FIRST_HALF_MAPS_PLAN_2X2),
+])
+def test_halving_plans_pinned(fn, want):
+    plan = synthesize(fn, DIM2)
+    assert plan.aux_defs == ()
+    got = [(pl.assignment.codes, list(pl.terms), pl.aux_code) for pl in plan.lattices]
+    assert got == [(codes, terms, None) for codes, terms in want]
+    assert equivalent(expand_plan(plan), fn)
+
+
 def test_no_mapping_asked_twice(synth_eight_3x3):
     for plan, calls in (
         synth_eight_3x3,
         _synthesize_counting_maps(DECOMP_NOSPLIT8, LatticeDim(2, 3)),
+        _synthesize_counting_maps(HALVE_AGAIN, DIM2),
+        _synthesize_counting_maps(FIRST_HALF_MAPS, DIM2),
     ):
         assert plan is not None and calls
         assert len(set(calls)) == len(calls)
