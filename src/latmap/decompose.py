@@ -35,6 +35,27 @@ def split_schedule(n: int) -> list[tuple[int, int]]:
     return [(a, n - a) for a in range(n - 1, (n + 1) // 2 - 1, -1)]
 
 
+def map_once(
+    memo: dict[tuple[Term, ...], MapResult],
+    terms: tuple[Term, ...],
+    dim: LatticeDim,
+    budget: SearchBudget,
+    deadline: Optional[float],
+    paths: PathSet,
+) -> MapResult:
+    """The verdict on ``terms``, mapped at most once per ``memo`` with the
+    time that remains before ``deadline``.  With none left the call is
+    skipped, and its verdict is inconclusive."""
+    if terms not in memo:
+        left = budget.until(deadline)
+        memo[terms] = (
+            MapResult(INCONCLUSIVE)
+            if left is None
+            else map_function(list(terms), dim, left, paths)
+        )
+    return memo[terms]
+
+
 @dataclass(frozen=True)
 class DecompositionResult:
     indices_a: tuple[int, ...]
@@ -79,15 +100,7 @@ def decompose_two(
     deadline = budget.deadline()
 
     def mapped(indices: tuple[int, ...]) -> MapResult:
-        key = tuple(f[i] for i in indices)
-        if key not in memo:
-            left = budget.until(deadline)
-            memo[key] = (
-                MapResult(INCONCLUSIVE)
-                if left is None
-                else map_function(list(key), dim, left, paths)
-            )
-        return memo[key]
+        return map_once(memo, tuple(f[i] for i in indices), dim, budget, deadline, paths)
 
     inconclusive_seen = False
     stages = split_schedule(n)

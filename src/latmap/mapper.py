@@ -20,7 +20,7 @@ while the same functions written as ac' + bc', ab + c and a'c map
 
 The search breaks the grid's mirror symmetry (lex-leader symmetry breaking,
 Crawford et al., KR 1996).  Connectivity and every check of the search are
-invariant under each mirror that maps the path set onto itself
+invariant under the three mirrors: left-right, top-bottom and both
 (``PathSet.mirrors``).  Each node carries its stabilizer: the mirrors that
 map its grid and used paths onto themselves, all of them at the root.  A
 term is not housed on a path that one of them maps to an earlier path, and

@@ -18,10 +18,12 @@ alive until a cyclic collection.
 A brute-force variant (generate all simple paths, then delete supersets)
 serves as the oracle for small dimensions.
 
-A ``PathSet`` owns the tables derived from its paths, each built at its
-first use and then kept: ``cell_masks`` (each path as an int with bit ``c``
-set for every cell ``c`` on it), which the solver reads, and ``through``
-(the paths on each cell) and ``mirrors``, which the mapper reads.
+A ``PathSet`` holds every irredundant path of its dimension (a path file
+is checked against the enumeration) and owns the tables derived from them,
+each built at its first use and then kept: ``cell_masks`` (each path as an
+int with bit ``c`` set for every cell ``c`` on it), which the solver reads,
+and ``through`` (the paths on each cell) and ``mirrors``, which the mapper
+reads.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .grid import MAX_DIM, SRC, LatticeDim, build_children
 
 @dataclass(frozen=True)
 class PathSet:
+    """Every irredundant path of ``dim``, each as its cells in order."""
+
     dim: LatticeDim
     paths: tuple[tuple[int, ...], ...]
 
@@ -58,35 +62,21 @@ class PathSet:
 
     @cached_property
     def mirrors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """A (cell map, path map) pair per mirror of the grid that maps the
-        multiset of path cell masks onto itself.
-
-        The mirrors are left-right, top-bottom and both.  ``enumerate_paths``
-        is closed under all three, a hand-written path file may not be.  The
-        path map sends the k-th path with a cell mask to the k-th path with
-        its image, so both maps are involutions.
-        """
+        """A (cell map, path map) pair per mirror of the grid: left-right,
+        top-bottom and both.  Each maps the path set onto itself, the path
+        map sending a path to the one whose cell mask is its image, so both
+        maps are involutions."""
         rows, cols = range(self.dim.rows), range(self.dim.cols)
-        masks = self.cell_masks
-        # stable sorts keep the paths of an equal mask in index order
-        by_mask = sorted(range(len(masks)), key=masks.__getitem__)
-        sorted_masks = [masks[i] for i in by_mask]
+        index = {m: i for i, m in enumerate(self.cell_masks)}
         out = []
-        for rs, cs in ((rows, cols[::-1]), (rows[::-1], cols), (rows[::-1], cols[::-1])):
+        for rs, cs in ((rows, cols[::-1]), (rows[::-1], cols)):
             cell_map = tuple(r * len(cols) + c for r in rs for c in cs)
-            if len(out) == 2:
-                # both mirrors above hold: this one is their composition
-                (_, lr), (_, tb) = out
-                out.append((cell_map, tuple(map(tb.__getitem__, lr))))
-                continue
             bits = [1 << c for c in cell_map]
             image = [sum(map(bits.__getitem__, p)) for p in self.paths]
-            by_image = sorted(range(len(image)), key=image.__getitem__)
-            if [image[i] for i in by_image] == sorted_masks:
-                path_map = [0] * len(masks)
-                for i, j in zip(by_image, by_mask):
-                    path_map[i] = j
-                out.append((cell_map, tuple(path_map)))
+            out.append((cell_map, tuple(map(index.__getitem__, image))))
+        (_, lr), (_, tb) = out
+        # both mirrors reverse the cell order; their path map is the composition
+        out.append((tuple(range(self.dim.cells))[::-1], tuple(map(tb.__getitem__, lr))))
         return tuple(out)
 
 
@@ -196,8 +186,6 @@ def brute_force_paths(dim: LatticeDim) -> PathSet:
 
 
 def longest_path_len(paths: PathSet) -> int:
-    if not paths.paths:
-        raise ValueError("empty path set")
     return max(len(p) for p in paths.paths)
 
 
@@ -223,6 +211,9 @@ def _infer_dim(num_cells: int, paths: list[tuple[int, ...]]) -> LatticeDim:
 
 
 def parse_paths(text: str, dim: LatticeDim | None = None) -> PathSet:
+    """``enumerate_paths(dim)``, the shape read from the file without
+    ``dim``, once the file lists exactly those paths, each once, in any order
+    and either way round; any other file is a ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty path file")
@@ -234,25 +225,21 @@ def parse_paths(text: str, dim: LatticeDim | None = None) -> PathSet:
         raise ValueError(f"expected {num_paths} path lines, got {len(lines) - 1}")
     parsed: list[tuple[int, ...]] = []
     for ln in lines[1:]:
-        nums = [int(tok) for tok in ln.split()]
+        nums = list(map(int, ln.split()))
         if not nums or nums[0] != len(nums) - 1:
             raise ValueError(f"malformed path line {ln!r}")
         cells = tuple(nums[1:])
-        if any(c < 0 or c >= num_cells for c in cells):
+        if cells and (min(cells) < 0 or max(cells) >= num_cells):
             raise ValueError(f"cell index out of range on line {ln!r}")
-        if len(set(cells)) != len(cells):
-            raise ValueError(f"path repeats a cell on line {ln!r}")
         parsed.append(cells)
     if dim is None:
         dim = _infer_dim(num_cells, parsed)
     elif dim.cells != num_cells:
         raise ValueError("header cell count does not match the given dimension")
-    bottom = dim.cells - dim.cols
-    for p in parsed:
-        rc = [divmod(cell, dim.cols) for cell in p]
-        if any(abs(r - s) + abs(c - d) != 1 for (r, c), (s, d) in zip(rc, rc[1:])):
-            raise ValueError(f"path {p} is not a path of a {dim.rows}x{dim.cols} lattice")
-        ends = sorted(p[:1] + p[-1:])
-        if not p or ends[0] >= dim.cols or ends[-1] < bottom:
-            raise ValueError(f"path {p} does not run from the top row to the bottom row")
-    return PathSet(dim, _canonical(parsed))
+    ps = enumerate_paths(dim)
+    if sorted(map(sorted, parsed)) != sorted(map(sorted, ps.paths)):
+        raise ValueError(
+            f"the file does not list the {len(ps)} irredundant paths"
+            f" of a {dim.rows}x{dim.cols} lattice, each once"
+        )
+    return ps

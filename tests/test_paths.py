@@ -1,13 +1,12 @@
 import gc
 import hashlib
-from collections import Counter
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latmap.grid import LatticeDim
 from latmap.paths import (
-    PathSet,
     brute_force_paths,
     enumerate_paths,
     longest_path_len,
@@ -83,11 +82,10 @@ def test_enumeration_leaves_no_garbage_cycles():
 
 
 def test_cell_masks_follow_path_order():
-    """One mask per path, index by index, also when a file lists a cell
-    set twice."""
-    ps = parse_paths("4 4\n2 0 2\n2 2 0\n2 1 3\n3 0 1 3\n")
-    assert ps.paths == ((0, 2), (1, 3), (2, 0), (0, 1, 3))
-    assert ps.cell_masks == (0b0101, 0b1010, 0b0101, 0b1011)
+    """One mask per path, index by index."""
+    ps = parse_paths("2 4\n2 2 0\n2 1 3\n")
+    assert ps.paths == ((0, 2), (1, 3))
+    assert ps.cell_masks == (0b0101, 0b1010)
     big = enumerate_paths(LatticeDim(4, 5))
     assert big.cell_masks == tuple(sum(1 << c for c in p) for p in big.paths)
 
@@ -130,14 +128,20 @@ def test_parse_rejects_garbage():
         parse_paths("1 4\n2 0 9\n")  # cell out of range
     with pytest.raises(ValueError):  # 2x3 paths step diagonally on 3x2
         parse_paths(serialize_paths(enumerate_paths(LatticeDim(2, 3))), LatticeDim(3, 2))
-    with pytest.raises(ValueError, match="top row to the bottom row"):
+    with pytest.raises(ValueError, match="irredundant paths"):
         parse_paths("1 4\n1 0\n", LatticeDim(2, 2))  # cell 0 alone does not cross
-    with pytest.raises(ValueError, match="top row to the bottom row"):
+    with pytest.raises(ValueError, match="irredundant paths"):
         parse_paths("1 4\n0\n", LatticeDim(2, 2))  # a path with no cells
-    with pytest.raises(ValueError, match="top row to the bottom row"):
+    with pytest.raises(ValueError, match="irredundant paths"):
         parse_paths("1 9\n3 0 1 2\n", LatticeDim(3, 3))  # along the top row
-    with pytest.raises(ValueError, match="repeats a cell"):
+    with pytest.raises(ValueError, match="irredundant paths"):
         parse_paths("1 6\n4 0 3 0 3\n", LatticeDim(2, 3))  # 0 and 3 twice
+    with pytest.raises(ValueError, match="9 irredundant paths of a 3x3"):
+        parse_paths("3 9\n3 0 3 6\n3 1 4 7\n3 2 5 8\n")  # only the columns
+    with pytest.raises(ValueError, match="irredundant paths of a 4x1"):
+        parse_paths("0 4\n")  # no paths
+    with pytest.raises(ValueError, match="irredundant paths of a 2x2"):
+        parse_paths("3 4\n2 0 2\n2 0 2\n2 1 3\n")  # one path twice
 
 
 def test_parse_single_cell_paths_as_one_row():
@@ -149,13 +153,19 @@ def test_parse_single_cell_paths_as_one_row():
 
 
 def test_parse_accepts_paths_either_way_round():
-    """A path may be listed from the bottom row up; enumerated files of
-    every shape parse back."""
-    ps = parse_paths("2 4\n2 2 0\n2 1 3\n", LatticeDim(2, 2))
-    assert ps.paths == ((1, 3), (2, 0))
-    for dim in (LatticeDim(1, 3), LatticeDim(3, 1), LatticeDim(3, 4), LatticeDim(4, 4)):
+    """A file may list the paths in any order, each from either end; it
+    parses to the enumerated paths in their own order, with or without the
+    dimension given."""
+    rng = random.Random(16)
+    for r, c in ((1, 3), (3, 1), (2, 2), (3, 4), (4, 4)):
+        dim = LatticeDim(r, c)
         ps = enumerate_paths(dim)
-        assert parse_paths(serialize_paths(ps), dim).paths == ps.paths
+        head, *lines = serialize_paths(ps).splitlines()
+        body = [" ".join(ln.split()[:1] + ln.split()[:0:-1]) for ln in lines]
+        rng.shuffle(body)
+        text = "\n".join([head, *body]) + "\n"
+        assert parse_paths(text, dim).paths == ps.paths
+        assert parse_paths(text) == ps
 
 
 def _mirror(cells, dim, flip_cols, flip_rows):
@@ -186,16 +196,6 @@ def test_mirror_orbit_minima_flagged(r):
             assert set(img) == set(sets)
 
 
-def test_mirror_not_closed_is_not_used():
-    """Without (2, 5, 8) the 3x3 set is closed only under the top-bottom
-    mirror: paths pair up with their top-bottom image alone."""
-    kept = [p for p in PATHS_3X3 if p != (2, 5, 8)]
-    text = serialize_paths(PathSet(LatticeDim(3, 3), tuple(kept)))
-    ps = parse_paths(text, LatticeDim(3, 3))
-    assert [path_map for _, path_map in ps.mirrors] == [(0, 1, 3, 2, 5, 4, 7, 6)]
-    assert len(enumerate_paths(LatticeDim(3, 3)).mirrors) == 3
-
-
 @pytest.mark.parametrize("r", range(2, 7))
 def test_mirror_maps_are_involutions(r):
     """Every enumerated set up to 6x6 keeps all three mirrors; each cell map
@@ -214,71 +214,29 @@ def test_mirror_maps_are_involutions(r):
                 assert sets[path_map[i]] == _mirror(s, dim, *m)
 
 
-def test_mirror_maps_of_unclosed_set():
-    """Without (2, 5, 8) the 3x3 set keeps only the top-bottom mirror, which
-    maps every cell to the one in its column and the other row."""
-    kept = [p for p in PATHS_3X3 if p != (2, 5, 8)]
-    text = serialize_paths(PathSet(LatticeDim(3, 3), tuple(kept)))
-    ps = parse_paths(text, LatticeDim(3, 3))
-    ((cell_map, path_map),) = ps.mirrors
-    assert cell_map == (6, 7, 8, 3, 4, 5, 0, 1, 2)
-    sets = [frozenset(p) for p in ps.paths]
-    for i, s in enumerate(sets):
-        assert path_map[path_map[i]] == i
-        assert sets[path_map[i]] == frozenset(cell_map[x] for x in s)
-
-
-def test_mirror_maps_with_repeated_paths():
-    """A path file may list a cell set twice; the path map pairs the copies
-    up in order, so it stays an involution and sends the second copy of a
-    mirror-fixed path to itself, not to the first copy."""
-    dim = LatticeDim(3, 3)
-    ps = PathSet(dim, tuple(PATHS_3X3) + ((0, 3, 6), (1, 4, 7), (2, 5, 8)))
-    n = len(ps.paths)
-    lr, tb, both = (path_map for _, path_map in ps.mirrors)
-    assert all(pm[pm[i]] == i for pm in (lr, tb, both) for i in range(n))
-    assert (lr[0], lr[1], lr[n - 3], lr[n - 2]) == (2, 1, n - 1, n - 2)
-    assert [tb[i] for i in (0, 1, 2, n - 3, n - 2, n - 1)] == [0, 1, 2, n - 3, n - 2, n - 1]
-
-
 def reference_mirrors(ps):
-    """``PathSet.mirrors`` on cell sets: a mirror is kept when the multiset
-    of image sets equals the path set's, and the k-th path with a cell set
-    goes to the k-th path with its image."""
+    """``PathSet.mirrors`` on cell sets: each path goes to the path whose
+    cell set is its image."""
     rows, cols = ps.dim.rows, ps.dim.cols
     sets = [frozenset(p) for p in ps.paths]
-    slots = {}
-    for i, cells in enumerate(sets):
-        slots.setdefault(cells, []).append(i)
+    index = {cells: i for i, cells in enumerate(sets)}
     out = []
     for flip_rows, flip_cols in ((False, True), (True, False), (True, True)):
         cell_map = tuple(
             (rows - 1 - r if flip_rows else r) * cols + (cols - 1 - c if flip_cols else c)
             for r, c in (divmod(cell, cols) for cell in range(rows * cols))
         )
-        image = [frozenset(cell_map[c] for c in cells) for cells in sets]
-        if Counter(image) != Counter(sets):
-            continue
-        taken = Counter()
-        path_map = []
-        for cells in image:
-            path_map.append(slots[cells][taken[cells]])
-            taken[cells] += 1
-        out.append((cell_map, tuple(path_map)))
+        path_map = tuple(index[frozenset(cell_map[c] for c in cells)] for cells in sets)
+        out.append((cell_map, path_map))
     return tuple(out)
 
 
 def _table_cases():
     yield from (enumerate_paths(LatticeDim(r, c)) for r in range(1, 7) for c in range(1, 7))
-    kept = [p for p in PATHS_3X3 if p != (2, 5, 8)]
-    yield parse_paths(serialize_paths(PathSet(LatticeDim(3, 3), tuple(kept))), LatticeDim(3, 3))
-    yield parse_paths("4 4\n2 0 2\n2 2 0\n2 1 3\n3 0 1 3\n")
-    yield PathSet(LatticeDim(3, 3), tuple(PATHS_3X3) + ((0, 3, 6), (1, 4, 7), (2, 5, 8)))
 
 
 def test_mirrors_match_cell_set_reference():
-    """Enumerated sets up to 6x6, the unclosed 3x3 set and sets that list a
-    cell set twice."""
+    """Enumerated sets up to 6x6."""
     for ps in _table_cases():
         assert ps.mirrors == reference_mirrors(ps), ps.dim
 

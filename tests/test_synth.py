@@ -7,10 +7,13 @@ import latmap.synth
 from latmap.codes import equivalent
 from latmap.grid import LatticeDim
 from latmap.mapper import SearchBudget
+from latmap.paths import enumerate_paths
 from latmap.synth import (
     AuxDefinition,
     PlanLattice,
+    SynthesisInconclusive,
     SynthesisPlan,
+    _Run,
     expand_plan,
     split_long_terms,
     synthesize,
@@ -59,12 +62,11 @@ def _synthesize_counting_maps(fn, dim):
     """The plan and the ordered term lists of every mapper call it made."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        for module in (latmap.synth, latmap.decompose):
-            def counting(terms, *args, _map=module.map_function, **kwargs):
-                calls.append(tuple(terms))
-                return _map(terms, *args, **kwargs)
+        def counting(terms, *args, _map=latmap.decompose.map_function, **kwargs):
+            calls.append(tuple(terms))
+            return _map(terms, *args, **kwargs)
 
-            mp.setattr(module, "map_function", counting)
+        mp.setattr(latmap.decompose, "map_function", counting)
         plan = synthesize(fn, dim)
     return plan, calls
 
@@ -200,3 +202,17 @@ def test_time_limit_bounds_the_whole_run():
     plan = synthesize(SYNTH_EIGHT, DIM3, SearchBudget(time_limit=0.2))
     assert time.monotonic() - start < 1.0
     assert plan is None or equivalent(expand_plan(plan), SYNTH_EIGHT)
+
+
+def test_run_with_no_time_left_maps_nothing():
+    """Past its deadline, a run makes no mapper call or split and ends as
+    inconclusive; the skipped verdict is kept in the memo."""
+    run = _Run(DIM2, SearchBudget(time_limit=60), enumerate_paths(DIM2))
+    assert run.split(f({0})) is None  # one term has no split to try
+    run.deadline = time.monotonic() - 1
+    with pytest.raises(SynthesisInconclusive):
+        run.map(f({0}))
+    assert [r.status for r in run.memo.values()] == ["inconclusive"]
+    with pytest.raises(SynthesisInconclusive):
+        run.split(f({0}, {1}))
+    assert len(run.memo) == 1
