@@ -6,8 +6,10 @@ literals to the path cells with constant-1 fillers, or deferred when no
 housing works (it may still be present as a combination of other paths).
 Dangling cells are zeroed at the end and the candidate grid is accepted only
 if its solve is truth-table equivalent to the target.  The search backtracks
-over path choices, placements and deferrals.  A budget cut ends it with
-inconclusive at once: no other examination order is tried.
+over path choices, placements and deferrals.  Running out of time ends it
+with inconclusive at once.  A placement cut ends only the arrangements of
+one term on one path: the search goes on, and answers solved if it still
+finds a grid, else inconclusive.  No other examination order is tried.
 
 An exhausted unbudgeted search reports no-solution.  That covers only the
 grids this search builds: the given terms housed on paths of their own
@@ -59,6 +61,37 @@ the copy becomes the bounds.  A node never writes its own bounds, so undo is
 putting them back and clearing the cells.  So a node's placements always
 cover the function, and a deferral, which keeps its parent's state, needs
 no test of its own.
+
+An arrangement that passes the probe must also pass the reach bound before
+it opens a node, unless that node is the leaf of the last term, where
+``_finish`` is exact.  At an accepted leaf every nonzero path product lies
+inside one term's mask (the probe rejects live escapes, and ``_finish``
+sets the paths through its 0 cells to 0), and that product is the path's
+bound b in the child ANDed with the literals that later fill its u unset
+cells.  b and each term T are cubes, so the product can lie in T only when
+b meets T and T needs at most u literals that b lacks:
+``popcount(b & T) << u >= popcount(b)``.  A path adds b & T for each such
+T, and all of b when u is 0 (a completed path lies inside a term already)
+or at least the longest term's length.  A child whose paths, so bounded, no
+longer cover the function holds no solution below it, and its arrangement
+is rejected as one the probe rejects.  The test takes the paths in order,
+skips a path whose bound meets nothing still uncovered, and stops as soon
+as the function is covered; the share of any other path is memoized by
+(b, u) for the search.
+
+Only subtrees without a solution are cut, so unbudgeted answers and the
+first solution, its grid and its points of interest stay the same.  A
+rejected arrangement still counts toward ``max_placements`` and the count
+is kept per node, so a budgeted search that answers solved returns the
+same grid.  It may now answer no-solution where it answered inconclusive,
+when its only cuts fell in a pruned subtree, and a time limit cuts it
+later than before, if at all.
+
+``map_function`` sets the deadline before the search reads the path set's
+tables (``cell_masks``, ``through``, ``mirrors``), which a ``PathSet``
+builds at its first mapping.  The time limit does not bound that work,
+about 0.7-0.8 s on 7x8 and 6.8 s on 8x8; it counts against the limit, so a
+shorter limit ends the search at its first check.
 
 An arrangement is a tuple of ranks into the term's options, its sorted
 literals and then constant 1.  The arrangements over a path's free cells
@@ -222,6 +255,10 @@ class _Search:
         self.matched: list[Optional[int]] = [None] * len(self.paths)
         # fully listed arrangements by (options, free cells, ranks needed)
         self.arrangements: dict[tuple, list[tuple[int, ...]]] = {}
+        # a path with this many unset cells may still end up in any term
+        self.longest = max(map(len, f), default=0)
+        # what a path can still add to the function, by (bound, unset cells)
+        self.reach: dict[tuple[int, int], int] = {}
 
     # -- probing --------------------------------------------------------
 
@@ -270,6 +307,35 @@ class _Search:
         if self.f_mask & ~functools.reduce(operator.or_, bounds, 0):
             return None
         return bounds
+
+    def _reaches(self, bounds: list[int], unset: int) -> bool:
+        """Whether the paths can still cover the function, with ``unset``
+        left unset: a path with u unset cells adds its bound b when u is 0
+        or at least the longest term's length, and otherwise b & T for each
+        term T that b meets and that needs at most u literals more, so that
+        ``popcount(b & T) << u >= popcount(b)``."""
+        lost = self.f_mask
+        longest = self.longest
+        memo = self.reach
+        for b, cells in zip(bounds, self.cell_masks):
+            if not b & lost:
+                continue  # it adds at most b
+            u = (cells & unset).bit_count()
+            # a completed path lies inside a term's mask: the probe checked
+            # it, or it houses a term
+            if 0 < u < longest:
+                key = (b, u)
+                reach = memo.get(key)
+                if reach is None:
+                    size = b.bit_count()
+                    reach = memo[key] = functools.reduce(operator.or_, [
+                        b & t for t in self.term_mask if (b & t).bit_count() << u >= size
+                    ], 0)
+                b = reach
+            lost &= ~b
+            if not lost:
+                return True
+        return False
 
     # -- placements ------------------------------------------------------
 
@@ -332,6 +398,7 @@ class _Search:
         path_ub = self.path_ub
         node_unset = self.unset
         max_pl = self.budget.max_placements
+        last = ti + 1 == len(self.f)  # ``_finish`` checks the child exactly
         for pi in range(len(self.paths)):
             if self.matched[pi] is not None:
                 continue
@@ -365,6 +432,8 @@ class _Search:
                 bounds = self._probe(free, ranks, option_masks, done)
                 if bounds is None:
                     continue  # a live escape, or the function is lost
+                if not last and not self._reaches(bounds, unset):
+                    continue  # the paths can no longer cover the function
                 # place it: the node's own lists are never written, so
                 # putting them back undoes the placement
                 for cell, rank in zip(free, ranks):

@@ -210,10 +210,28 @@ def _infer_dim(num_cells: int, paths: list[tuple[int, ...]]) -> LatticeDim:
     return LatticeDim(num_cells, 1)
 
 
+def _path_fault(paths: list[tuple[int, ...]], dim: LatticeDim) -> str:
+    """The first path of ``paths`` that is no top-to-bottom path of ``dim``,
+    either way round, with the reason; empty when there is none."""
+    c = dim.cols
+    steps = {(a, b) for a, kids in build_children(dim).items() for b in kids}
+    for p in paths:
+        if not p or min(p[0], p[-1]) >= c or max(p[0], p[-1]) < dim.cells - c:
+            return f"path {p} does not run from the top row to the bottom row"
+        if not steps.issuperset(zip(p, p[1:])):
+            return f"path {p} takes a step that no lattice path takes"
+        if len(set(p)) != len(p):
+            return f"path {p} repeats a cell"
+    return ""
+
+
 def parse_paths(text: str, dim: LatticeDim | None = None) -> PathSet:
     """``enumerate_paths(dim)``, the shape read from the file without
     ``dim``, once the file lists exactly those paths, each once, in any order
-    and either way round; any other file is a ValueError."""
+    and either way round; any other file is a ValueError.  Each path is
+    checked on its own (top row to bottom row, only steps of the lattice
+    graph ``build_children``, no repeated cell) before the enumeration runs,
+    so a malformed file costs none."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty path file")
@@ -236,6 +254,12 @@ def parse_paths(text: str, dim: LatticeDim | None = None) -> PathSet:
         dim = _infer_dim(num_cells, parsed)
     elif dim.cells != num_cells:
         raise ValueError("header cell count does not match the given dimension")
+    fault = _path_fault(parsed, dim)
+    if fault:
+        raise ValueError(
+            f"the file does not list the irredundant paths"
+            f" of a {dim.rows}x{dim.cols} lattice: {fault}"
+        )
     ps = enumerate_paths(dim)
     if sorted(map(sorted, parsed)) != sorted(map(sorted, ps.paths)):
         raise ValueError(

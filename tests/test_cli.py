@@ -205,7 +205,8 @@ def test_map_path_file_repeating_a_cell_is_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "map", str(fn), "--paths", str(pfile),
                          "--dim", "2", "3", "-o", str(grid))
     assert (code, out) == (64, "")
-    assert err.startswith("error: the file does not list the 3 irredundant paths")
+    assert err.startswith("error: the file does not list the irredundant paths of a 2x3"
+                          " lattice: path (0, 3, 0, 3) repeats a cell")
     assert not grid.exists()
 
 

@@ -21,6 +21,9 @@ def test_code_classification():
 def test_variable_of():
     assert codes.variable_of(5) == 5
     assert codes.variable_of(995) == 5
+    for code in (100, 101, 500):  # the constants, and no code at all
+        with pytest.raises(ValueError, match=f"code {code} is not a variable literal"):
+            codes.variable_of(code)
 
 
 @pytest.mark.parametrize(
@@ -143,6 +146,9 @@ def test_pretty():
     assert codes.pretty_code(26) == "x1"
     assert codes.pretty_term(frozenset({3, 999})) == "d b'"
     assert codes.pretty_term(frozenset()) == "1"
+    for code in (-1, 102, 500, 974, 1001):
+        with pytest.raises(ValueError, match=f"invalid literal code {code}"):
+            codes.pretty_code(code)
 
 
 _terms = st.lists(

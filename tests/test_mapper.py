@@ -1,8 +1,11 @@
+import functools
+import operator
 import time
 from itertools import combinations, product
 
 import pytest
 
+from latmap.codes import CONST_ZERO, literal_masks
 from latmap.grid import LatticeDim
 from latmap.mapper import (
     INCONCLUSIVE,
@@ -10,11 +13,12 @@ from latmap.mapper import (
     SOLVED,
     PoiEvent,
     SearchBudget,
+    _Search,
     arrangements,
     map_function,
 )
 from latmap.paths import PathSet, enumerate_paths
-from latmap.solver import verify_witness
+from latmap.solver import generate_library, verify_witness
 
 from lattice_goldens import (
     DECOMP_EVEN8,
@@ -380,6 +384,54 @@ def test_solution_escape_paths_are_neutralized():
             if any(is_complement_code(c) and COMPLEMENT_BASE - c in lits for c in lits):
                 continue
             assert any(t <= lits for t in fn), (fn, p, lits)
+
+
+def _reaches(search, cells):
+    """Whether the search's reach bound passes the state that fixes
+    ``cells`` (cell -> code) and no other, and whether the OR of its path
+    bounds covers the function."""
+    masks = literal_masks(search.var_order)
+    bounds = [search.full] * len(search.paths)
+    unset = (1 << search.dim.cells) - 1
+    for cell, code in cells.items():
+        unset &= ~(1 << cell)
+        for pj in search.through[cell]:
+            bounds[pj] &= masks[code]
+    covered = not search.f_mask & ~functools.reduce(operator.or_, bounds)
+    return search._reaches(bounds, unset), covered
+
+
+@pytest.mark.parametrize("dim,seed", [(DIM3, 1700), (LatticeDim(3, 4), 1701)])
+def test_reach_bound_admits_every_state_on_the_way_to_a_found_grid(dim, seed):
+    """The per-path reach bound cuts no subtree that holds a solution: for
+    grids the mapper finds, every state that fixes some of the grid's
+    nonzero cells and leaves the rest unset passes it."""
+    paths = enumerate_paths(dim)
+    checked = 0
+    for e in generate_library(dim, 5, 8, seed):
+        r = map_function(e.function, dim, None, paths)
+        assert r.status == SOLVED
+        search = _Search(e.function, paths, SearchBudget(), None)
+        codes = r.solution.assignment.codes
+        nonzero = [c for c, v in enumerate(codes) if v != CONST_ZERO]
+        for k in range(1 << len(nonzero)):
+            cells = {c: codes[c] for i, c in enumerate(nonzero) if k >> i & 1}
+            assert _reaches(search, cells)[0], (e.function, cells)
+            checked += 1
+    assert checked >= 1000
+
+
+def test_reach_bound_cuts_what_the_bounds_alone_keep():
+    """a, b down the left column of 2x2 and c over an unset cell: the OR of
+    the path bounds, ab | c, covers ab + cde, but the right column can then
+    end up only as c times one literal, inside no term, since cde needs two
+    more.  ab + cd needs one, so that state passes."""
+    paths = enumerate_paths(LatticeDim(2, 2))
+    state = {0: 0, 2: 1, 1: 2}
+    search = _Search(f({0, 1}, {2, 3, 4}), paths, SearchBudget(), None)
+    assert _reaches(search, state) == (False, True)
+    search = _Search(f({0, 1}, {2, 3}), paths, SearchBudget(), None)
+    assert _reaches(search, state) == (True, True)
 
 
 def test_library_functions_round_trip():

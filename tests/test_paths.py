@@ -144,6 +144,22 @@ def test_parse_rejects_garbage():
         parse_paths("3 4\n2 0 2\n2 0 2\n2 1 3\n")  # one path twice
 
 
+@pytest.mark.parametrize("text,dim,fault", [
+    # 0-8 ends in row 1 of 8x8, whose enumeration alone takes seconds
+    ("1 64\n2 0 8\n", None, r"path \(0, 8\) does not run from the top row"),
+    ("1 6\n3 0 4 3\n", LatticeDim(2, 3), "a step that no lattice"),  # 0-4 is diagonal
+    ("1 9\n3 2 3 6\n", LatticeDim(3, 3), "a step that no lattice"),  # 2-3 wraps a row
+    ("1 6\n4 0 3 0 3\n", LatticeDim(2, 3), r"path \(0, 3, 0, 3\) repeats a cell"),
+], ids=["8x8-short", "diagonal", "row-wrap", "repeat"])
+def test_parse_rejects_a_malformed_path_before_enumerating(monkeypatch, text, dim, fault):
+    def enumerate_paths(dim):
+        raise AssertionError(f"enumerated {dim}")
+
+    monkeypatch.setattr("latmap.paths.enumerate_paths", enumerate_paths)
+    with pytest.raises(ValueError, match=fault):
+        parse_paths(text, dim)
+
+
 def test_parse_single_cell_paths_as_one_row():
     """With no step to read a width from, one single-cell path per cell is
     a 1xN grid."""

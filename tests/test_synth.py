@@ -109,6 +109,21 @@ def test_split_long_terms_skips_taken_aux_codes():
     assert defs[0].code == 27
 
 
+@pytest.mark.parametrize("lb", [1, 0, -3])
+def test_split_long_terms_rejects_a_bound_below_two(lb):
+    with pytest.raises(ValueError, match="longest-path bound must be >= 2"):
+        split_long_terms(f({0, 1, 2}), lb)
+
+
+def test_split_long_terms_runs_out_of_aux_codes():
+    """A term that already holds code 99, the last auxiliary code, leaves
+    none for a chunk."""
+    with pytest.raises(ValueError, match="ran out of auxiliary variable codes"):
+        split_long_terms([frozenset({99, 0, 1, 2, 3, 4, 5})], 5)
+    out, defs = split_long_terms([frozenset({99, 0, 1, 2, 3})], 5)
+    assert (out, defs) == ([frozenset({99, 0, 1, 2, 3})], [])
+
+
 def test_aux_definition_validation():
     with pytest.raises(ValueError):
         AuxDefinition(5, frozenset({0}))
