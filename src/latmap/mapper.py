@@ -50,42 +50,68 @@ fixed.  A term skips a path whose bound does not contain the term's mask (a
 fixed cell holds a literal the term lacks); the paths that pass are scanned
 for their free cells.
 
-Each arrangement is probed before it is placed.  The probe ANDs the
-arrangement's option masks into a copy of the node's path bounds.  It
-rejects the arrangement when a path it completes is a live escape (a
-nonzero bound inside no term's mask) or when the new bounds, ORed, no longer
-cover the function; which paths a placement completes depends only on the
-node and the path, so they are listed once for all its arrangements.  An
-arrangement that passes opens a node: its cells are written to the grid and
-the copy becomes the bounds.  A node never writes its own bounds, so undo is
-putting them back and clearing the cells.  So a node's placements always
-cover the function, and a deferral, which keeps its parent's state, needs
-no test of its own.
+Each arrangement is tested before it opens a node, in one of two ways
+picked by how many arrangements the (term, path) pair has
+(``arrangement_count``).  A narrow pair, with at most ``WALK_FROM`` (100),
+probes each: the probe ANDs the arrangement's option masks into a copy of
+the node's path bounds, and rejects the arrangement when a path it completes
+is a live escape (a nonzero bound inside no term's mask) or when the new
+bounds, ORed, no longer cover the function.  Which paths a placement
+completes depends only on the node and the path, so they are listed once for
+all its arrangements.  An arrangement that passes must then pass the reach
+bound, unless its node is a leaf of the last term, where ``_finish`` is
+exact.  An arrangement that passes opens a node: its cells are written to
+the grid and the copy becomes the bounds.  A node never writes its own
+bounds, so undo is putting them back and clearing the cells.  So a node's
+placements always cover the function, and a deferral, which keeps its
+parent's state, needs no test of its own.
 
-An arrangement that passes the probe must also pass the reach bound before
-it opens a node, unless that node is the leaf of the last term, where
-``_finish`` is exact.  At an accepted leaf every nonzero path product lies
-inside one term's mask (the probe rejects live escapes, and ``_finish``
-sets the paths through its 0 cells to 0), and that product is the path's
-bound b in the child ANDed with the literals that later fill its u unset
-cells.  b and each term T are cubes, so the product can lie in T only when
-b meets T and T needs at most u literals that b lacks:
-``popcount(b & T) << u >= popcount(b)``.  A path adds b & T for each such
-T, and all of b when u is 0 (a completed path lies inside a term already)
-or at least the longest term's length.  A child whose paths, so bounded, no
-longer cover the function holds no solution below it, and its arrangement
-is rejected as one the probe rejects.  The test takes the paths in order,
-skips a path whose bound meets nothing still uncovered, and stops as soon
-as the function is covered; the share of any other path is memoized by
-(b, u) for the search.
+The reach bound: at an accepted leaf every nonzero path product lies inside
+one term's mask (live escapes are rejected, and ``_finish`` sets the paths
+through its 0 cells to 0), and that product is the path's bound b ANDed with
+the literals that later fill its u unset cells.  b and each term T are
+cubes, so the product can lie in T only when b meets T and T needs at most u
+literals that b lacks: ``popcount(b & T) << u >= popcount(b)``.  A path's
+share is b & T for each such T, and all of b when u is 0 (a completed path
+lies inside a term already) or at least the longest term's length.  Where
+the shares no longer cover the function no solution lies below.  Each share
+is memoized by (b, u) for the search.
+
+A wide pair walks its arrangements one free cell at a time, depth first, in
+the same lexicographic order.  A prefix fixes the first cells and counts the
+others as unset, and it fails when a path it completes is a live escape or
+when the shares no longer cover the function; every arrangement below it is
+then rejected unlisted.  A node keeps each path's share next to its bound,
+listed the first time one of its wide pairs is walked; fixing a cell updates
+only the bounds and shares of the paths through it, and the cover test is
+one OR over the shares, which implies the OR over the bounds.  The walk is
+sound because a share only shrinks down the walk: fixing d more cells of a
+path adds at most d literals to its bound and takes d cells off its u, so a
+term out of a prefix's reach stays out below it, and a completed path that
+is no live escape lies inside a term the prefix still reaches.  So the walk
+opens exactly the nodes the probes would, in the same order; the only extra
+rejections are leaves of the last term that ``_finish`` would reject.
+
+The cut-over trades the walk's cost per prefix (two list copies and the
+shares of the paths through a cell) against the arrangements it cuts
+unlisted.  Of the pairs that reach the arrangements, with the share of their
+arrangements, these lie above 100: none of the 5,268 pairs of the
+benchmark's solved library maps on 3x3 (none holds more than 60), 0.5 % with
+10 % on 3x4, 8.4 % with 72 % over the pool negatives on 3x3, and 19 % with
+82 % when synthesizing SYNTH_EIGHT on 3x3.  Walking every pair made the
+solved maps 1.6 times slower in median; at 100 the benchmark's map-solved
+times stay within run-to-run noise (``BENCH_18.json``).
 
 Only subtrees without a solution are cut, so unbudgeted answers and the
 first solution, its grid and its points of interest stay the same.  A
-rejected arrangement still counts toward ``max_placements`` and the count
-is kept per node, so a budgeted search that answers solved returns the
-same grid.  It may now answer no-solution where it answered inconclusive,
-when its only cuts fell in a pruned subtree, and a time limit cuts it
-later than before, if at all.
+rejected arrangement still counts toward ``max_placements``, the count kept
+per node and path: under a placement budget the walk counts, in order, the
+arrangements below a failed prefix that pass the mirror test.  So a budgeted
+search stops where one that probes each arrangement stops, and one that
+answers solved returns the same grid.  Against a search without the reach
+bound, it may answer no-solution where that answered inconclusive, when its
+only cuts fell in a pruned subtree, and a time limit cuts it later, if at
+all.
 
 ``map_function`` sets the deadline before the search reads the path set's
 tables (``cell_masks``, ``through``, ``mirrors``), which a ``PathSet``
@@ -100,10 +126,10 @@ ranks still needed, so terms of equal length share them.  ``arrangements``
 builds them from ``itertools``, lazily and in lexicographic order: a
 product when no rank is needed, the permutations of the needed ranks when
 every free cell is needed, and otherwise each first rank followed by the
-arrangements of the remaining cells.  A search memoizes each list once it
-is fully listed.  That order is the one the search has always used, and a
-rejected arrangement still counts toward ``max_placements``, so unbudgeted
-answers and the point where a placement budget cuts a search are unchanged.
+arrangements of the remaining cells.  A search memoizes each list a narrow
+pair lists in full.  That order is the one the search has always used, so
+unbudgeted answers and the point where a placement budget cuts a search are
+unchanged.
 """
 
 from __future__ import annotations
@@ -132,6 +158,12 @@ from .solver import LatticeAssignment
 
 # a grid mirror as (cell map, path map), see ``PathSet.mirrors``
 Mirror = tuple[tuple[int, ...], tuple[int, ...]]
+# the paths a walk updates at one free cell, see ``_Search._steps``
+Step = tuple[list[int], list[tuple[int, int]], list[int]]
+
+# a (term, path) pair with more arrangements than this is walked one cell at
+# a time; the others are probed one arrangement at a time
+WALK_FROM = 100
 
 SOLVED = "solved"
 NO_SOLUTION = "no-solution"
@@ -259,6 +291,8 @@ class _Search:
         self.longest = max(map(len, f), default=0)
         # what a path can still add to the function, by (bound, unset cells)
         self.reach: dict[tuple[int, int], int] = {}
+        # each path's reach at this node, listed when a wide pair needs it
+        self.path_reach: Optional[list[int]] = None
 
     # -- probing --------------------------------------------------------
 
@@ -294,7 +328,7 @@ class _Search:
             m = option_masks[rank]
             for pj in through[cell]:
                 bounds[pj] &= m
-        for pj in done:
+        for pj in done:  # ``_escapes``, inlined: it is the hot loop of a probe
             ub = bounds[pj]
             if ub:
                 if ub & self.f_outside:
@@ -308,12 +342,21 @@ class _Search:
             return None
         return bounds
 
+    def _escapes(self, ub: int) -> bool:
+        """Whether a completed path with product mask ``ub`` is a live
+        escape: nonzero and inside no term's mask."""
+        if not ub:
+            return False
+        if ub & self.f_outside:
+            return True
+        for outside in self.term_outside:
+            if not ub & outside:
+                return False
+        return True
+
     def _reaches(self, bounds: list[int], unset: int) -> bool:
         """Whether the paths can still cover the function, with ``unset``
-        left unset: a path with u unset cells adds its bound b when u is 0
-        or at least the longest term's length, and otherwise b & T for each
-        term T that b meets and that needs at most u literals more, so that
-        ``popcount(b & T) << u >= popcount(b)``."""
+        left unset: the OR of each path's ``_share``."""
         lost = self.f_mask
         longest = self.longest
         memo = self.reach
@@ -321,29 +364,37 @@ class _Search:
             if not b & lost:
                 continue  # it adds at most b
             u = (cells & unset).bit_count()
-            # a completed path lies inside a term's mask: the probe checked
-            # it, or it houses a term
             if 0 < u < longest:
-                key = (b, u)
-                reach = memo.get(key)
-                if reach is None:
-                    size = b.bit_count()
-                    reach = memo[key] = functools.reduce(operator.or_, [
-                        b & t for t in self.term_mask if (b & t).bit_count() << u >= size
-                    ], 0)
-                b = reach
+                reach = memo.get((b, u))
+                b = self._share(b, u) if reach is None else reach
             lost &= ~b
             if not lost:
                 return True
         return False
 
+    def _share(self, b: int, u: int) -> int:
+        """What a path with bound b and u unset cells can still add: b when
+        u is 0 (a completed path is no live escape, or it houses a term) or
+        at least the longest term's length, and otherwise b & T for each term T that b meets and that
+        needs at most u literals more, so that ``popcount(b & T) << u >=
+        popcount(b)``.  Memoized by (b, u) for the search."""
+        if not 0 < u < self.longest:
+            return b
+        reach = self.reach.get((b, u))
+        if reach is None:
+            size = b.bit_count()
+            reach = self.reach[b, u] = functools.reduce(operator.or_, [
+                b & t for t in self.term_mask if (b & t).bit_count() << u >= size
+            ], 0)
+        return reach
+
     # -- placements ------------------------------------------------------
 
     def _placements(
         self, term_idx: int, path: tuple[int, ...]
-    ) -> Optional[tuple[list[int], Iterable[tuple[int, ...]]]]:
-        """The path's free cells and the rank arrangements over them, in a
-        fixed order; None when fewer cells are free than literals needed."""
+    ) -> Optional[tuple[list[int], tuple[int, int, frozenset[int]]]]:
+        """The path's free cells and the key of the rank arrangements over
+        them; None when fewer cells are free than literals needed."""
         rank = self.rank[term_idx]
         provided: set[int] = set()
         free: list[int] = []
@@ -359,11 +410,7 @@ class _Search:
         need = frozenset(range(len(rank) - 1)).difference(provided)
         if len(need) > len(free):
             return None
-        key = (len(rank), len(free), need)
-        arrangements = self.arrangements.get(key)
-        if arrangements is None:
-            return free, self._listed(key)
-        return free, arrangements
+        return free, (len(rank), len(free), need)
 
     def _listed(self, key: tuple[int, int, frozenset[int]]) -> Iterator[tuple]:
         """``arrangements(key)``, memoized once all are listed."""
@@ -372,6 +419,94 @@ class _Search:
             listed.append(ranks)
             yield ranks
         self.arrangements[key] = listed
+
+    def _steps(self, pi: int, free: list[int]) -> list[Step]:
+        """For each free cell in order, once it and the cells before it are
+        fixed, the paths through it: those whose share is their bound, the
+        others with their unset cells, and those other than ``pi`` it
+        completes."""
+        unset = self.unset
+        longest = self.longest
+        steps = []
+        for cell in free:
+            unset &= ~(1 << cell)
+            plain = []
+            bounded = []
+            done = []
+            for pj in self.through[cell]:
+                u = (self.cell_masks[pj] & unset).bit_count()
+                if 0 < u < longest:
+                    bounded.append((pj, u))
+                else:
+                    plain.append(pj)
+                    if not u and pj != pi:
+                        done.append(pj)
+            steps.append((plain, bounded, done))
+        return steps
+
+    def _walk(
+        self,
+        steps: list[Step],
+        option_masks: tuple[int, ...],
+        need: int,
+        bounds: list[int],
+        reach: list[int],
+    ) -> Iterator[tuple[tuple[int, ...], Optional[list[int]], Optional[list[int]]]]:
+        """The arrangements that hold the ranks in ``need`` (bit r for rank
+        r), in lexicographic order, one free cell at a time.  Yields
+        ``(ranks, bounds, reach)`` for each arrangement that passes, and
+        ``(prefix, None, None)`` for each prefix that fails and so every
+        arrangement below it: one that completes a live escape, or whose
+        shares no longer cover the function."""
+        memo = self.reach
+        f_mask = self.f_mask
+        ncells = len(steps)
+        stack = [((), need, bounds, reach)]
+        while stack:
+            prefix, need, bounds, reach = stack.pop()
+            if bounds is None or len(prefix) == ncells:
+                yield prefix, bounds, reach
+                continue
+            plain, bounded, done = steps[len(prefix)]
+            left = ncells - len(prefix) - 1  # cells after this one
+            children = []
+            for r, m in enumerate(option_masks):
+                rest = need & ~(1 << r)
+                if rest.bit_count() > left:
+                    continue
+                nb = bounds[:]
+                nr = reach[:]
+                for pj in plain:
+                    nb[pj] = nr[pj] = nb[pj] & m
+                for pj, u in bounded:
+                    b = nb[pj] = nb[pj] & m
+                    share = memo.get((b, u))
+                    nr[pj] = self._share(b, u) if share is None else share
+                if f_mask & ~functools.reduce(operator.or_, nr, 0) or (
+                    done and any([self._escapes(nb[pj]) for pj in done])
+                ):
+                    nb = nr = None
+                children.append((prefix + (r,), rest, nb, nr))
+            stack += reversed(children)
+
+    def _counted(
+        self,
+        prefix: tuple[int, ...],
+        key: tuple[int, int, frozenset[int]],
+        fixing: Sequence[tuple[tuple[int, ...], Mirror]],
+        limit: int,
+    ) -> int:
+        """How many arrangements that extend ``prefix`` pass the mirror
+        test, counted up to ``limit + 1``."""
+        noptions, nfree, need = key
+        rest = (noptions, nfree - len(prefix), need.difference(prefix))
+        n = 0
+        for tail in arrangements(rest, self.arrangements):
+            if not fixing or self._arrangement_stab(prefix + tail, fixing) is not None:
+                n += 1
+                if n > limit:
+                    break
+        return n
 
     # -- search ----------------------------------------------------------
 
@@ -391,10 +526,7 @@ class _Search:
             return self._finish()
         term = self.f[ti]
         term_mask = self.term_mask[ti]
-        options = self.options[ti]
         option_masks = self.option_masks[ti]
-        grid = self.grid
-        owner = self.owner
         path_ub = self.path_ub
         node_unset = self.unset
         max_pl = self.budget.max_placements
@@ -412,15 +544,51 @@ class _Search:
             housing = self._placements(ti, path)
             if housing is None:
                 continue
-            free, arrangements = housing
+            free, key = housing
             unset = node_unset & ~self.cell_masks[pi]  # all of the path is set
-            done = self._completed(pi, unset)
             fixing = self._fixing(pi, free, stab) if stab else ()
             count = 0
-            for ranks in arrangements:
+            listed = self.arrangements.get(key)
+            if listed is None and arrangement_count(key) > WALK_FROM:
+                if self.path_reach is None:
+                    # each path's share at this node
+                    self.path_reach = [
+                        self._share(b, (cells & node_unset).bit_count())
+                        for b, cells in zip(path_ub, self.cell_masks)
+                    ]
+                need = sum(1 << r for r in key[2])
+                walk = self._walk(
+                    self._steps(pi, free), option_masks, need, path_ub, self.path_reach
+                )
+                for ranks, bounds, reach in walk:
+                    if self._out_of_time():
+                        return None
+                    if bounds is None:
+                        # each arrangement below the prefix is rejected
+                        if max_pl is not None:
+                            count += self._counted(ranks, key, fixing, max_pl - count)
+                            if count > max_pl:
+                                self.truncated = True
+                                break
+                        continue
+                    child: Sequence[Mirror] = ()
+                    if fixing:
+                        child = self._arrangement_stab(ranks, fixing)
+                        if child is None:
+                            continue  # a mirror image of it comes earlier
+                    count += 1
+                    if max_pl is not None and count > max_pl:
+                        self.truncated = True
+                        break
+                    sol = self._open(ti, pi, free, ranks, bounds, reach, unset, child)
+                    if sol is not None:
+                        return sol
+                continue
+            done = self._completed(pi, unset)
+            for ranks in self._listed(key) if listed is None else listed:
                 if self._out_of_time():
                     return None
-                child: Sequence[Mirror] = ()
+                child = ()
                 if fixing:
                     child = self._arrangement_stab(ranks, fixing)
                     if child is None:
@@ -434,24 +602,41 @@ class _Search:
                     continue  # a live escape, or the function is lost
                 if not last and not self._reaches(bounds, unset):
                     continue  # the paths can no longer cover the function
-                # place it: the node's own lists are never written, so
-                # putting them back undoes the placement
-                for cell, rank in zip(free, ranks):
-                    grid[cell] = options[rank]
-                    owner[cell] = ti
-                self.path_ub = bounds
-                self.unset = unset
-                self.matched[pi] = ti
-                sol = self._try_terms(ti + 1, child)
+                sol = self._open(ti, pi, free, ranks, bounds, None, unset, child)
                 if sol is not None:
                     return sol
-                self.matched[pi] = None
-                self.unset = node_unset
-                self.path_ub = path_ub
-                for cell in free:
-                    grid[cell] = None
         # no housing works down this branch: defer, the term may be hiding
         return self._try_terms(ti + 1, stab)
+
+    def _open(
+        self,
+        ti: int,
+        pi: int,
+        free: list[int],
+        ranks: tuple[int, ...],
+        bounds: list[int],
+        reach: Optional[list[int]],
+        unset: int,
+        stab: Sequence[Mirror],
+    ) -> Optional[MappingSolution]:
+        """Place term ``ti`` on path ``pi`` as arranged and search below.
+        The node's own lists are never written, so putting them back undoes
+        the placement."""
+        grid = self.grid
+        options = self.options[ti]
+        for cell, rank in zip(free, ranks):
+            grid[cell] = options[rank]
+            self.owner[cell] = ti
+        node = self.path_ub, self.path_reach, self.unset
+        self.path_ub, self.path_reach, self.unset = bounds, reach, unset
+        self.matched[pi] = ti
+        sol = self._try_terms(ti + 1, stab)
+        if sol is None:
+            self.matched[pi] = None
+            self.path_ub, self.path_reach, self.unset = node
+            for cell in free:
+                grid[cell] = None
+        return sol
 
     @staticmethod
     def _fixing(
@@ -566,6 +751,15 @@ def arrangements(
         map((r,).__add__, arrangements((noptions, nfree - 1, need - {r}), memo))
         for r in range(noptions)
     )
+
+
+@functools.cache
+def arrangement_count(key: tuple[int, int, frozenset[int]]) -> int:
+    """How many arrangements ``arrangements(key)`` holds, by inclusion and
+    exclusion over the needed ranks that are missing."""
+    noptions, nfree, need = key
+    k = len(need)
+    return sum((-1) ** i * math.comb(k, i) * (noptions - i) ** nfree for i in range(k + 1))
 
 
 def map_function(

@@ -261,7 +261,11 @@ def parse_paths(text: str, dim: LatticeDim | None = None) -> PathSet:
             f" of a {dim.rows}x{dim.cols} lattice: {fault}"
         )
     ps = enumerate_paths(dim)
-    if sorted(map(sorted, parsed)) != sorted(map(sorted, ps.paths)):
+    # a path repeats no cell, so its cell mask tells its cells, and distinct
+    # irredundant paths have distinct masks
+    bits = [1 << c for c in range(dim.cells)]
+    masks = {sum(map(bits.__getitem__, p)) for p in parsed}
+    if len(parsed) != len(ps) or masks != set(ps.cell_masks):
         raise ValueError(
             f"the file does not list the {len(ps)} irredundant paths"
             f" of a {dim.rows}x{dim.cols} lattice, each once"

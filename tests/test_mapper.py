@@ -7,6 +7,7 @@ import pytest
 
 from latmap.codes import CONST_ZERO, literal_masks
 from latmap.grid import LatticeDim
+from latmap import mapper
 from latmap.mapper import (
     INCONCLUSIVE,
     NO_SOLUTION,
@@ -14,6 +15,7 @@ from latmap.mapper import (
     PoiEvent,
     SearchBudget,
     _Search,
+    arrangement_count,
     arrangements,
     map_function,
 )
@@ -143,13 +145,15 @@ def test_first_solutions_below_root_pinned(fn, dim, codes, order, poi):
 @pytest.mark.parametrize("noptions", range(1, 6))
 def test_arrangements_match_their_definition(noptions):
     """Every rank tuple over the free cells that holds the needed ranks, in
-    lexicographic order; the last option (constant 1) is never needed."""
+    lexicographic order, and as many as ``arrangement_count`` says; the
+    last option (constant 1) is never needed."""
     literals = range(noptions - 1)
     for nfree in range(7):
         for size in range(len(literals) + 1):
             for need in map(frozenset, combinations(literals, size)):
                 want = [r for r in product(range(noptions), repeat=nfree) if need <= set(r)]
                 assert list(arrangements((noptions, nfree, need), {})) == want
+                assert arrangement_count((noptions, nfree, need)) == len(want)
 
 
 def test_arrangements_read_the_memo():
@@ -303,7 +307,26 @@ BUDGETED = [
 ]
 
 
-@pytest.mark.parametrize("subset,max_pl,status,codes,order", BUDGETED)
+# Placement budgets on wide (term, path) pairs, which the search walks one
+# cell at a time, with the answers of the search that probed every
+# arrangement: (subset, max_placements, status, grid codes, order).  In the
+# solved ones a budget cut falls inside a prefix the walk cuts, at a node that
+# a mirror maps onto itself; in the others the walk counts the arrangements
+# under such a prefix and skips those whose mirror image comes earlier, and
+# at 250 these skips are what keep the count within the budget.
+BUDGETED_WIDE = [
+    ("145", 3, SOLVED, (996, 3, 100, 998, 1, 100, 999, 1000, 100), (0, 1, 2)),
+    ("1245", 2, SOLVED, (1, 100, 996, 3, 1, 998, 4, 1000, 999), (0, 1, 2, 3)),
+    ("3457", 10, SOLVED, (996, 1, 0, 999, 3, 3, 998, 1000, 999), (0, 1, 2, 3)),
+    ("24567", 40, SOLVED, (3, 0, 998, 1, 3, 996, 1000, 4, 999), (0, 1, 2, 3, 4)),
+    ("123", 40, INCONCLUSIVE, None, None),
+    ("168", 20, INCONCLUSIVE, None, None),
+    ("123", 250, NO_SOLUTION, None, None),
+    ("1234", 250, NO_SOLUTION, None, None),
+]
+
+
+@pytest.mark.parametrize("subset,max_pl,status,codes,order", BUDGETED + BUDGETED_WIDE)
 def test_placement_budget_pinned(subset, max_pl, status, codes, order):
     fn = [DECOMP_EVEN8[int(d) - 1] for d in subset]
     budget = SearchBudget(max_placements=max_pl)
@@ -313,6 +336,41 @@ def test_placement_budget_pinned(subset, max_pl, status, codes, order):
         assert r.solution.assignment.codes == codes
         assert r.solution.order == order
         assert verify_witness(r.solution.assignment, fn)
+
+
+def _mapped(monkeypatch, walk_from, fn, dim, paths, budget=None):
+    """The answer of one mapping with the given cut-over, and the number of
+    interior nodes it opens (nodes that are not leaves of the last term)."""
+    monkeypatch.setattr(mapper, "WALK_FROM", walk_from)
+    calls = {"_try_terms": 0, "_finish": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(_Search, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(_Search, name, counted)
+    r = map_function(fn, dim, budget, paths)
+    monkeypatch.undo()
+    sol = r.solution
+    answer = (r.status, None) if sol is None else (
+        r.status, sol.assignment.codes, sol.order, sol.poi)
+    return answer, calls["_try_terms"] - calls["_finish"]
+
+
+@pytest.mark.parametrize("dim,seed", [(DIM3, 1800), (LatticeDim(3, 4), 1801)])
+def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
+    """Walking every pair (cut-over 0) and probing every arrangement (a
+    cut-over no pair reaches) give the same answers and open the same
+    interior nodes, with and without placement budgets."""
+    paths = enumerate_paths(dim)
+    cases = [(e.function, None) for e in generate_library(dim, 5, 10, seed)]
+    if dim == DIM3:
+        cases.append((HARD, None))
+        cases += [([DECOMP_EVEN8[int(d) - 1] for d in subset], SearchBudget(max_placements=p))
+                  for subset, p, *_ in BUDGETED + BUDGETED_WIDE]
+    for fn, budget in cases:
+        walked = _mapped(monkeypatch, 0, fn, dim, paths, budget)
+        probed = _mapped(monkeypatch, 10**9, fn, dim, paths, budget)
+        assert walked == probed, (fn, budget)
 
 
 @pytest.mark.parametrize("limits", [
