@@ -77,20 +77,21 @@ lies inside a term already) or at least the longest term's length.  Where
 the shares no longer cover the function no solution lies below.  Each share
 is memoized by (b, u) for the search.
 
-A wide pair walks its arrangements one free cell at a time, depth first, in
-the same lexicographic order.  A prefix fixes the first cells and counts the
-others as unset, and it fails when a path it completes is a live escape or
-when the shares no longer cover the function; every arrangement below it is
-then rejected unlisted.  A node keeps each path's share next to its bound,
-listed the first time one of its wide pairs is walked; fixing a cell updates
-only the bounds and shares of the paths through it, and the cover test is
-one OR over the shares, which implies the OR over the bounds.  The walk is
-sound because a share only shrinks down the walk: fixing d more cells of a
-path adds at most d literals to its bound and takes d cells off its u, so a
-term out of a prefix's reach stays out below it, and a completed path that
-is no live escape lies inside a term the prefix still reaches.  So the walk
-opens exactly the nodes the probes would, in the same order; the only extra
-rejections are leaves of the last term that ``_finish`` would reject.
+Without a placement budget, a wide pair walks its arrangements one free cell
+at a time, depth first, in the same lexicographic order.  A prefix fixes the
+first cells and counts the others as unset, and it fails when a path it
+completes is a live escape or when the shares no longer cover the function;
+every arrangement below it is then rejected unlisted.  A node keeps each
+path's share next to its bound, listed the first time one of its wide pairs
+is walked; fixing a cell updates only the bounds and shares of the paths
+through it, and the cover test is one OR over the shares, which implies the
+OR over the bounds.  The walk is sound because a share only shrinks down the
+walk: fixing d more cells of a path adds at most d literals to its bound and
+takes d cells off its u, so a term out of a prefix's reach stays out below
+it, and a completed path that is no live escape lies inside a term the
+prefix still reaches.  So the walk opens exactly the nodes the probes would,
+in the same order; the only extra rejections are leaves of the last term
+that ``_finish`` would reject.
 
 The cut-over trades the walk's cost per prefix (two list copies and the
 shares of the paths through a cell) against the arrangements it cuts
@@ -103,15 +104,16 @@ solved maps 1.6 times slower in median; at 100 the benchmark's map-solved
 times stay within run-to-run noise (``BENCH_18.json``).
 
 Only subtrees without a solution are cut, so unbudgeted answers and the
-first solution, its grid and its points of interest stay the same.  A
-rejected arrangement still counts toward ``max_placements``, the count kept
-per node and path: under a placement budget the walk counts, in order, the
-arrangements below a failed prefix that pass the mirror test.  So a budgeted
-search stops where one that probes each arrangement stops, and one that
-answers solved returns the same grid.  Against a search without the reach
-bound, it may answer no-solution where that answered inconclusive, when its
-only cuts fell in a pruned subtree, and a time limit cuts it later, if at
-all.
+first solution, its grid and its points of interest stay the same.  A search
+with ``max_placements`` set probes every arrangement of every pair in order,
+wide pairs too, so each arrangement it rejects counts toward the budget, the
+count kept per node and path.  It forgoes the walk's cuts: synthesizing
+SYNTH_EIGHT on 3x3 under a budget of 250 placements took 0.87 s, where
+walking its wide pairs took 0.74 s and the unbudgeted run takes 0.36 s
+(minimum of 5 runs, a shared 2-core VM, Python 3.11).  Against a search
+without the reach bound, a budgeted search may answer no-solution where that
+answered inconclusive, when its only cuts fell in a pruned subtree, and a
+time limit cuts it later, if at all.
 
 ``map_function`` sets the deadline before the search reads the path set's
 tables (``cell_masks``, ``through``, ``mirrors``), which a ``PathSet``
@@ -121,15 +123,18 @@ shorter limit ends the search at its first check.
 
 An arrangement is a tuple of ranks into the term's options, its sorted
 literals and then constant 1.  The arrangements over a path's free cells
-depend only on the number of options, the number of free cells and the
-ranks still needed, so terms of equal length share them.  ``arrangements``
-builds them from ``itertools``, lazily and in lexicographic order: a
-product when no rank is needed, the permutations of the needed ranks when
-every free cell is needed, and otherwise each first rank followed by the
-arrangements of the remaining cells.  A search memoizes each list a narrow
-pair lists in full.  That order is the one the search has always used, so
-unbudgeted answers and the point where a placement budget cuts a search are
-unchanged.
+depend only on the number of options, the number of free cells and the ranks
+still needed, so terms of equal length share them.  ``arrangements`` builds
+them from ``itertools``, lazily and in lexicographic order: a product when
+no rank is needed, the permutations of the needed ranks when every free cell
+is needed, and otherwise each first rank followed by the arrangements of the
+remaining cells.  A narrow pair reads its list in full from
+``arrangement_list``, one table shared by every search of the process and
+bounded by the cut-over: each list holds at most ``WALK_FROM`` arrangements,
+and after every benchmark input the table holds 77 lists, about 0.11 MB.  A
+wide pair of a budgeted search reads ``arrangements`` lazily.  That order is
+the one the search has always used, so unbudgeted answers and the point
+where a placement budget cuts a search are unchanged.
 """
 
 from __future__ import annotations
@@ -285,8 +290,6 @@ class _Search:
         self.path_ub = [self.full] * len(self.paths)
         # the term housed on each path, None for an unused path
         self.matched: list[Optional[int]] = [None] * len(self.paths)
-        # fully listed arrangements by (options, free cells, ranks needed)
-        self.arrangements: dict[tuple, list[tuple[int, ...]]] = {}
         # a path with this many unset cells may still end up in any term
         self.longest = max(map(len, f), default=0)
         # what a path can still add to the function, by (bound, unset cells)
@@ -412,14 +415,6 @@ class _Search:
             return None
         return free, (len(rank), len(free), need)
 
-    def _listed(self, key: tuple[int, int, frozenset[int]]) -> Iterator[tuple]:
-        """``arrangements(key)``, memoized once all are listed."""
-        listed = []
-        for ranks in arrangements(key, self.arrangements):
-            listed.append(ranks)
-            yield ranks
-        self.arrangements[key] = listed
-
     def _steps(self, pi: int, free: list[int]) -> list[Step]:
         """For each free cell in order, once it and the cells before it are
         fixed, the paths through it: those whose share is their bound, the
@@ -451,22 +446,23 @@ class _Search:
         need: int,
         bounds: list[int],
         reach: list[int],
-    ) -> Iterator[tuple[tuple[int, ...], Optional[list[int]], Optional[list[int]]]]:
-        """The arrangements that hold the ranks in ``need`` (bit r for rank
-        r), in lexicographic order, one free cell at a time.  Yields
-        ``(ranks, bounds, reach)`` for each arrangement that passes, and
-        ``(prefix, None, None)`` for each prefix that fails and so every
-        arrangement below it: one that completes a live escape, or whose
-        shares no longer cover the function."""
+    ) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
+        """``(ranks, bounds, reach)`` for each arrangement that holds the
+        ranks in ``need`` (bit r for rank r) and passes, in lexicographic
+        order, one free cell at a time.  A prefix that completes a live
+        escape, or whose shares no longer cover the function, fails with
+        every arrangement below it.  The walk ends when time runs out."""
         memo = self.reach
         f_mask = self.f_mask
         ncells = len(steps)
         stack = [((), need, bounds, reach)]
         while stack:
             prefix, need, bounds, reach = stack.pop()
-            if bounds is None or len(prefix) == ncells:
+            if len(prefix) == ncells:
                 yield prefix, bounds, reach
                 continue
+            if self._out_of_time():
+                return
             plain, bounded, done = steps[len(prefix)]
             left = ncells - len(prefix) - 1  # cells after this one
             children = []
@@ -485,28 +481,9 @@ class _Search:
                 if f_mask & ~functools.reduce(operator.or_, nr, 0) or (
                     done and any([self._escapes(nb[pj]) for pj in done])
                 ):
-                    nb = nr = None
+                    continue
                 children.append((prefix + (r,), rest, nb, nr))
             stack += reversed(children)
-
-    def _counted(
-        self,
-        prefix: tuple[int, ...],
-        key: tuple[int, int, frozenset[int]],
-        fixing: Sequence[tuple[tuple[int, ...], Mirror]],
-        limit: int,
-    ) -> int:
-        """How many arrangements that extend ``prefix`` pass the mirror
-        test, counted up to ``limit + 1``."""
-        noptions, nfree, need = key
-        rest = (noptions, nfree - len(prefix), need.difference(prefix))
-        n = 0
-        for tail in arrangements(rest, self.arrangements):
-            if not fixing or self._arrangement_stab(prefix + tail, fixing) is not None:
-                n += 1
-                if n > limit:
-                    break
-        return n
 
     # -- search ----------------------------------------------------------
 
@@ -547,9 +524,8 @@ class _Search:
             free, key = housing
             unset = node_unset & ~self.cell_masks[pi]  # all of the path is set
             fixing = self._fixing(pi, free, stab) if stab else ()
-            count = 0
-            listed = self.arrangements.get(key)
-            if listed is None and arrangement_count(key) > WALK_FROM:
+            wide = arrangement_count(key) > WALK_FROM
+            if wide and max_pl is None:
                 if self.path_reach is None:
                     # each path's share at this node
                     self.path_reach = [
@@ -561,31 +537,20 @@ class _Search:
                     self._steps(pi, free), option_masks, need, path_ub, self.path_reach
                 )
                 for ranks, bounds, reach in walk:
-                    if self._out_of_time():
-                        return None
-                    if bounds is None:
-                        # each arrangement below the prefix is rejected
-                        if max_pl is not None:
-                            count += self._counted(ranks, key, fixing, max_pl - count)
-                            if count > max_pl:
-                                self.truncated = True
-                                break
-                        continue
                     child: Sequence[Mirror] = ()
                     if fixing:
                         child = self._arrangement_stab(ranks, fixing)
                         if child is None:
                             continue  # a mirror image of it comes earlier
-                    count += 1
-                    if max_pl is not None and count > max_pl:
-                        self.truncated = True
-                        break
                     sol = self._open(ti, pi, free, ranks, bounds, reach, unset, child)
                     if sol is not None:
                         return sol
+                if self._out_of_time():
+                    return None  # the walk ended early
                 continue
             done = self._completed(pi, unset)
-            for ranks in self._listed(key) if listed is None else listed:
+            count = 0
+            for ranks in arrangements(key) if wide else arrangement_list(key):
                 if self._out_of_time():
                     return None
                 child = ()
@@ -727,19 +692,14 @@ class _Search:
         return events
 
 
-def arrangements(
-    key: tuple[int, int, frozenset[int]], memo: dict
-) -> Iterable[tuple[int, ...]]:
+def arrangements(key: tuple[int, int, frozenset[int]]) -> Iterable[tuple[int, ...]]:
     """The rank tuples over ``nfree`` cells, ``key = (noptions, nfree,
     need)``, that hold every rank in ``need``, in lexicographic order: those
     of ``product(range(noptions), repeat=nfree)`` that contain ``need``.
     Lazy, so the first comes at once even where the whole list could never
-    be held; a key found in ``memo`` gives its list.  A first rank ``r`` is
-    followed by the arrangements of ``nfree - 1`` cells that hold the rest
-    of ``need``, and none when too few cells remain for it."""
-    listed = memo.get(key)
-    if listed is not None:
-        return listed
+    be held.  A first rank ``r`` is followed by the arrangements of
+    ``nfree - 1`` cells that hold the rest of ``need``, and none when too
+    few cells remain for it."""
     noptions, nfree, need = key
     if len(need) > nfree:
         return ()
@@ -748,9 +708,16 @@ def arrangements(
     if len(need) == nfree:
         return permutations(sorted(need))
     return chain.from_iterable(
-        map((r,).__add__, arrangements((noptions, nfree - 1, need - {r}), memo))
+        map((r,).__add__, arrangements((noptions, nfree - 1, need - {r})))
         for r in range(noptions)
     )
+
+
+@functools.cache
+def arrangement_list(key: tuple[int, int, frozenset[int]]) -> tuple[tuple[int, ...], ...]:
+    """``arrangements(key)`` in full, one table for every search of the
+    process; the search reads it only for keys of at most ``WALK_FROM``."""
+    return tuple(arrangements(key))
 
 
 @functools.cache

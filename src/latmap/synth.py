@@ -58,9 +58,10 @@ def split_long_terms(f: Sop, lb: int) -> tuple[Sop, list[AuxDefinition]]:
     """Shorten every term beyond lb by chunking prefixes into aux variables.
 
     Terms come out sorted by length (stable), which fixes the half-split
-    order used later.
+    order used later.  A chunk of fewer than 2 literals shortens nothing, so
+    a bound below 2 is an error only when some term is longer than it.
     """
-    if lb < 2:
+    if lb < 2 and any(len(t) > lb for t in f):
         raise ValueError("longest-path bound must be >= 2")
     defs: list[AuxDefinition] = []
     next_code = AUX_MIN

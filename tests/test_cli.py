@@ -331,6 +331,23 @@ def test_synth_plan_and_verify(tmp_path, capsys):
     assert (outdir / "manifest.txt").exists()
 
 
+def test_synth_on_one_row_lattices(tmp_path, capsys):
+    """a + b fits the one path of 1x2; a 2-literal term fits no path of a
+    one-row lattice and needs a chunk that shortens nothing."""
+    fn = tmp_path / "ab.fn"
+    fn.write_text("2\n1 0\n1 1\n")
+    code, _, err = run(capsys, "synth", str(fn), "--dim", "1", "2",
+                       "--outdir", str(tmp_path / "plan"), "--verify")
+    assert code == 0
+    assert "plan: 1 lattices" in err
+    assert "verify: equivalent" in err
+    fn.write_text("1\n2 0 1\n")
+    code, _, err = run(capsys, "synth", str(fn), "--dim", "1", "2",
+                       "--outdir", str(tmp_path / "long"))
+    assert code == 64
+    assert err == "error: longest-path bound must be >= 2\n"
+
+
 def test_verify_negative(tmp_path, capsys):
     lat = tmp_path / "g.lat"
     lat.write_text("2 2\n0 100\n101 100\n")

@@ -16,6 +16,7 @@ from latmap.mapper import (
     SearchBudget,
     _Search,
     arrangement_count,
+    arrangement_list,
     arrangements,
     map_function,
 )
@@ -152,24 +153,23 @@ def test_arrangements_match_their_definition(noptions):
         for size in range(len(literals) + 1):
             for need in map(frozenset, combinations(literals, size)):
                 want = [r for r in product(range(noptions), repeat=nfree) if need <= set(r)]
-                assert list(arrangements((noptions, nfree, need), {})) == want
+                assert list(arrangements((noptions, nfree, need))) == want
                 assert arrangement_count((noptions, nfree, need)) == len(want)
 
 
-def test_arrangements_read_the_memo():
-    key = (3, 2, frozenset({0}))
-    listed = list(arrangements(key, {}))
-    assert arrangements(key, {key: listed}) is listed
-    # a longer key builds on the listed one
-    sub = {(3, 2, frozenset({0, 1})): [(0, 1), (1, 0)], key: listed}
-    want = [r for r in product(range(3), repeat=3) if {0, 1} <= set(r)]
-    assert list(arrangements((3, 3, frozenset({0, 1})), sub)) == want
+def test_arrangement_list_is_one_shared_table():
+    """Every search reads a narrow key's list from one table: the same
+    tuples in the same order, built once."""
+    key = (4, 3, frozenset({0, 2}))
+    listed = arrangement_list(key)
+    assert listed == tuple(arrangements(key))
+    assert arrangement_list(key) is listed
 
 
 def test_first_arrangement_arrives_at_once():
     """12 options over 20 cells with 11 ranks needed: far more than memory
     could hold, so the first comes only if they are not listed first."""
-    first = next(iter(arrangements((12, 20, frozenset(range(11))), {})))
+    first = next(iter(arrangements((12, 20, frozenset(range(11))))))
     assert first == (0,) * 9 + tuple(range(11))
 
 
@@ -307,13 +307,12 @@ BUDGETED = [
 ]
 
 
-# Placement budgets on wide (term, path) pairs, which the search walks one
-# cell at a time, with the answers of the search that probed every
-# arrangement: (subset, max_placements, status, grid codes, order).  In the
-# solved ones a budget cut falls inside a prefix the walk cuts, at a node that
-# a mirror maps onto itself; in the others the walk counts the arrangements
-# under such a prefix and skips those whose mirror image comes earlier, and
-# at 250 these skips are what keep the count within the budget.
+# Placement budgets on wide (term, path) pairs, which an unbudgeted search
+# walks one cell at a time and a budgeted one probes arrangement by
+# arrangement, as every search did when these answers were recorded:
+# (subset, max_placements, status, grid codes, order).  The budget cuts fall
+# where mirror-symmetry breaking skips arrangements, and at 250 these skips
+# are what keep the count within the budget.
 BUDGETED_WIDE = [
     ("145", 3, SOLVED, (996, 3, 100, 998, 1, 100, 999, 1000, 100), (0, 1, 2)),
     ("1245", 2, SOLVED, (1, 100, 996, 3, 1, 998, 4, 1000, 999), (0, 1, 2, 3)),
@@ -338,9 +337,23 @@ def test_placement_budget_pinned(subset, max_pl, status, codes, order):
         assert verify_witness(r.solution.assignment, fn)
 
 
-def _mapped(monkeypatch, walk_from, fn, dim, paths, budget=None):
+def test_budgeted_searches_probe_and_unbudgeted_ones_walk(monkeypatch):
+    """Under a placement budget every arrangement is probed and counted, so
+    only an unbudgeted search walks a wide pair."""
+    def walk(*args):
+        raise AssertionError("walked")
+    monkeypatch.setattr(_Search, "_walk", walk)
+    fn = [DECOMP_EVEN8[int(d) - 1] for d in "123"]
+    assert map_function(fn, DIM3, SearchBudget(max_placements=250)).status == NO_SOLUTION
+    with pytest.raises(AssertionError, match="walked"):
+        map_function(fn, DIM3)
+
+
+def _mapped(monkeypatch, walk_from, fn, dim, paths):
     """The answer of one mapping with the given cut-over, and the number of
-    interior nodes it opens (nodes that are not leaves of the last term)."""
+    interior nodes it opens (nodes that are not leaves of the last term).
+    The shared arrangement table is emptied after it, since a raised
+    cut-over fills it with wide lists."""
     monkeypatch.setattr(mapper, "WALK_FROM", walk_from)
     calls = {"_try_terms": 0, "_finish": 0}
     for name in calls:
@@ -348,8 +361,9 @@ def _mapped(monkeypatch, walk_from, fn, dim, paths, budget=None):
             calls[_name] += 1
             return _method(self, *args)
         monkeypatch.setattr(_Search, name, counted)
-    r = map_function(fn, dim, budget, paths)
+    r = map_function(fn, dim, None, paths)
     monkeypatch.undo()
+    mapper.arrangement_list.cache_clear()
     sol = r.solution
     answer = (r.status, None) if sol is None else (
         r.status, sol.assignment.codes, sol.order, sol.poi)
@@ -360,17 +374,16 @@ def _mapped(monkeypatch, walk_from, fn, dim, paths, budget=None):
 def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
     """Walking every pair (cut-over 0) and probing every arrangement (a
     cut-over no pair reaches) give the same answers and open the same
-    interior nodes, with and without placement budgets."""
+    interior nodes.  A budgeted search only probes, so the pins above
+    cover its answers."""
     paths = enumerate_paths(dim)
-    cases = [(e.function, None) for e in generate_library(dim, 5, 10, seed)]
+    cases = [e.function for e in generate_library(dim, 5, 10, seed)]
     if dim == DIM3:
-        cases.append((HARD, None))
-        cases += [([DECOMP_EVEN8[int(d) - 1] for d in subset], SearchBudget(max_placements=p))
-                  for subset, p, *_ in BUDGETED + BUDGETED_WIDE]
-    for fn, budget in cases:
-        walked = _mapped(monkeypatch, 0, fn, dim, paths, budget)
-        probed = _mapped(monkeypatch, 10**9, fn, dim, paths, budget)
-        assert walked == probed, (fn, budget)
+        cases.append(HARD)
+    for fn in cases:
+        walked = _mapped(monkeypatch, 0, fn, dim, paths)
+        probed = _mapped(monkeypatch, 10**9, fn, dim, paths)
+        assert walked == probed, fn
 
 
 @pytest.mark.parametrize("limits", [

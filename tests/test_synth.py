@@ -115,6 +115,13 @@ def test_split_long_terms_rejects_a_bound_below_two(lb):
         split_long_terms(f({0, 1, 2}), lb)
 
 
+def test_synth_on_one_row():
+    """A 1x2 lattice has one path, of two cells: a + b needs no split."""
+    plan = synthesize(f({0}, {1}), LatticeDim(1, 2))
+    assert plan.aux_defs == ()
+    assert [pl.assignment.codes for pl in plan.lattices] == [(0, 1)]
+
+
 def test_split_long_terms_runs_out_of_aux_codes():
     """A term that already holds code 99, the last auxiliary code, leaves
     none for a chunk."""
