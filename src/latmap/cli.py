@@ -1,7 +1,7 @@
 """Command-line interface: one binary, subcommand per tool stage.
 
 Exit codes: 0 success/solution, 1 no-solution or not-equivalent,
-2 inconclusive (budget), 64+ usage/IO errors.  Machine-parseable payloads
+2 inconclusive (time limit), 64+ usage/IO errors.  Machine-parseable payloads
 go to the output file (or stdout with "-"); human summaries go to stderr.
 """
 
@@ -40,7 +40,7 @@ def _budget(args: argparse.Namespace) -> mapper.SearchBudget:
     time_limit = args.time_limit
     if time_limit is None and os.environ.get("LATMAP_TIME_LIMIT"):
         time_limit = float(os.environ["LATMAP_TIME_LIMIT"])
-    return mapper.SearchBudget(max_placements=args.max_placements, time_limit=time_limit)
+    return mapper.SearchBudget(time_limit)
 
 
 def _load_function(path: str) -> codes.Sop:
@@ -111,7 +111,7 @@ def cmd_map(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     f = _load_function(args.function)
     dim = LatticeDim(args.dim[0], args.dim[1])
-    outcome = decompose.decompose_two(f, dim, _budget(args), max_stages=args.max_stages)
+    outcome = decompose.decompose_two(f, dim, _budget(args))
     if outcome.status == mapper.SOLVED:
         res = outcome.result
         outdir = Path(args.outdir)
@@ -168,7 +168,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     ]
     (outdir / "aux.txt").write_text("\n".join(aux_lines) + "\n" if aux_lines else "")
     (outdir / "manifest.txt").write_text("\n".join(manifest) + "\n")
-    print(f"plan: {len(plan.lattices)} lattices", file=sys.stderr)
+    n = len(plan.lattices)
+    print(f"plan: {n} lattice{'' if n == 1 else 's'}", file=sys.stderr)
     if args.verify:
         ok = codes.equivalent(synth.expand_plan(plan), f)
         print(f"verify: {'equivalent' if ok else 'NOT equivalent'}", file=sys.stderr)
@@ -188,7 +189,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-placements", type=int, default=None)
     p.add_argument("--time-limit", type=float, default=None)
 
 
@@ -236,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("function")
     p.add_argument("--dim", nargs=2, type=int, required=True, metavar=("R", "C"))
     p.add_argument("--outdir", default="decomposition")
-    p.add_argument("--max-stages", type=int, default=None)
     _add_budget_flags(p)
     p.set_defaults(func=cmd_decompose)
 

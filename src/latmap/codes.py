@@ -148,7 +148,8 @@ def parse_function(text: str, warnings: Optional[list[str]] = None) -> Sop:
         if t is None:
             changed = True
             continue
-        if len(codes) != len(t) or t != frozenset(codes):
+        # ``1 101`` is constant 1 as ``serialize_function`` writes it
+        if (len(codes) != len(t) or t != frozenset(codes)) and codes != [CONST_ONE]:
             changed = True
         terms.append(t)
     result = absorb(terms)

@@ -75,13 +75,12 @@ def decompose_two(
     dim: LatticeDim,
     budget: SearchBudget | None = None,
     paths: PathSet | None = None,
-    max_stages: int | None = None,
     memo: dict[tuple[Term, ...], MapResult] | None = None,
 ) -> DecomposeOutcome:
     """First schedule pair admitting a mapping of both parts.
 
-    NoSolution is claimed only when every subset of every stage was
-    exhausted with trustworthy (non-truncated) negatives.  The time limit
+    NoSolution is claimed only when every subset of every stage got a
+    negative that the time limit did not cut short.  The time limit
     bounds the whole call: a mapper call gets the time that remains, and
     with none left it is skipped and counts as inconclusive.  ``memo`` maps
     the ordered term tuples mapped to their verdicts; callers may share it.
@@ -89,8 +88,6 @@ def decompose_two(
     n = len(f)
     if n < 2:
         raise ValueError("decomposition needs at least 2 terms")
-    if max_stages is not None and max_stages < 1:
-        raise ValueError(f"max_stages must be at least 1, got {max_stages}")
     table_variables(f)  # bound f's variables before any part is mapped
     if budget is None:
         budget = SearchBudget()
@@ -103,11 +100,7 @@ def decompose_two(
         return map_once(memo, tuple(f[i] for i in indices), dim, budget, deadline, paths)
 
     inconclusive_seen = False
-    stages = split_schedule(n)
-    if max_stages is not None and max_stages < len(stages):
-        stages = stages[:max_stages]
-        inconclusive_seen = True  # early stop: a negative is no longer a proof
-    for a, b in stages:
+    for a, b in split_schedule(n):
         for combo in itertools.combinations(range(n), a):
             if a == b and 0 not in combo:
                 continue  # visit each unordered pair once

@@ -7,11 +7,11 @@ housing works (it may still be present as a combination of other paths).
 Dangling cells are zeroed at the end and the candidate grid is accepted only
 if its solve is truth-table equivalent to the target.  The search backtracks
 over path choices, placements and deferrals.  Running out of time ends it
-with inconclusive at once.  A placement cut ends only the arrangements of
-one term on one path: the search goes on, and answers solved if it still
-finds a grid, else inconclusive.  No other examination order is tried.
+with inconclusive at once: after the check that finds the deadline passed,
+no placement is listed, no node opened and no leaf checked.  No other
+examination order is tried.
 
-An exhausted unbudgeted search reports no-solution.  That covers only the
+A search that runs to the end reports no-solution.  That covers only the
 grids this search builds: the given terms housed on paths of their own
 literals and constant-1 fillers, unused cells zeroed, and no completed path
 whose product contains none of the given terms.  It is not a proof that no
@@ -30,13 +30,9 @@ on a path that one of them maps onto itself, an arrangement is skipped when
 its mirror image comes earlier in the arrangement order.  A child keeps the
 mirrors that fix its arrangement, a deferral keeps them all, so the rule
 applies wherever the grid is still symmetric (say, a term on the centre
-column of 3x3) and costs nothing once it is not.  Unbudgeted answers do not
-change: were the first solution under a skipped path or arrangement, its
-mirror would lie under an earlier sibling, whose subtree is searched in full
-first.  Skipped arrangements do not count toward ``max_placements``, so a cut
-search may stop at a different place than without the symmetry breaking; a
-solved answer is still truth-table checked, and a cut search still gives
-inconclusive, never no-solution.
+column of 3x3) and costs nothing once it is not.  Answers do not change:
+were the first solution under a skipped path or arrangement, its mirror
+would lie under an earlier sibling, whose subtree is searched in full first.
 
 A node keeps the grid, the set of unset cells, each path's bound (the AND
 of its fixed cells' truth-table masks) and the term housed on each path, if
@@ -77,10 +73,10 @@ lies inside a term already) or at least the longest term's length.  Where
 the shares no longer cover the function no solution lies below.  Each share
 is memoized by (b, u) for the search.
 
-Without a placement budget, a wide pair walks its arrangements one free cell
-at a time, depth first, in the same lexicographic order.  A prefix fixes the
-first cells and counts the others as unset, and it fails when a path it
-completes is a live escape or when the shares no longer cover the function;
+A wide pair walks its arrangements one free cell at a time, depth first,
+in the same lexicographic order.  A prefix fixes the first cells and counts
+the others as unset, and it fails when a path it completes is a live escape
+or when the shares no longer cover the function;
 every arrangement below it is then rejected unlisted.  A node keeps each
 path's share next to its bound, listed the first time one of its wide pairs
 is walked; fixing a cell updates only the bounds and shares of the paths
@@ -103,38 +99,28 @@ benchmark's solved library maps on 3x3 (none holds more than 60), 0.5 % with
 solved maps 1.6 times slower in median; at 100 the benchmark's map-solved
 times stay within run-to-run noise (``BENCH_18.json``).
 
-Only subtrees without a solution are cut, so unbudgeted answers and the
-first solution, its grid and its points of interest stay the same.  A search
-with ``max_placements`` set probes every arrangement of every pair in order,
-wide pairs too, so each arrangement it rejects counts toward the budget, the
-count kept per node and path.  It forgoes the walk's cuts: synthesizing
-SYNTH_EIGHT on 3x3 under a budget of 250 placements took 0.87 s, where
-walking its wide pairs took 0.74 s and the unbudgeted run takes 0.36 s
-(minimum of 5 runs, a shared 2-core VM, Python 3.11).  Against a search
-without the reach bound, a budgeted search may answer no-solution where that
-answered inconclusive, when its only cuts fell in a pruned subtree, and a
-time limit cuts it later, if at all.
+Only subtrees without a solution are cut, so the answers and the first
+solution, its grid and its points of interest stay the same.
 
 ``map_function`` sets the deadline before the search reads the path set's
 tables (``cell_masks``, ``through``, ``mirrors``), which a ``PathSet``
-builds at its first mapping.  The time limit does not bound that work,
-about 0.7-0.8 s on 7x8 and 6.8 s on 8x8; it counts against the limit, so a
+builds at its first mapping.  The time limit does not bound that work (the
+README gives its cost on large grids); it counts against the limit, so a
 shorter limit ends the search at its first check.
 
 An arrangement is a tuple of ranks into the term's options, its sorted
 literals and then constant 1.  The arrangements over a path's free cells
 depend only on the number of options, the number of free cells and the ranks
 still needed, so terms of equal length share them.  ``arrangements`` builds
-them from ``itertools``, lazily and in lexicographic order: a product when
-no rank is needed, the permutations of the needed ranks when every free cell
-is needed, and otherwise each first rank followed by the arrangements of the
-remaining cells.  A narrow pair reads its list in full from
-``arrangement_list``, one table shared by every search of the process and
-bounded by the cut-over: each list holds at most ``WALK_FROM`` arrangements,
-and after every benchmark input the table holds 77 lists, about 0.11 MB.  A
-wide pair of a budgeted search reads ``arrangements`` lazily.  That order is
-the one the search has always used, so unbudgeted answers and the point
-where a placement budget cuts a search are unchanged.
+them from ``itertools`` in lexicographic order: a product when no rank is
+needed, the permutations of the needed ranks when every free cell is
+needed, and otherwise each first rank followed by the arrangements of the
+remaining cells.  Its lists are one table shared by every search of the
+process.  Only narrow pairs read it, and the key of a remaining-cells list
+has no more arrangements than the key that asked for it, so each list holds
+at most ``WALK_FROM`` arrangements; after every benchmark input the table
+holds 87 lists, about 0.09 MB.  That order is the one the search has always
+used, so answers are unchanged.
 """
 
 from __future__ import annotations
@@ -144,8 +130,8 @@ import math
 import operator
 import time
 from itertools import chain, permutations, product
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from .codes import (
     CONST_ONE,
@@ -185,17 +171,13 @@ POI_PLACED_XXPRIME = "placed-by-xxprime"
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits on one mapping; None leaves a limit off.  The placement count
-    must be at least 1 and a time limit finite and positive, since a budget
-    that allows nothing could only ever answer inconclusive."""
+    """The time limit of one mapping in seconds; None leaves it off.  It
+    must be finite and positive, since a budget that allows nothing could
+    only ever answer inconclusive."""
 
-    max_placements: Optional[int] = None
     time_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
-        p = self.max_placements
-        if p is not None and p < 1:
-            raise ValueError(f"max_placements must be at least 1, got {p}")
         t = self.time_limit
         if t is not None and not (math.isfinite(t) and t > 0):
             raise ValueError(f"time_limit must be finite and positive, got {t}")
@@ -211,7 +193,7 @@ class SearchBudget:
         if deadline is None:
             return self
         left = deadline - time.monotonic()
-        return replace(self, time_limit=left) if left > 0 else None
+        return SearchBudget(left) if left > 0 else None
 
 
 @dataclass(frozen=True)
@@ -251,20 +233,13 @@ class MapResult:
 class _Search:
     """Exhaustive backtracking search over the terms in the order given."""
 
-    def __init__(
-        self,
-        f: Sop,
-        paths: PathSet,
-        budget: SearchBudget,
-        deadline: Optional[float],
-    ):
+    def __init__(self, f: Sop, paths: PathSet, deadline: Optional[float]):
         self.f = f
         self.dim = paths.dim
         self.paths = paths.paths  # canonical = shortest first
         self.through = paths.through
-        self.budget = budget
         self.deadline = deadline
-        self.truncated = False
+        self.truncated = False  # time ran out: the search ends at once
 
         self.var_order = table_variables(f)
         # a fixed cell ANDs its mask into the bound of every path through it
@@ -506,7 +481,6 @@ class _Search:
         option_masks = self.option_masks[ti]
         path_ub = self.path_ub
         node_unset = self.unset
-        max_pl = self.budget.max_placements
         last = ti + 1 == len(self.f)  # ``_finish`` checks the child exactly
         for pi in range(len(self.paths)):
             if self.matched[pi] is not None:
@@ -524,8 +498,7 @@ class _Search:
             free, key = housing
             unset = node_unset & ~self.cell_masks[pi]  # all of the path is set
             fixing = self._fixing(pi, free, stab) if stab else ()
-            wide = arrangement_count(key) > WALK_FROM
-            if wide and max_pl is None:
+            if arrangement_count(key) > WALK_FROM:
                 if self.path_reach is None:
                     # each path's share at this node
                     self.path_reach = [
@@ -543,14 +516,13 @@ class _Search:
                         if child is None:
                             continue  # a mirror image of it comes earlier
                     sol = self._open(ti, pi, free, ranks, bounds, reach, unset, child)
-                    if sol is not None:
+                    if sol is not None or self.truncated:
                         return sol
-                if self._out_of_time():
-                    return None  # the walk ended early
+                if self.truncated:
+                    return None  # the walk ran out of time
                 continue
             done = self._completed(pi, unset)
-            count = 0
-            for ranks in arrangements(key) if wide else arrangement_list(key):
+            for ranks in arrangements(key):
                 if self._out_of_time():
                     return None
                 child = ()
@@ -558,17 +530,13 @@ class _Search:
                     child = self._arrangement_stab(ranks, fixing)
                     if child is None:
                         continue  # a mirror image of it comes earlier
-                count += 1
-                if max_pl is not None and count > max_pl:
-                    self.truncated = True
-                    break
                 bounds = self._probe(free, ranks, option_masks, done)
                 if bounds is None:
                     continue  # a live escape, or the function is lost
                 if not last and not self._reaches(bounds, unset):
                     continue  # the paths can no longer cover the function
                 sol = self._open(ti, pi, free, ranks, bounds, None, unset, child)
-                if sol is not None:
+                if sol is not None or self.truncated:
                     return sol
         # no housing works down this branch: defer, the term may be hiding
         return self._try_terms(ti + 1, stab)
@@ -692,32 +660,26 @@ class _Search:
         return events
 
 
-def arrangements(key: tuple[int, int, frozenset[int]]) -> Iterable[tuple[int, ...]]:
+@functools.cache
+def arrangements(key: tuple[int, int, frozenset[int]]) -> tuple[tuple[int, ...], ...]:
     """The rank tuples over ``nfree`` cells, ``key = (noptions, nfree,
     need)``, that hold every rank in ``need``, in lexicographic order: those
     of ``product(range(noptions), repeat=nfree)`` that contain ``need``.
-    Lazy, so the first comes at once even where the whole list could never
-    be held.  A first rank ``r`` is followed by the arrangements of
-    ``nfree - 1`` cells that hold the rest of ``need``, and none when too
-    few cells remain for it."""
+    One table for every search of the process, which reads it only for keys
+    of at most ``WALK_FROM``.  A first rank ``r`` is followed by the
+    arrangements of ``nfree - 1`` cells that hold the rest of ``need``, and
+    none when too few cells remain for it."""
     noptions, nfree, need = key
     if len(need) > nfree:
         return ()
     if not need:
-        return product(range(noptions), repeat=nfree)
+        return tuple(product(range(noptions), repeat=nfree))
     if len(need) == nfree:
-        return permutations(sorted(need))
-    return chain.from_iterable(
+        return tuple(permutations(sorted(need)))
+    return tuple(chain.from_iterable(
         map((r,).__add__, arrangements((noptions, nfree - 1, need - {r})))
         for r in range(noptions)
-    )
-
-
-@functools.cache
-def arrangement_list(key: tuple[int, int, frozenset[int]]) -> tuple[tuple[int, ...], ...]:
-    """``arrangements(key)`` in full, one table for every search of the
-    process; the search reads it only for keys of at most ``WALK_FROM``."""
-    return tuple(arrangements(key))
+    ))
 
 
 @functools.cache
@@ -742,7 +704,7 @@ def map_function(
         budget = SearchBudget()
     paths = paths_for(dim, paths)
 
-    search = _Search(f, paths, budget, budget.deadline())
+    search = _Search(f, paths, budget.deadline())
     if support_size(search.f_mask, len(search.var_order)) > dim.cells:
         # a grid of rc cells holds at most rc distinct literals
         return MapResult(NO_SOLUTION)

@@ -3,12 +3,14 @@
 import importlib
 import importlib.metadata
 import io
+import time
 from pathlib import Path
 
 import pytest
 
 from latmap.cli import main
 from latmap.codes import serialize_function
+from latmap.mapper import SearchBudget
 
 from lattice_goldens import DECOMP_EVEN8, MAP_EX1
 
@@ -111,7 +113,6 @@ def test_map_inconclusive_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["map", "decompose", "synth"])
 @pytest.mark.parametrize("flag,value", [
-    ("--max-placements", "0"),
     ("--time-limit", "-1"),
     ("--time-limit", "0"),
     ("--time-limit", "inf"),
@@ -263,6 +264,7 @@ def test_map_requires_dim_or_paths(tmp_path, capsys):
     [],
     ["--dim", "x", "3"],
     ["--dim", "3", "3", "--max-orders", "5"],
+    ["--dim", "3", "3", "--max-placements", "5"],
 ])
 def test_usage_error_exits_64(tmp_path, capsys, extra):
     """argparse's own exit code 2 would read as inconclusive."""
@@ -280,18 +282,28 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["map", "--help"])
     assert exc.value.code == 0
-    assert "--max-placements" in capsys.readouterr().out
+    assert "--time-limit" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("stages", ["0", "-1"])
-def test_decompose_max_stages_below_one_is_usage_error(tmp_path, capsys, stages):
+@pytest.mark.parametrize("command,flag,value", [
+    ("decompose", "--max-stages", "0"),
+    ("decompose", "--max-stages", "-1"),
+    ("decompose", "--max-stages", "1"),
+    ("decompose", "--max-placements", "5"),
+    ("synth", "--max-placements", "5"),
+])
+def test_stage_and_placement_counts_are_usage_errors(tmp_path, capsys, command, flag, value):
+    """The time limit is the only budget: a stage or placement count is an
+    unknown flag, rejected before any output directory is made."""
     fn = tmp_path / "f.fn"
     fn.write_text("3\n2 0 1\n2 2 3\n2 4 998\n")
-    code, out, err = run(capsys, "decompose", str(fn), "--dim", "2", "2",
-                         "--outdir", str(tmp_path / "out"), "--max-stages", stages)
-    assert code == 64
-    assert out == ""
-    assert err.startswith("error: max_stages") and "Traceback" not in err
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(fn), "--dim", "2", "2", "--outdir", str(tmp_path / "out"),
+              flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 64
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {flag}" in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -339,7 +351,7 @@ def test_synth_on_one_row_lattices(tmp_path, capsys):
     code, _, err = run(capsys, "synth", str(fn), "--dim", "1", "2",
                        "--outdir", str(tmp_path / "plan"), "--verify")
     assert code == 0
-    assert "plan: 1 lattices" in err
+    assert "plan: 1 lattice\n" in err
     assert "verify: equivalent" in err
     fn.write_text("1\n2 0 1\n")
     code, _, err = run(capsys, "synth", str(fn), "--dim", "1", "2",
@@ -412,24 +424,28 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, text, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_decompose_inconclusive(tmp_path, capsys):
-    """a + b + c + d on 2x2 needs a second split stage; one stage allowed
-    ends the run inconclusive, with no output directory."""
+def test_decompose_inconclusive(tmp_path, capsys, monkeypatch):
+    """a + b + c + d on 2x2 with its deadline already past ends the run
+    inconclusive, with no output directory."""
+    monkeypatch.setattr(SearchBudget, "deadline", lambda self: time.monotonic() - 1)
     fn = tmp_path / "f.fn"
     fn.write_text("4\n1 0\n1 1\n1 2\n1 3\n")
     outdir = tmp_path / "split"
     code, out, _ = run(capsys, "decompose", str(fn), "--dim", "2", "2",
-                       "--max-stages", "1", "--outdir", str(outdir))
+                       "--time-limit", "60", "--outdir", str(outdir))
     assert (code, out) == (2, "INCONCLUSIVE (budget)\n")
     assert not outdir.exists()
 
 
-def test_synth_inconclusive(tmp_path, capsys):
+def test_synth_inconclusive(tmp_path, capsys, monkeypatch):
+    """A synth run whose deadline is already past ends inconclusive, with no
+    output directory."""
+    monkeypatch.setattr(SearchBudget, "deadline", lambda self: time.monotonic() - 1)
     fn = tmp_path / "hard.fn"
     fn.write_text(serialize_function(DECOMP_EVEN8))
     outdir = tmp_path / "plan"
     code, out, _ = run(capsys, "synth", str(fn), "--dim", "3", "3",
-                       "--max-placements", "1", "--outdir", str(outdir))
+                       "--time-limit", "60", "--outdir", str(outdir))
     assert (code, out) == (2, "INCONCLUSIVE (budget)\n")
     assert not outdir.exists()
 

@@ -111,9 +111,12 @@ def test_serialize_round_trip():
 
 
 def test_serialize_constant_one():
+    """Constant 1 reads back as written, with nothing to warn about."""
     text = codes.serialize_function([frozenset()])
-    assert "101" in text
-    assert codes.parse_function(text) == [frozenset()]
+    assert text == "1\n1 101\n"
+    warnings = []
+    assert codes.parse_function(text, warnings) == [frozenset()]
+    assert warnings == []
 
 
 def test_equivalent_basics():

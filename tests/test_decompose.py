@@ -38,15 +38,6 @@ def test_paths_of_another_dimension_rejected(dim, paths_dim):
         decompose_two(f({0}, {1}), dim, None, enumerate_paths(paths_dim))
 
 
-@pytest.mark.parametrize("stages", [0, -1, -2])
-def test_max_stages_below_one_rejected(stages):
-    """A count below 1 would slice stages off the end of the schedule."""
-    fn = f({0, 1}, {2, 3}, {4, 998})
-    with pytest.raises(ValueError):
-        decompose_two(fn, LatticeDim(2, 2), max_stages=stages)
-    assert decompose_two(fn, LatticeDim(2, 2), max_stages=1).status == SOLVED
-
-
 def test_even8_decomposes_with_or_equivalence():
     out = decompose_two(DECOMP_EVEN8, DIM3)
     assert out.status == SOLVED
@@ -80,13 +71,6 @@ def test_four_variables_on_2x2_pair():
         out.result.solution_b.assignment
     )
     assert equivalent(combined, fn)
-
-
-def test_max_stages_truncation_is_inconclusive():
-    fn = f({0}, {1}, {2}, {3})
-    out = decompose_two(fn, LatticeDim(2, 2), max_stages=1)
-    # the (3,1) stage cannot work and the (2,2) stage was cut off
-    assert out.status == INCONCLUSIVE
 
 
 def test_memo_is_shared():

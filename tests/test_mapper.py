@@ -1,5 +1,6 @@
 import functools
 import operator
+import sys
 import time
 from itertools import combinations, product
 
@@ -16,7 +17,6 @@ from latmap.mapper import (
     SearchBudget,
     _Search,
     arrangement_count,
-    arrangement_list,
     arrangements,
     map_function,
 )
@@ -157,20 +157,13 @@ def test_arrangements_match_their_definition(noptions):
                 assert arrangement_count((noptions, nfree, need)) == len(want)
 
 
-def test_arrangement_list_is_one_shared_table():
+def test_arrangements_are_one_shared_table():
     """Every search reads a narrow key's list from one table: the same
     tuples in the same order, built once."""
     key = (4, 3, frozenset({0, 2}))
-    listed = arrangement_list(key)
-    assert listed == tuple(arrangements(key))
-    assert arrangement_list(key) is listed
-
-
-def test_first_arrangement_arrives_at_once():
-    """12 options over 20 cells with 11 ranks needed: far more than memory
-    could hold, so the first comes only if they are not listed first."""
-    first = next(iter(arrangements((12, 20, frozenset(range(11))))))
-    assert first == (0,) * 9 + tuple(range(11))
+    listed = arrangements(key)
+    assert isinstance(listed, tuple)
+    assert arrangements(key) is listed
 
 
 def test_search_state_is_not_kept_on_the_path_set():
@@ -253,9 +246,9 @@ def test_unbudgeted_negative_is_definite():
 
 
 def test_deadline_respected_on_large_grid():
-    """On 5x5 a long path has more free cells than any arrangement list
-    could hold; the first placement must come before they are all listed,
-    so the deadline still ends the search on time."""
+    """On 5x5 a long path has more arrangements than any list could hold;
+    it is walked one cell at a time, so the deadline still ends the search
+    on time."""
     t0 = time.monotonic()
     r = map_function(HARD, LatticeDim(5, 5), SearchBudget(time_limit=0.3))
     assert r.status == INCONCLUSIVE
@@ -277,16 +270,6 @@ def test_time_limit_respected_when_reporting_on_7x8():
         assert r.status == INCONCLUSIVE
 
 
-def test_placement_budget_answers_at_once():
-    """A placement cut ends the mapping: no other examination order is
-    tried, so one placement per path answers inconclusive long before the
-    unbudgeted search could prove no-solution."""
-    t0 = time.monotonic()
-    r = map_function(HARD, DIM3, SearchBudget(max_placements=1))
-    assert r.status == INCONCLUSIVE
-    assert time.monotonic() - t0 < 1.0
-
-
 def test_deadline_past_on_entering_the_root_is_inconclusive(monkeypatch):
     """A search whose deadline has passed when it starts opens no node."""
     monkeypatch.setattr(SearchBudget, "deadline", lambda self: time.monotonic() - 1)
@@ -294,59 +277,32 @@ def test_deadline_past_on_entering_the_root_is_inconclusive(monkeypatch):
     assert (r.status, r.solution) == (INCONCLUSIVE, None)
 
 
-# Subsets of DECOMP_EVEN8 (1-based term numbers) under placement budgets:
-# (subset, max_placements, status, grid codes, order), as recorded before
-# the search's undo and arrangement code was rewritten.
-BUDGETED = [
-    ("1458", 1, INCONCLUSIVE, None, None),
-    ("1458", 2, INCONCLUSIVE, None, None),
-    ("2568", 1, INCONCLUSIVE, None, None),
-    ("2568", 2, SOLVED, (1, 0, 3, 3, 3, 998, 4, 1000, 3), (0, 1, 2, 3)),
-    ("2347", 1, INCONCLUSIVE, None, None),
-    ("2347", 2, SOLVED, (1, 996, 0, 3, 999, 3, 4, 998, 999), (0, 1, 2, 3)),
-]
+def test_time_cut_ends_the_search_at_once(monkeypatch):
+    """A clock that runs out at its k-th check, for k every 52 checks from
+    the first: cuts land at node entries, in probe loops of narrow pairs and
+    inside walks of wide ones.  Each answers inconclusive, and after the cut
+    no placement is listed, no node opened and no leaf checked."""
+    clock = {"checks": 0, "k": 0, "after": 0}
+    cut_in = set()
 
+    def out_of_time(self):
+        clock["checks"] += 1
+        if clock["checks"] >= clock["k"] and not self.truncated:
+            self.truncated = True
+            cut_in.add(sys._getframe(1).f_code.co_name)
+        return self.truncated
 
-# Placement budgets on wide (term, path) pairs, which an unbudgeted search
-# walks one cell at a time and a budgeted one probes arrangement by
-# arrangement, as every search did when these answers were recorded:
-# (subset, max_placements, status, grid codes, order).  The budget cuts fall
-# where mirror-symmetry breaking skips arrangements, and at 250 these skips
-# are what keep the count within the budget.
-BUDGETED_WIDE = [
-    ("145", 3, SOLVED, (996, 3, 100, 998, 1, 100, 999, 1000, 100), (0, 1, 2)),
-    ("1245", 2, SOLVED, (1, 100, 996, 3, 1, 998, 4, 1000, 999), (0, 1, 2, 3)),
-    ("3457", 10, SOLVED, (996, 1, 0, 999, 3, 3, 998, 1000, 999), (0, 1, 2, 3)),
-    ("24567", 40, SOLVED, (3, 0, 998, 1, 3, 996, 1000, 4, 999), (0, 1, 2, 3, 4)),
-    ("123", 40, INCONCLUSIVE, None, None),
-    ("168", 20, INCONCLUSIVE, None, None),
-    ("123", 250, NO_SOLUTION, None, None),
-    ("1234", 250, NO_SOLUTION, None, None),
-]
-
-
-@pytest.mark.parametrize("subset,max_pl,status,codes,order", BUDGETED + BUDGETED_WIDE)
-def test_placement_budget_pinned(subset, max_pl, status, codes, order):
-    fn = [DECOMP_EVEN8[int(d) - 1] for d in subset]
-    budget = SearchBudget(max_placements=max_pl)
-    r = map_function(fn, DIM3, budget)
-    assert r.status == status
-    if status == SOLVED:
-        assert r.solution.assignment.codes == codes
-        assert r.solution.order == order
-        assert verify_witness(r.solution.assignment, fn)
-
-
-def test_budgeted_searches_probe_and_unbudgeted_ones_walk(monkeypatch):
-    """Under a placement budget every arrangement is probed and counted, so
-    only an unbudgeted search walks a wide pair."""
-    def walk(*args):
-        raise AssertionError("walked")
-    monkeypatch.setattr(_Search, "_walk", walk)
-    fn = [DECOMP_EVEN8[int(d) - 1] for d in "123"]
-    assert map_function(fn, DIM3, SearchBudget(max_placements=250)).status == NO_SOLUTION
-    with pytest.raises(AssertionError, match="walked"):
-        map_function(fn, DIM3)
+    monkeypatch.setattr(_Search, "_out_of_time", out_of_time)
+    for name in ("_placements", "_open", "_finish"):
+        def counted(self, *args, _method=getattr(_Search, name)):
+            clock["after"] += self.truncated
+            return _method(self, *args)
+        monkeypatch.setattr(_Search, name, counted)
+    for k in range(1, 4000, 52):
+        clock.update(checks=0, k=k)
+        r = map_function(HARD, DIM3, SearchBudget(time_limit=60))
+        assert (r.status, r.solution, clock["after"]) == (INCONCLUSIVE, None, 0), k
+    assert cut_in == {"_try_terms", "_walk"}
 
 
 def _mapped(monkeypatch, walk_from, fn, dim, paths):
@@ -363,7 +319,7 @@ def _mapped(monkeypatch, walk_from, fn, dim, paths):
         monkeypatch.setattr(_Search, name, counted)
     r = map_function(fn, dim, None, paths)
     monkeypatch.undo()
-    mapper.arrangement_list.cache_clear()
+    mapper.arrangements.cache_clear()
     sol = r.solution
     answer = (r.status, None) if sol is None else (
         r.status, sol.assignment.codes, sol.order, sol.poi)
@@ -374,8 +330,7 @@ def _mapped(monkeypatch, walk_from, fn, dim, paths):
 def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
     """Walking every pair (cut-over 0) and probing every arrangement (a
     cut-over no pair reaches) give the same answers and open the same
-    interior nodes.  A budgeted search only probes, so the pins above
-    cover its answers."""
+    interior nodes."""
     paths = enumerate_paths(dim)
     cases = [e.function for e in generate_library(dim, 5, 10, seed)]
     if dim == DIM3:
@@ -387,8 +342,6 @@ def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
 
 
 @pytest.mark.parametrize("limits", [
-    {"max_placements": 0},
-    {"max_placements": -1},
     {"time_limit": 0.0},
     {"time_limit": -1.0},
     {"time_limit": float("inf")},
@@ -482,7 +435,7 @@ def test_reach_bound_admits_every_state_on_the_way_to_a_found_grid(dim, seed):
     for e in generate_library(dim, 5, 8, seed):
         r = map_function(e.function, dim, None, paths)
         assert r.status == SOLVED
-        search = _Search(e.function, paths, SearchBudget(), None)
+        search = _Search(e.function, paths, None)
         codes = r.solution.assignment.codes
         nonzero = [c for c, v in enumerate(codes) if v != CONST_ZERO]
         for k in range(1 << len(nonzero)):
@@ -499,9 +452,9 @@ def test_reach_bound_cuts_what_the_bounds_alone_keep():
     more.  ab + cd needs one, so that state passes."""
     paths = enumerate_paths(LatticeDim(2, 2))
     state = {0: 0, 2: 1, 1: 2}
-    search = _Search(f({0, 1}, {2, 3, 4}), paths, SearchBudget(), None)
+    search = _Search(f({0, 1}, {2, 3, 4}), paths, None)
     assert _reaches(search, state) == (False, True)
-    search = _Search(f({0, 1}, {2, 3}), paths, SearchBudget(), None)
+    search = _Search(f({0, 1}, {2, 3}), paths, None)
     assert _reaches(search, state) == (True, True)
 
 

@@ -9,8 +9,6 @@ In order, the lines are:
   sha256 of ``serialize_paths(enumerate_paths(r x c))``;
 - each negative of ``bench/data/pools.json``, mapped on 3x3 (its id indexes
   ``bench/goldens.STUDY8``);
-- the 80 negatives with the lowest reference times, mapped on 3x3 again
-  under each placement budget of ``BUDGETS`` (id ``<id>@<max_placements>``);
 - each kept entry of the ``solved`` library pools, mapped on its pool's
   dimension;
 - each CLI run of the benchmark's ``pipeline`` workload: its exit code and
@@ -42,19 +40,15 @@ from latmap import (  # noqa: E402
     generate_library,
     serialize_paths,
 )
-from latmap.mapper import SearchBudget, map_function  # noqa: E402
-
-# placement budgets under which the cheapest negatives are mapped again
-BUDGETS = (1, 2, 3, 10)
-CHEAP_NEGATIVES = 80
+from latmap.mapper import map_function  # noqa: E402
 
 
 def _sha(data: bytes | str) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def _map_line(input_id: str, dim, terms, paths, budget=None) -> str:
-    result = map_function(terms, dim, budget, paths)
+def _map_line(input_id: str, dim, terms, paths) -> str:
+    result = map_function(terms, dim, None, paths)
     sol = result.solution
     return json.dumps({
         "id": input_id,
@@ -98,12 +92,6 @@ def main() -> None:
     paths = enumerate_paths(dim)
     for row in pools["negative"]:
         print(_map_line(row["id"], dim, workloads.negative_terms(row["id"]), paths))
-    cheap = sorted(pools["negative"], key=lambda row: (row["ref_ms"], row["id"]))
-    for row in cheap[:CHEAP_NEGATIVES]:
-        terms = workloads.negative_terms(row["id"])
-        for max_pl in BUDGETS:
-            budget = SearchBudget(max_placements=max_pl)
-            print(_map_line(f"{row['id']}@{max_pl}", dim, terms, paths, budget))
     for name, pool in pools["solved"].items():
         dim = LatticeDim(*map(int, name.split("x")))
         paths = enumerate_paths(dim)
