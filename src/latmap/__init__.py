@@ -15,6 +15,7 @@ from .paths import PathSet, enumerate_paths, parse_paths, serialize_paths
 from .solver import (
     LatticeAssignment,
     generate_library,
+    lattice_table,
     parse_lattice,
     serialize_lattice,
     solve_lattice,
@@ -30,7 +31,7 @@ from .mapper import (
     map_function,
 )
 from .decompose import DecomposeOutcome, decompose_two, split_schedule
-from .synth import SynthesisPlan, expand_plan, split_long_terms, synthesize
+from .synth import SynthesisPlan, realizes, split_long_terms, synthesize
 
 __all__ = [
     "CONST_ONE",
@@ -50,6 +51,7 @@ __all__ = [
     "serialize_paths",
     "LatticeAssignment",
     "generate_library",
+    "lattice_table",
     "parse_lattice",
     "serialize_lattice",
     "solve_lattice",
@@ -65,7 +67,7 @@ __all__ = [
     "decompose_two",
     "split_schedule",
     "SynthesisPlan",
-    "expand_plan",
+    "realizes",
     "split_long_terms",
     "synthesize",
 ]

@@ -162,16 +162,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"{name}: {what}: " + " + ".join(codes.pretty_term(t) for t in pl.terms)
         )
     aux_lines = [
-        f"{aux.code} {len(aux.product)} "
-        + " ".join(str(c) for c in sorted(aux.product))
-        for aux in plan.aux_defs
+        f"{pl.aux_code} {len(pl.terms[0])} "
+        + " ".join(str(c) for c in sorted(pl.terms[0]))
+        for pl in plan.lattices
+        if pl.aux_code is not None
     ]
     (outdir / "aux.txt").write_text("\n".join(aux_lines) + "\n" if aux_lines else "")
     (outdir / "manifest.txt").write_text("\n".join(manifest) + "\n")
     n = len(plan.lattices)
     print(f"plan: {n} lattice{'' if n == 1 else 's'}", file=sys.stderr)
     if args.verify:
-        ok = codes.equivalent(synth.expand_plan(plan), f)
+        ok = synth.realizes(plan, f)
         print(f"verify: {'equivalent' if ok else 'NOT equivalent'}", file=sys.stderr)
         if not ok:
             return EXIT_NEGATIVE

@@ -1,8 +1,12 @@
-"""Lattice network solver and seeded function-library generation.
+"""Lattice network solver, lattice evaluator and seeded function libraries.
 
-A literal-assigned lattice evaluates to the exact, unminimized SOP: each
+A literal-assigned lattice solves to the exact, unminimized SOP: each
 basic path contributes the product of its cell literals, cancelled paths
 drop out and superset products are absorbed.
+
+Where only the lattice's function is needed, ``lattice_table`` evaluates it
+without paths: a bit-parallel flood fill of truth tables from the top row,
+at any grid size.  ``verify_witness`` compares that table with f's.
 
 The solve works on ``PathSet.cell_masks``.  One pass over the grid builds a
 mask of its constant-0 cells, a cell mask per distinct literal and the mask
@@ -16,6 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .codes import (
     CONST_ONE,
@@ -25,11 +31,13 @@ from .codes import (
     Sop,
     absorb,
     check_code,
-    equivalent,
+    function_mask,
     is_complement_code,
+    literal_masks,
+    table_variables,
     term_sort_key,
 )
-from .grid import LatticeDim
+from .grid import LatticeDim, build_children
 from .paths import PathSet, enumerate_paths, paths_for
 
 
@@ -75,8 +83,35 @@ def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
     return sorted(absorb(list(distinct)), key=term_sort_key)
 
 
+def lattice_table(lat: LatticeAssignment, masks: dict[int, int]) -> int:
+    """Truth table of the lattice's top-to-bottom connectivity, from the
+    ``literal_masks`` table of each cell's code.
+
+    Bit k of ``reach[cell]`` is set when, on row k of the tables, the cell is
+    on and joined to the top row through cells that are on.  Sweeps repeat
+    until no reach grows; the OR over the bottom row is the function.
+    """
+    dim = lat.dim
+    children = build_children(dim)
+    on = [masks[code] for code in lat.codes]
+    # a top-row cell reaches wherever it is on; the slot after the cells
+    # stands for the destination and stays 0
+    reach = on[: dim.cols] + [0] * (dim.cells - dim.cols + 1)
+    changed = True
+    while changed:
+        changed = False
+        for cell in range(dim.cols, dim.cells):
+            r = on[cell] & reduce(or_, [reach[n] for n in children[cell]])
+            if r != reach[cell]:
+                reach[cell], changed = r, True
+    return reduce(or_, reach[-dim.cols - 1 :])
+
+
 def verify_witness(lat: LatticeAssignment, f: Sop) -> bool:
-    return equivalent(solve_lattice(lat), f)
+    """Does the lattice realize f?  Compared on truth tables over the
+    variables of both, with no path enumeration."""
+    universe = table_variables(f, [frozenset(lat.codes) - {CONST_ZERO, CONST_ONE}])
+    return lattice_table(lat, literal_masks(universe)) == function_mask(f, universe)
 
 
 def literal_range(num_vars: int) -> list[int]:

@@ -10,6 +10,10 @@ second half), else halves the first half in turn; the rest is covered
 anew.  All mapper calls of one run share one memo keyed by the ordered term
 tuple, so no term list is mapped twice, and the time limit bounds the whole
 run: each call gets the time that remains.
+
+``realizes`` checks a plan by evaluating every lattice in plan order with
+``lattice_table``; an auxiliary lattice's table becomes the truth table of
+its code for the lattices after it.
 """
 
 from __future__ import annotations
@@ -17,13 +21,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .codes import AUX_MAX, AUX_MIN, Sop, Term, absorb, normalize_term
+from .codes import (
+    AUX_MAX,
+    AUX_MIN,
+    LETTER_MAX,
+    Sop,
+    Term,
+    function_mask,
+    is_complement_code,
+    literal_masks,
+    table_variables,
+)
 from .grid import LatticeDim
 from .mapper import INCONCLUSIVE, MappingSolution, MapResult, SearchBudget
 from .mapper import map_function  # noqa: F401  bench/tests checks the tracer rebinds it here
 from .decompose import DecomposeOutcome, DecompositionResult, decompose_two, map_once
 from .paths import PathSet, enumerate_paths, longest_path_len
-from .solver import LatticeAssignment, solve_lattice
+from .solver import LatticeAssignment, lattice_table
 
 
 @dataclass(frozen=True)
@@ -46,8 +60,7 @@ class PlanLattice:
 @dataclass(frozen=True)
 class SynthesisPlan:
     dim: LatticeDim
-    lattices: tuple[PlanLattice, ...]
-    aux_defs: tuple[AuxDefinition, ...]
+    lattices: tuple[PlanLattice, ...]  # auxiliary lattices first, in code order
 
 
 class SynthesisInconclusive(Exception):
@@ -180,30 +193,25 @@ def synthesize(
         lattices.extend(_cover(run, working))
     except SynthesisInconclusive:
         return None
-    return SynthesisPlan(dim, tuple(lattices), tuple(aux_defs))
+    return SynthesisPlan(dim, tuple(lattices))
 
 
-def expand_plan(plan: SynthesisPlan) -> Sop:
-    """Function realized by the plan: OR of the output lattices with every
-    auxiliary code substituted by its defining product (innermost last)."""
-    paths = enumerate_paths(plan.dim)
-    terms: Sop = []
+def realizes(plan: SynthesisPlan, f: Sop) -> bool:
+    """Does the plan compute f?  The output lattices' tables are ORed; an
+    auxiliary code that no earlier lattice defines, and that is no variable
+    of f, is a ValueError."""
+    letters = frozenset(c for pl in plan.lattices for c in pl.assignment.codes
+                        if c <= LETTER_MAX or is_complement_code(c))
+    universe = table_variables(f, [letters])
+    masks = literal_masks(universe)
+    out = 0
     for pl in plan.lattices:
-        if pl.aux_code is not None:
-            continue  # feeds an aux signal, not the output sum
-        terms.extend(solve_lattice(pl.assignment, paths))
-    for aux in reversed(plan.aux_defs):
-        expanded: Sop = []
-        for t in terms:
-            if aux.code in t:
-                t = (t - {aux.code}) | aux.product
-            expanded.append(frozenset(t))
-        terms = expanded
-    # later products may hold earlier codes, never the reverse, so a code
-    # still present has no definition
-    for t in terms:
-        for c in t:
-            if AUX_MIN <= c <= AUX_MAX:
-                raise ValueError(f"dangling auxiliary code {c}")
-    normalized = [normalize_term(t) for t in terms]
-    return absorb([t for t in normalized if t is not None])
+        dangling = set(pl.assignment.codes) - masks.keys()
+        if dangling:
+            raise ValueError(f"dangling auxiliary code {min(dangling)}")
+        table = lattice_table(pl.assignment, masks)
+        if pl.aux_code is None:
+            out |= table
+        else:
+            masks[pl.aux_code] = table
+    return out == function_mask(f, universe)

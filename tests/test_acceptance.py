@@ -31,7 +31,7 @@ from latmap.solver import (
     solve_lattice,
     verify_witness,
 )
-from latmap.synth import expand_plan, synthesize
+from latmap.synth import realizes, synthesize
 
 from lattice_goldens import (
     DECOMP_EVEN8,
@@ -270,12 +270,12 @@ def test_criterion_08_synthesizer_three_lattice_plans():
     plan = synthesize(SYNTH_Q, DIM3)
     assert plan is not None
     assert len(plan.lattices) == 3
-    assert equivalent(expand_plan(plan), SYNTH_Q)
+    assert realizes(plan, SYNTH_Q)
 
     plan = synthesize(SYNTH_EIGHT, DIM3)
     assert plan is not None
     assert len(plan.lattices) == 3
-    assert equivalent(expand_plan(plan), SYNTH_EIGHT)
+    assert realizes(plan, SYNTH_EIGHT)
 
 
 def test_criterion_09_structural_fuzz_1000_random_lattices():

@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import latmap.synth
 from latmap.cli import main
 from latmap.codes import serialize_function
+from latmap.grid import LatticeDim
 from latmap.mapper import SearchBudget
 
-from lattice_goldens import DECOMP_EVEN8, MAP_EX1
+from lattice_goldens import DECOMP_EVEN8, MAP_EX1, SYNTH_Q
+from test_synth import zeroed_aux_lattices
 
 
 def run(capsys, *argv):
@@ -343,6 +346,21 @@ def test_synth_plan_and_verify(tmp_path, capsys):
     assert (outdir / "manifest.txt").exists()
 
 
+def test_synth_verify_reads_aux_lattices(tmp_path, capsys, monkeypatch):
+    """--verify evaluates the auxiliary lattice too: with its cells all 0,
+    the plan's unchanged output lattices no longer compute SYNTH_Q."""
+    plan = zeroed_aux_lattices(latmap.synth.synthesize(SYNTH_Q, LatticeDim(3, 3)))
+    monkeypatch.setattr(latmap.synth, "synthesize", lambda *args: plan)
+    fn = tmp_path / "q.fn"
+    fn.write_text(serialize_function(SYNTH_Q))
+    outdir = tmp_path / "plan"
+    code, _, err = run(capsys, "synth", str(fn), "--dim", "3", "3",
+                       "--outdir", str(outdir), "--verify")
+    assert code == 1
+    assert "verify: NOT equivalent" in err
+    assert (outdir / "lattice1.lat").read_text() == "3 3\n" + "100 100 100\n" * 3
+
+
 def test_synth_on_one_row_lattices(tmp_path, capsys):
     """a + b fits the one path of 1x2; a 2-literal term fits no path of a
     one-row lattice and needs a chunk that shortens nothing."""
@@ -368,6 +386,21 @@ def test_verify_negative(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(lat), str(fn))
     assert code == 1
     assert out.strip() == "NOT equivalent"
+
+
+def test_verify_beyond_the_path_guard(tmp_path, capsys):
+    """verify enumerates no paths, so a 9x9 grid, beyond the 8x8 guard of
+    path enumeration that solve keeps, checks like any other."""
+    lat = tmp_path / "g.lat"
+    lat.write_text("9 9\n" + "0 100 100 100 100 100 100 100 100\n" * 9)
+    fn = tmp_path / "a.fn"
+    fn.write_text("1\n1 0\n")
+    code, out, _ = run(capsys, "verify", str(lat), str(fn))
+    assert code == 0
+    assert out.strip() == "equivalent"
+    code, out, err = run(capsys, "solve", str(lat))
+    assert code == 64
+    assert out == "" and "exceeds the 8 guard" in err
 
 
 def test_verify_beyond_oracle_bound_is_usage_error(tmp_path, capsys):

@@ -3,12 +3,21 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latmap.codes import absorb, normalize_term, serialize_function, term_sort_key
+from latmap.codes import (
+    absorb,
+    function_mask,
+    literal_masks,
+    normalize_term,
+    serialize_function,
+    term_sort_key,
+    variables,
+)
 from latmap.grid import LatticeDim
 from latmap.paths import enumerate_paths
 from latmap.solver import (
     LatticeAssignment,
     generate_library,
+    lattice_table,
     literal_range,
     parse_lattice,
     serialize_lattice,
@@ -106,6 +115,8 @@ def test_solve_matches_per_path_definition_and_flood_fill(lat):
     fn = solve_lattice(lat, paths)
     assert fn == _solve_by_paths(lat, paths)
     assert _realizes(lat.dim.rows, lat.codes, fn)
+    universe = sorted(variables([frozenset(lat.codes) - {100, 101}]))
+    assert lattice_table(lat, literal_masks(universe)) == function_mask(fn, universe)
 
 
 @pytest.mark.parametrize("name,rows,codes,fn", WITNESSES[:5])

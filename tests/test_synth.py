@@ -1,20 +1,21 @@
+import dataclasses
 import time
 
 import pytest
 
 import latmap.decompose
 import latmap.synth
-from latmap.codes import equivalent
 from latmap.grid import LatticeDim
 from latmap.mapper import SearchBudget
-from latmap.paths import enumerate_paths
+from latmap.paths import enumerate_paths, longest_path_len
+from latmap.solver import LatticeAssignment
 from latmap.synth import (
     AuxDefinition,
     PlanLattice,
     SynthesisInconclusive,
     SynthesisPlan,
     _Run,
-    expand_plan,
+    realizes,
     split_long_terms,
     synthesize,
 )
@@ -71,6 +72,20 @@ def _synthesize_counting_maps(fn, dim):
     return plan, calls
 
 
+def _aux_lattices(plan):
+    return [pl for pl in plan.lattices if pl.aux_code is not None]
+
+
+def zeroed_aux_lattices(plan):
+    """The plan with every auxiliary lattice's cells set to constant 0."""
+    return dataclasses.replace(plan, lattices=tuple(
+        dataclasses.replace(pl, assignment=LatticeAssignment(
+            plan.dim, (100,) * plan.dim.cells))
+        if pl.aux_code is not None else pl
+        for pl in plan.lattices
+    ))
+
+
 @pytest.fixture(scope="module")
 def synth_eight_3x3():
     return _synthesize_counting_maps(SYNTH_EIGHT, DIM3)
@@ -118,7 +133,7 @@ def test_split_long_terms_rejects_a_bound_below_two(lb):
 def test_synth_on_one_row():
     """A 1x2 lattice has one path, of two cells: a + b needs no split."""
     plan = synthesize(f({0}, {1}), LatticeDim(1, 2))
-    assert plan.aux_defs == ()
+    assert _aux_lattices(plan) == []
     assert [pl.assignment.codes for pl in plan.lattices] == [(0, 1)]
 
 
@@ -143,18 +158,19 @@ def test_synthesize_trivial_single_lattice():
     plan = synthesize(fn, DIM3)
     assert isinstance(plan, SynthesisPlan)
     assert len(plan.lattices) == 1
-    assert plan.aux_defs == ()
-    assert equivalent(expand_plan(plan), fn)
+    assert _aux_lattices(plan) == []
+    assert realizes(plan, fn)
 
 
 def test_synthesize_long_term_uses_aux():
     plan = synthesize(SYNTH_Q, DIM3)
     assert plan is not None
-    assert len(plan.aux_defs) == 1
-    aux_lattices = [p for p in plan.lattices if p.aux_code is not None]
-    assert len(aux_lattices) == 1
-    assert aux_lattices[0].terms == (plan.aux_defs[0].product,)
-    assert equivalent(expand_plan(plan), SYNTH_Q)
+    _, defs = split_long_terms(SYNTH_Q, longest_path_len(enumerate_paths(DIM3)))
+    assert len(defs) == 1
+    aux = [(pl.aux_code, pl.terms) for pl in _aux_lattices(plan)]
+    assert aux == [(defs[0].code, (defs[0].product,))]
+    assert plan.lattices[0].aux_code == defs[0].code  # defined before its use
+    assert realizes(plan, SYNTH_Q)
 
 
 def test_synthesize_inconclusive_returns_none():
@@ -163,35 +179,43 @@ def test_synthesize_inconclusive_returns_none():
     assert synthesize(hard, DIM3, SearchBudget(time_limit=0.01)) is None
 
 
-def test_expand_plan_substitutes_aux_products():
+def test_realizes_reads_aux_lattices():
+    """A plan whose auxiliary lattice conducts nowhere computes another
+    function, though its output lattices are unchanged."""
     plan = synthesize(SYNTH_Q, DIM3)
-    expanded = expand_plan(plan)
-    for t in expanded:
-        assert all(not 26 <= c <= 99 for c in t)
+    assert realizes(plan, SYNTH_Q)
+    assert not realizes(zeroed_aux_lattices(plan), SYNTH_Q)
 
 
-def test_expand_plan_rejects_dangling_aux():
-    from latmap.solver import LatticeAssignment
-
+def test_realizes_rejects_dangling_aux():
     lat = LatticeAssignment(LatticeDim(2, 2), (26, 100, 0, 100))
     # a lattice that references aux code 26 with no definition
     plan = SynthesisPlan(
         LatticeDim(2, 2),
         (PlanLattice(lat, (frozenset({26, 0}),)),),
-        (),
     )
-    with pytest.raises(ValueError):
-        expand_plan(plan)
+    with pytest.raises(ValueError, match="dangling auxiliary code 26"):
+        realizes(plan, f({0}))
+
+
+def test_realizes_takes_aux_codes_of_f_as_inputs():
+    """Code 26 in f is an input, so the plan's own aux variable is 27."""
+    fn = f({26, 0}, set(range(7)))
+    plan = synthesize(fn, DIM3)
+    assert [pl.aux_code for pl in _aux_lattices(plan)] == [27]
+    assert realizes(plan, fn)
+    assert not realizes(plan, f({26, 0}))
 
 
 def test_synthesize_empty_function():
     plan = synthesize([], DIM3)
-    assert plan == SynthesisPlan(DIM3, (), ())
+    assert plan == SynthesisPlan(DIM3, ())
+    assert realizes(plan, [])
 
 
 def test_synth_eight_plan_pinned(synth_eight_3x3):
     plan, _ = synth_eight_3x3
-    assert plan.aux_defs == ()
+    assert _aux_lattices(plan) == []
     got = [(pl.assignment.codes, list(pl.terms), pl.aux_code) for pl in plan.lattices]
     assert got == [(codes, terms, None) for codes, terms in SYNTH_EIGHT_PLAN_3X3]
 
@@ -202,10 +226,10 @@ def test_synth_eight_plan_pinned(synth_eight_3x3):
 ])
 def test_halving_plans_pinned(fn, want):
     plan = synthesize(fn, DIM2)
-    assert plan.aux_defs == ()
+    assert _aux_lattices(plan) == []
     got = [(pl.assignment.codes, list(pl.terms), pl.aux_code) for pl in plan.lattices]
     assert got == [(codes, terms, None) for codes, terms in want]
-    assert equivalent(expand_plan(plan), fn)
+    assert realizes(plan, fn)
 
 
 def test_no_mapping_asked_twice(synth_eight_3x3):
@@ -223,7 +247,7 @@ def test_time_limit_bounds_the_whole_run():
     start = time.monotonic()
     plan = synthesize(SYNTH_EIGHT, DIM3, SearchBudget(time_limit=0.2))
     assert time.monotonic() - start < 1.0
-    assert plan is None or equivalent(expand_plan(plan), SYNTH_EIGHT)
+    assert plan is None or realizes(plan, SYNTH_EIGHT)
 
 
 def test_run_with_no_time_left_maps_nothing():

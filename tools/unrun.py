@@ -9,9 +9,10 @@ reached, one per line as ``file:line: source``.  A line is executable when
 some code object compiled from its file has an instruction on it.
 
 It reports lines, not test results.  The suite's own summary is printed
-first, but under a trace function the tests run several times slower (about
-2 minutes against 20 s on a 2-core VM), so a test that bounds wall time or
-inspects frames or garbage may not pass as it does in a plain run.  Standard
+first, but under a trace function the tests run several times slower (63–71 s
+against 17–19 s plain on a 2-core VM, Python 3.11), so a test that bounds
+wall time or inspects frames or garbage may not pass as it does in a plain
+run.  Standard
 library only; ``coverage`` does the same with more care, where it is
 installed.
 """
