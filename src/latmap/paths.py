@@ -18,25 +18,30 @@ alive until a cyclic collection.
 A brute-force variant (generate all simple paths, then delete supersets)
 serves as the oracle for small dimensions.
 
+The walk's tables (``kids``, ``near``, ``ends``) are built once per
+dimension by ``walk_tables``, which also holds the ``MAX_DIM`` guard; the
+solver walks the same tables to list a grid's products without enumerating
+paths.
 A ``PathSet`` holds every irredundant path of its dimension (a path file
 is checked against the enumeration) and owns the tables derived from them,
 each built at its first use and then kept: ``cell_masks`` (each path as an
-int with bit ``c`` set for every cell ``c`` on it), which the solver reads,
-and ``through`` (the paths on each cell) and ``mirrors``, which the mapper
-reads.
+int with bit ``c`` set for every cell ``c`` on it), ``through`` (the paths
+on each cell) and ``mirrors``.  The mapper reads them, and ``parse_paths``
+compares a file with ``cell_masks``; the solver reads no path set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .grid import MAX_DIM, SRC, LatticeDim, build_children
 
 
 @dataclass(frozen=True)
 class PathSet:
-    """Every irredundant path of ``dim``, each as its cells in order."""
+    """Every irredundant path of ``dim``, each as its cells in order, and
+    the mapper's tables of them."""
 
     dim: LatticeDim
     paths: tuple[tuple[int, ...], ...]
@@ -91,9 +96,9 @@ def _extend(
     node: int,
     path: list[int],
     forbid: int,
-    kids: list[tuple[int, ...]],
-    near: list[int],
-    ends: list[bool],
+    kids: tuple[tuple[int, ...], ...],
+    near: tuple[int, ...],
+    ends: tuple[bool, ...],
     out: list[tuple[int, ...]],
 ) -> None:
     """Record every irredundant extension of ``path``, whose last node is
@@ -110,15 +115,28 @@ def _extend(
         path.pop()
 
 
-def enumerate_paths(dim: LatticeDim) -> PathSet:
-    """All irredundant paths, pruned during generation, in canonical order."""
+@cache
+def walk_tables(dim: LatticeDim) -> tuple[
+    tuple[tuple[int, ...], ...], tuple[int, ...], tuple[bool, ...]
+]:
+    """``(kids, near, ends)`` of the path walk on ``dim``, built once per
+    dimension: each cell's children among the cells, the mask of the cell
+    and those children, and whether the destination is a child.  Raises
+    ValueError beyond the ``MAX_DIM`` guard, which bounds every walk."""
     if dim.rows > MAX_DIM or dim.cols > MAX_DIM:
         raise ValueError(f"dimension {dim.rows}x{dim.cols} exceeds the {MAX_DIM} guard")
     children = build_children(dim)
+    n = dim.cells
+    kids = tuple(tuple(y for y in children[x] if 0 <= y < n) for x in range(n))
+    near = tuple(sum(1 << y for y in (x,) + kids[x]) for x in range(n))
+    ends = tuple(dim.dst in children[x] for x in range(n))
+    return kids, near, ends
+
+
+def enumerate_paths(dim: LatticeDim) -> PathSet:
+    """All irredundant paths, pruned during generation, in canonical order."""
+    kids, near, ends = walk_tables(dim)
     n, cols = dim.cells, dim.cols
-    kids = [tuple(y for y in children[x] if 0 <= y < n) for x in range(n)]
-    near = [sum(1 << y for y in (x,) + kids[x]) for x in range(n)]
-    ends = [dim.dst in children[x] for x in range(n)]
     top = (1 << cols) - 1  # the source's children
     flip = [x - x % cols + cols - 1 - x % cols for x in range(n)]
     out: list[tuple[int, ...]] = []

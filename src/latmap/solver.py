@@ -8,17 +8,24 @@ Where only the lattice's function is needed, ``lattice_table`` evaluates it
 without paths: a bit-parallel flood fill of truth tables from the top row,
 at any grid size.  ``verify_witness`` compares that table with f's.
 
-The solve works on ``PathSet.cell_masks``.  One pass over the grid builds a
-mask of its constant-0 cells, a cell mask per distinct literal and the mask
-pairs of each variable whose two polarities both occur.  A path that meets a
-0 cell, or both cell masks of a pair, is cancelled; any other contributes
-the literals whose masks it meets.  Equal products are collapsed in a set
-before absorption, so the answer does not depend on the path order.
+The solve walks the grid's own paths: the depth-first walk of
+``paths._extend`` on the same ``walk_tables``, carrying the path's literals
+as an int with one bit per distinct literal of the grid.  A branch is cut
+at a 0 cell (its bit is in the initial ``forbid``), at a literal whose
+complement is already in the set (x x'), and wherever the set contains a
+product already found, tested at every step.  Every path below a cut is
+cancelled or absorbed, so no minimal product is lost.  A new product drops
+the kept ones that contain it, so the kept products stay an antichain and
+end as exactly the minimal ones: the per-path definition's listing,
+whatever the walk order.  Each step scans the kept products, so a grid
+whose every path has its own product solves slower than a pass over a
+given path set did.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -29,16 +36,14 @@ from .codes import (
     COMPLEMENT_BASE,
     LETTER_MAX,
     Sop,
-    absorb,
     check_code,
     function_mask,
-    is_complement_code,
     literal_masks,
     table_variables,
     term_sort_key,
 )
 from .grid import LatticeDim, build_children
-from .paths import PathSet, enumerate_paths, paths_for
+from .paths import PathSet, paths_for, walk_tables
 
 
 @dataclass(frozen=True)
@@ -55,32 +60,63 @@ class LatticeAssignment:
             check_code(c)
 
 
+def _grow(
+    ys: Iterable[int],
+    lits: int,
+    forbid: int,
+    inner: int,
+    kids: tuple[tuple[int, ...], ...],
+    near: tuple[int, ...],
+    ends: tuple[bool, ...],
+    bit: list[int],
+    clash: list[int],
+    found: list[int],
+) -> None:
+    """Extend a partial path, whose literal set is ``lits``, by each cell
+    ``y`` of ``ys`` whose bit ``forbid`` lacks, and add to ``found`` the
+    literal set of every complete path so reached that is neither cancelled
+    nor absorbed by a product already there, dropping the products it
+    absorbs.  ``inner`` is what the cell after ``y`` must avoid, apart from
+    ``y`` and its children."""
+    for y in ys:
+        if forbid >> y & 1 or lits & clash[y]:
+            continue
+        ly = lits | bit[y]
+        for p in found:
+            if ly & p == p:
+                break
+        else:
+            if ends[y]:  # a path that goes on from y is no irredundant path
+                found[:] = [p for p in found if p & ly != ly]
+                found.append(ly)
+            else:
+                _grow(kids[y], ly, inner, inner | near[y], kids, near, ends, bit, clash, found)
+
+
 def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
-    """Exact SOP of the lattice, in canonical (size, codes) order."""
-    paths = paths_for(lat.dim, paths)
+    """Exact SOP of the lattice, in canonical (size, codes) order.
+
+    The solve walks the grid and does not read ``paths``; a path set of
+    another dimension is still a ValueError."""
+    if paths is not None:
+        paths_for(lat.dim, paths)
+    kids, near, ends = walk_tables(lat.dim)
+    bit_of: dict[int, int] = {}
     zero = 0
-    cells_of: dict[int, int] = {}
     for cell, code in enumerate(lat.codes):
         if code == CONST_ZERO:
             zero |= 1 << cell
-        elif code != CONST_ONE:
-            cells_of[code] = cells_of.get(code, 0) | 1 << cell
-    clashes = [
-        (m, cells_of[COMPLEMENT_BASE - code])
-        for code, m in cells_of.items()
-        if is_complement_code(code) and COMPLEMENT_BASE - code in cells_of
-    ]
-    literals = list(cells_of.items())
-    distinct: set[frozenset[int]] = set()
-    for pm in paths.cell_masks:
-        if pm & zero:
-            continue
-        for a, b in clashes:
-            if pm & a and pm & b:
-                break
-        else:
-            distinct.add(frozenset([code for code, m in literals if pm & m]))
-    return sorted(absorb(list(distinct)), key=term_sort_key)
+        elif code != CONST_ONE and code not in bit_of:
+            bit_of[code] = 1 << len(bit_of)
+    bit = [bit_of.get(code, 0) for code in lat.codes]
+    # only a letter and its complement are both codes, so the bit of
+    # COMPLEMENT_BASE - code is 0 for an auxiliary variable and a constant
+    clash = [bit_of.get(COMPLEMENT_BASE - code, 0) for code in lat.codes]
+    found: list[int] = []
+    top = (1 << lat.dim.cols) - 1  # the source's children
+    _grow(range(lat.dim.cols), 0, zero, zero | top, kids, near, ends, bit, clash, found)
+    terms = [frozenset([c for c, b in bit_of.items() if m & b]) for m in found]
+    return sorted(terms, key=term_sort_key)
 
 
 def lattice_table(lat: LatticeAssignment, masks: dict[int, int]) -> int:
@@ -143,13 +179,12 @@ def generate_library(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     choices = literal_range(num_vars)
-    paths = enumerate_paths(dim)
     out = []
     for trial in range(trials):
         rng = random.Random(seed + trial)
         codes = tuple(rng.choice(choices) for _ in range(dim.cells))
         lat = LatticeAssignment(dim, codes)
-        out.append(LibraryEntry(lat, solve_lattice(lat, paths), trial, seed + trial))
+        out.append(LibraryEntry(lat, solve_lattice(lat), trial, seed + trial))
     return out
 
 

@@ -1,4 +1,5 @@
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from latmap.codes import (
     term_sort_key,
     variables,
 )
+from latmap import paths as paths_module
 from latmap.grid import LatticeDim
 from latmap.paths import enumerate_paths
 from latmap.solver import (
@@ -117,6 +119,37 @@ def test_solve_matches_per_path_definition_and_flood_fill(lat):
     assert _realizes(lat.dim.rows, lat.codes, fn)
     universe = sorted(variables([frozenset(lat.codes) - {100, 101}]))
     assert lattice_table(lat, literal_masks(universe)) == function_mask(fn, universe)
+
+
+def _degenerate(kind, n):
+    """All 1; three letters and 1; twelve letters: on these grids many
+    paths share a product, so cutting absorbed branches does most of the
+    work."""
+    rng = random.Random(n)
+    if kind == "one":
+        return (101,) * n
+    if kind == "three":
+        return tuple(rng.choice((0, 1, 2, 101)) for _ in range(n))
+    return tuple(rng.choice(range(12)) for _ in range(n))
+
+
+@pytest.mark.parametrize("kind", ["one", "three", "twelve"])
+@pytest.mark.parametrize("side", [6, 7])
+def test_solve_degenerate_grids_match_per_path_definition(kind, side):
+    dim = LatticeDim(side, side)
+    lat = LatticeAssignment(dim, _degenerate(kind, dim.cells))
+    assert solve_lattice(lat) == _solve_by_paths(lat, enumerate_paths(dim))
+
+
+def test_solve_and_library_enumerate_no_paths(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("paths enumerated")
+
+    monkeypatch.setattr(paths_module, "enumerate_paths", refuse)
+    monkeypatch.setattr(paths_module, "_extend", refuse)
+    lat = LatticeAssignment(LatticeDim(3, 3), GRID_AB_C)
+    assert solve_lattice(lat) == GRID_AB_C_SOLVE
+    assert len(generate_library(LatticeDim(4, 4), 5, 3, 1)) == 3
 
 
 @pytest.mark.parametrize("name,rows,codes,fn", WITNESSES[:5])

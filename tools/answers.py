@@ -7,6 +7,10 @@ In order, the lines are:
 
 - each dimension r x c with r <= 7 and c <= 8: its path count and the
   sha256 of ``serialize_paths(enumerate_paths(r x c))``;
+- each ``solve_lattice`` run of the benchmark's ``forward`` workload for
+  seeds 1 to 3, then each degenerate grid on 6x6 and 7x7 (all 1, three
+  letters and 1, twelve letters): its dimension and the sha256 of
+  ``serialize_function`` of the listing;
 - each negative of ``bench/data/pools.json``, mapped on 3x3 (its id indexes
   ``bench/goldens.STUDY8``);
 - each kept entry of the ``solved`` library pools, mapped on its pool's
@@ -25,6 +29,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -33,12 +38,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402  (bench/, on the path above)
+import latmap  # noqa: E402
 from latmap import (  # noqa: E402
     LatticeDim,
     cli,
     enumerate_paths,
+    LatticeAssignment,
     generate_library,
+    serialize_function,
     serialize_paths,
+    solve_lattice,
 )
 from latmap.mapper import map_function  # noqa: E402
 
@@ -83,10 +92,38 @@ def _paths_line(dim: LatticeDim) -> str:
     })
 
 
+def _solve_line(input_id: str, dim: LatticeDim, terms) -> str:
+    return json.dumps({
+        "id": input_id,
+        "dim": f"{dim.rows}x{dim.cols}",
+        "sha256": _sha(serialize_function(terms)),
+    })
+
+
+def _degenerate_grids():
+    for side in (6, 7):
+        n = side * side
+        rng = random.Random(n)
+        yield side, "one", (101,) * n
+        yield side, "three", tuple(rng.choice((0, 1, 2, 101)) for _ in range(n))
+        yield side, "twelve", tuple(rng.choice(range(12)) for _ in range(n))
+
+
 def main() -> None:
     for r in range(1, 8):
         for c in range(1, 9):
             print(_paths_line(LatticeDim(r, c)))
+    for seed in (1, 2, 3):
+        inputs = sorted(workloads.forward(latmap, seed), key=lambda inp: inp.stage)
+        for inp in inputs:
+            out = inp.run()  # the enumerations run first: the solves read them
+            if inp.id.startswith("solve/"):
+                dim = LatticeDim(*map(int, inp.id.split("/")[1].split("x")))
+                print(_solve_line(f"forward/s{seed}/{inp.id}", dim, out))
+    for side, kind, codes in _degenerate_grids():
+        dim = LatticeDim(side, side)
+        terms = solve_lattice(LatticeAssignment(dim, codes))
+        print(_solve_line(f"solve/{kind}/{side}x{side}", dim, terms))
     pools = workloads.load_pools()
     dim = LatticeDim(3, 3)
     paths = enumerate_paths(dim)
