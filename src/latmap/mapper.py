@@ -36,31 +36,31 @@ would lie under an earlier sibling, whose subtree is searched in full first.
 
 A node keeps the grid, the set of unset cells, each path's bound (the AND
 of its fixed cells' truth-table masks) and the term housed on each path, if
-any.  A placement also writes its term as the owner of each cell it fixes,
-and no undo clears it: an owner is read only for a cell that holds a literal
-in the finished grid, and the placement that wrote that literal wrote its
-owner too.  The rest is worked out at the leaf: a term is hiding when no
-path houses it, and the points of interest read cancellation and absorption
-off the path bounds, which are the paths' product masks once every cell is
+any.  The rest is worked out at the leaf: a term is hiding when no path
+houses it, a literal cell was written by the first term, in order, whose
+path holds it (terms are placed in order, and a cell is written only while
+it is free), and the points of interest read cancellation and absorption off
+the path bounds, which are the paths' product masks once every cell is
 fixed.  A term skips a path whose bound does not contain the term's mask (a
 fixed cell holds a literal the term lacks); the paths that pass are scanned
 for their free cells.
 
-Each arrangement is tested before it opens a node, in one of two ways
-picked by how many arrangements the (term, path) pair has
-(``arrangement_count``).  A narrow pair, with at most ``WALK_FROM`` (100),
-probes each: the probe ANDs the arrangement's option masks into a copy of
-the node's path bounds, and rejects the arrangement when a path it completes
-is a live escape (a nonzero bound inside no term's mask) or when the new
-bounds, ORed, no longer cover the function.  Which paths a placement
-completes depends only on the node and the path, so they are listed once for
-all its arrangements.  An arrangement that passes must then pass the reach
-bound, unless its node is a leaf of the last term, where ``_finish`` is
-exact.  An arrangement that passes opens a node: its cells are written to
-the grid and the copy becomes the bounds.  A node never writes its own
-bounds, so undo is putting them back and clearing the cells.  So a node's
-placements always cover the function, and a deferral, which keeps its
-parent's state, needs no test of its own.
+One loop places every (term, path) pair: it takes the arrangements that
+pass from one of two sources, picked by how many arrangements the pair has
+(``arrangement_count``), skips those whose mirror image comes earlier and
+opens a node for each other; it returns at a solution or when time runs
+out.  A narrow pair, with at most ``WALK_FROM`` (100), is probed: each
+arrangement's option masks are ANDed into a copy of the node's path bounds,
+and it fails when a path it completes is a live escape (a nonzero bound
+inside no term's mask), when the new bounds, ORed, no longer cover the
+function, or, unless its node is a leaf of the last term, where ``_finish``
+is exact, when the reach bound fails.  Which paths a placement completes
+depends only on the node and the path, so they are listed once for all its
+arrangements.  A wide pair is walked (below).  An opened node's cells are
+written to the grid and the copy becomes its bounds.  A node never writes
+its own bounds, so undo is putting them back and clearing the cells.  So a
+node's placements always cover the function, and a deferral, which keeps
+its parent's state, needs no test of its own.
 
 The reach bound: at an accepted leaf every nonzero path product lies inside
 one term's mask (live escapes are rejected, and ``_finish`` sets the paths
@@ -96,7 +96,7 @@ arrangements, these lie above 100: none of the 5,268 pairs of the
 benchmark's solved library maps on 3x3 (none holds more than 60), 0.5 % with
 10 % on 3x4, 8.4 % with 72 % over the pool negatives on 3x3, and 19 % with
 82 % when synthesizing SYNTH_EIGHT on 3x3.  Walking every pair made the
-solved maps 1.6 times slower in median; at 100 the benchmark's map-solved
+benchmark's solved maps 1.7 times slower in median; at 100 its map-solved
 times stay within run-to-run noise (``BENCH_18.json``).
 
 Only subtrees without a solution are cut, so the answers and the first
@@ -111,16 +111,16 @@ shorter limit ends the search at its first check.
 An arrangement is a tuple of ranks into the term's options, its sorted
 literals and then constant 1.  The arrangements over a path's free cells
 depend only on the number of options, the number of free cells and the ranks
-still needed, so terms of equal length share them.  ``arrangements`` builds
-them from ``itertools`` in lexicographic order: a product when no rank is
-needed, the permutations of the needed ranks when every free cell is
-needed, and otherwise each first rank followed by the arrangements of the
-remaining cells.  Its lists are one table shared by every search of the
-process.  Only narrow pairs read it, and the key of a remaining-cells list
-has no more arrangements than the key that asked for it, so each list holds
-at most ``WALK_FROM`` arrangements; after every benchmark input the table
-holds 87 lists, about 0.09 MB.  That order is the one the search has always
-used, so answers are unchanged.
+still needed (bit r for rank r), so terms of equal length share them.
+``arrangements`` builds them from ``itertools`` in lexicographic order: a
+product when no rank is needed, the permutations of the needed ranks when
+every free cell is needed, and otherwise each first rank followed by the
+arrangements of the remaining cells.  Its lists are one table shared by
+every search of the process.  Only narrow pairs read it, and the key of a
+remaining-cells list has no more arrangements than the key that asked for
+it, so each list holds at most ``WALK_FROM`` arrangements; after every
+benchmark input the table holds 87 lists, about 0.09 MB.  That order is the
+one the search has always used, so answers are unchanged.
 """
 
 from __future__ import annotations
@@ -149,8 +149,6 @@ from .solver import LatticeAssignment
 
 # a grid mirror as (cell map, path map), see ``PathSet.mirrors``
 Mirror = tuple[tuple[int, ...], tuple[int, ...]]
-# the paths a walk updates at one free cell, see ``_Search._steps``
-Step = tuple[list[int], list[tuple[int, int]], list[int]]
 
 # a (term, path) pair with more arrangements than this is walked one cell at
 # a time; the others are probed one arrangement at a time
@@ -257,8 +255,6 @@ class _Search:
         self.cell_masks = paths.cell_masks
 
         self.grid: list[Optional[int]] = [None] * self.dim.cells
-        # the term whose placement last wrote each cell, never undone
-        self.owner = [0] * self.dim.cells
         # the cells not yet fixed, bit c for cell c
         self.unset = (1 << self.dim.cells) - 1
         # upper bound on each path's contribution: AND of fixed literal masks
@@ -272,53 +268,7 @@ class _Search:
         # each path's reach at this node, listed when a wide pair needs it
         self.path_reach: Optional[list[int]] = None
 
-    # -- probing --------------------------------------------------------
-
-    def _completed(self, pi: int, unset: int) -> list[int]:
-        """The paths other than ``pi`` that a placement on its free cells
-        completes: they hold one of the cells, which are unset now, and none
-        of ``unset``, the cells left unset after the placement."""
-        placed = self.unset & ~unset
-        return [
-            pj
-            for pj, cells in enumerate(self.cell_masks)
-            if cells & placed and not cells & unset and pj != pi
-        ]
-
-    def _probe(
-        self,
-        free: list[int],
-        ranks: tuple[int, ...],
-        option_masks: tuple[int, ...],
-        done: list[int],
-    ) -> Optional[list[int]]:
-        """The path bounds after fixing each free cell to its ranked option,
-        in a new list; None when the placement is dead.
-
-        It is dead when a path it completes (``done``) is a live escape, or
-        when the bounds no longer cover the function.  A completed path
-        must be neutralized: its product mask is 0 (a 0 cell or an xx'
-        pair) or lies inside a term's mask.  Nothing fixed later changes
-        that, nor makes a bound larger."""
-        bounds = self.path_ub[:]
-        through = self.through
-        for cell, rank in zip(free, ranks):
-            m = option_masks[rank]
-            for pj in through[cell]:
-                bounds[pj] &= m
-        for pj in done:  # ``_escapes``, inlined: it is the hot loop of a probe
-            ub = bounds[pj]
-            if ub:
-                if ub & self.f_outside:
-                    return None
-                for outside in self.term_outside:
-                    if not ub & outside:
-                        break
-                else:
-                    return None
-        if self.f_mask & ~functools.reduce(operator.or_, bounds, 0):
-            return None
-        return bounds
+    # -- bounds ----------------------------------------------------------
 
     def _escapes(self, ub: int) -> bool:
         """Whether a completed path with product mask ``ub`` is a live
@@ -370,11 +320,12 @@ class _Search:
 
     def _placements(
         self, term_idx: int, path: tuple[int, ...]
-    ) -> Optional[tuple[list[int], tuple[int, int, frozenset[int]]]]:
+    ) -> Optional[tuple[list[int], tuple[int, int, int]]]:
         """The path's free cells and the key of the rank arrangements over
         them; None when fewer cells are free than literals needed."""
         rank = self.rank[term_idx]
-        provided: set[int] = set()
+        # the last rank is the constant-1 filler, never needed
+        need = (1 << len(rank) - 1) - 1
         free: list[int] = []
         for cell in path:
             v = self.grid[cell]
@@ -383,20 +334,82 @@ class _Search:
             else:
                 # ``_try_terms`` skipped the path unless the term's mask lies
                 # in its bound, so a fixed cell holds 1 or one of its literals
-                provided.add(rank[v])
-        # the last rank is the constant-1 filler, never needed
-        need = frozenset(range(len(rank) - 1)).difference(provided)
-        if len(need) > len(free):
+                need &= ~(1 << rank[v])
+        if need.bit_count() > len(free):
             return None
         return free, (len(rank), len(free), need)
 
-    def _steps(self, pi: int, free: list[int]) -> list[Step]:
-        """For each free cell in order, once it and the cells before it are
+    def _probes(
+        self, ti: int, pi: int, free: list[int], key: tuple[int, int, int], unset: int
+    ) -> Iterator[tuple[tuple[int, ...], list[int], None]]:
+        """``(ranks, bounds, None)`` for each arrangement of
+        ``arrangements(key)`` that passes its probe, in order: ``bounds``
+        are the path bounds once each free cell holds its ranked option.  A
+        completed path must be neutralized: its product mask is 0 (a 0 cell
+        or an xx' pair) or lies inside a term's mask, and nothing fixed
+        later changes that, nor makes a bound larger.  The paths other than
+        ``pi`` a placement completes hold a free cell and none of ``unset``,
+        the cells left unset after it.  The probes end when time runs out."""
+        path_ub = self.path_ub
+        placed = self.unset & ~unset
+        done = [
+            pj
+            for pj, cells in enumerate(self.cell_masks)
+            if cells & placed and not cells & unset and pj != pi
+        ]
+        option_masks = self.option_masks[ti]
+        through = self.through
+        f_mask = self.f_mask
+        f_outside = self.f_outside
+        term_outside = self.term_outside
+        last = ti + 1 == len(self.f)  # ``_finish`` checks the child exactly
+        for ranks in arrangements(key):
+            if self._out_of_time():
+                return
+            bounds = path_ub[:]
+            for cell, rank in zip(free, ranks):
+                m = option_masks[rank]
+                for pj in through[cell]:
+                    bounds[pj] &= m
+            # ``_escapes``, inlined and first: it is the hot loop of a probe
+            for pj in done:
+                ub = bounds[pj]
+                if ub:
+                    if ub & f_outside:
+                        break
+                    for outside in term_outside:
+                        if not ub & outside:
+                            break
+                    else:
+                        break  # inside no term's mask
+            else:
+                if not f_mask & ~functools.reduce(operator.or_, bounds, 0) and (
+                    last or self._reaches(bounds, unset)
+                ):
+                    yield ranks, bounds, None
+
+    def _walk(
+        self, ti: int, pi: int, free: list[int], need: int
+    ) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
+        """``(ranks, bounds, reach)`` for each arrangement that holds the
+        ranks in ``need`` (bit r for rank r) and passes, in lexicographic
+        order, one free cell at a time.  A prefix that completes a live
+        escape, or whose shares no longer cover the function, fails with
+        every arrangement below it.  The walk ends when time runs out.  It
+        starts from the node's shares, listed at the node's first walk.
+
+        A step lists, for a free cell once it and the cells before it are
         fixed, the paths through it: those whose share is their bound, the
         others with their unset cells, and those other than ``pi`` it
         completes."""
-        unset = self.unset
+        memo = self.reach
         longest = self.longest
+        if self.path_reach is None:
+            self.path_reach = [
+                self._share(b, (cells & self.unset).bit_count())
+                for b, cells in zip(self.path_ub, self.cell_masks)
+            ]
+        unset = self.unset
         steps = []
         for cell in free:
             unset &= ~(1 << cell)
@@ -412,25 +425,10 @@ class _Search:
                     if not u and pj != pi:
                         done.append(pj)
             steps.append((plain, bounded, done))
-        return steps
-
-    def _walk(
-        self,
-        steps: list[Step],
-        option_masks: tuple[int, ...],
-        need: int,
-        bounds: list[int],
-        reach: list[int],
-    ) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
-        """``(ranks, bounds, reach)`` for each arrangement that holds the
-        ranks in ``need`` (bit r for rank r) and passes, in lexicographic
-        order, one free cell at a time.  A prefix that completes a live
-        escape, or whose shares no longer cover the function, fails with
-        every arrangement below it.  The walk ends when time runs out."""
-        memo = self.reach
+        option_masks = self.option_masks[ti]
         f_mask = self.f_mask
         ncells = len(steps)
-        stack = [((), need, bounds, reach)]
+        stack = [((), need, self.path_ub, self.path_reach)]
         while stack:
             prefix, need, bounds, reach = stack.pop()
             if len(prefix) == ncells:
@@ -471,17 +469,14 @@ class _Search:
     def _try_terms(self, ti: int, stab: Sequence[Mirror]) -> Optional[MappingSolution]:
         """Search below the current node; ``stab`` holds the mirrors that map
         its grid and used paths onto themselves.  The node's placements cover
-        the function: the parent probed that before opening it."""
+        the function: the parent tested that before opening it."""
         if self._out_of_time():
             return None
         if ti == len(self.f):
             return self._finish()
         term = self.f[ti]
         term_mask = self.term_mask[ti]
-        option_masks = self.option_masks[ti]
         path_ub = self.path_ub
-        node_unset = self.unset
-        last = ti + 1 == len(self.f)  # ``_finish`` checks the child exactly
         for pi in range(len(self.paths)):
             if self.matched[pi] is not None:
                 continue
@@ -496,48 +491,23 @@ class _Search:
             if housing is None:
                 continue
             free, key = housing
-            unset = node_unset & ~self.cell_masks[pi]  # all of the path is set
+            unset = self.unset & ~self.cell_masks[pi]  # all of the path is set
             fixing = self._fixing(pi, free, stab) if stab else ()
             if arrangement_count(key) > WALK_FROM:
-                if self.path_reach is None:
-                    # each path's share at this node
-                    self.path_reach = [
-                        self._share(b, (cells & node_unset).bit_count())
-                        for b, cells in zip(path_ub, self.cell_masks)
-                    ]
-                need = sum(1 << r for r in key[2])
-                walk = self._walk(
-                    self._steps(pi, free), option_masks, need, path_ub, self.path_reach
-                )
-                for ranks, bounds, reach in walk:
-                    child: Sequence[Mirror] = ()
-                    if fixing:
-                        child = self._arrangement_stab(ranks, fixing)
-                        if child is None:
-                            continue  # a mirror image of it comes earlier
-                    sol = self._open(ti, pi, free, ranks, bounds, reach, unset, child)
-                    if sol is not None or self.truncated:
-                        return sol
-                if self.truncated:
-                    return None  # the walk ran out of time
-                continue
-            done = self._completed(pi, unset)
-            for ranks in arrangements(key):
-                if self._out_of_time():
-                    return None
-                child = ()
+                passing = self._walk(ti, pi, free, key[2])
+            else:
+                passing = self._probes(ti, pi, free, key, unset)
+            for ranks, bounds, reach in passing:
+                child: Sequence[Mirror] = ()
                 if fixing:
                     child = self._arrangement_stab(ranks, fixing)
                     if child is None:
                         continue  # a mirror image of it comes earlier
-                bounds = self._probe(free, ranks, option_masks, done)
-                if bounds is None:
-                    continue  # a live escape, or the function is lost
-                if not last and not self._reaches(bounds, unset):
-                    continue  # the paths can no longer cover the function
-                sol = self._open(ti, pi, free, ranks, bounds, None, unset, child)
+                sol = self._open(ti, pi, free, ranks, bounds, reach, unset, child)
                 if sol is not None or self.truncated:
                     return sol
+            if self.truncated:
+                return None  # the probes or the walk ran out of time
         # no housing works down this branch: defer, the term may be hiding
         return self._try_terms(ti + 1, stab)
 
@@ -559,7 +529,6 @@ class _Search:
         options = self.options[ti]
         for cell, rank in zip(free, ranks):
             grid[cell] = options[rank]
-            self.owner[cell] = ti
         node = self.path_ub, self.path_reach, self.unset
         self.path_ub, self.path_reach, self.unset = bounds, reach, unset
         self.matched[pi] = ti
@@ -623,7 +592,14 @@ class _Search:
         """Points of interest of the finished grid.  Every path is fixed, so
         its bound is its product mask: an unused path with a nonzero mask is
         absorbed by the first term whose mask holds it, and one without a 0
-        cell has mask 0 exactly when it holds an xx' pair."""
+        cell has mask 0 exactly when it holds an xx' pair.  A literal cell
+        was written by the first term, in order, whose path holds it: terms
+        are placed in order, and a cell is written only while it is free."""
+        owner: dict[int, int] = {}
+        housed = sorted((ti, pi) for pi, ti in enumerate(self.matched) if ti is not None)
+        for ti, pi in housed:
+            for cell in self.paths[pi]:
+                owner.setdefault(cell, ti)
         absorbed_count: dict[int, int] = {}
         xxprime_paths: list[int] = []
         xxprime_terms: set[int] = set()
@@ -643,7 +619,7 @@ class _Search:
             xxprime_paths.append(pi)
             for cell in path:
                 if COMPLEMENT_BASE - self.grid[cell] in codes:
-                    xxprime_terms.add(self.owner[cell])
+                    xxprime_terms.add(owner[cell])
         events: list[PoiEvent] = []
         for t_idx in sorted(absorbed_count):
             kind = POI_SAVED_ESCAPE if absorbed_count[t_idx] == 1 else POI_MULTI_OPTION
@@ -661,33 +637,35 @@ class _Search:
 
 
 @functools.cache
-def arrangements(key: tuple[int, int, frozenset[int]]) -> tuple[tuple[int, ...], ...]:
+def arrangements(key: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
     """The rank tuples over ``nfree`` cells, ``key = (noptions, nfree,
-    need)``, that hold every rank in ``need``, in lexicographic order: those
-    of ``product(range(noptions), repeat=nfree)`` that contain ``need``.
+    need)``, that hold every rank in ``need`` (bit r for rank r), in
+    lexicographic order: those of ``product(range(noptions), repeat=nfree)``
+    that contain ``need``.
     One table for every search of the process, which reads it only for keys
     of at most ``WALK_FROM``.  A first rank ``r`` is followed by the
     arrangements of ``nfree - 1`` cells that hold the rest of ``need``, and
     none when too few cells remain for it."""
     noptions, nfree, need = key
-    if len(need) > nfree:
+    k = need.bit_count()
+    if k > nfree:
         return ()
     if not need:
         return tuple(product(range(noptions), repeat=nfree))
-    if len(need) == nfree:
-        return tuple(permutations(sorted(need)))
+    if k == nfree:
+        return tuple(permutations(r for r in range(noptions) if need >> r & 1))
     return tuple(chain.from_iterable(
-        map((r,).__add__, arrangements((noptions, nfree - 1, need - {r})))
+        map((r,).__add__, arrangements((noptions, nfree - 1, need & ~(1 << r))))
         for r in range(noptions)
     ))
 
 
 @functools.cache
-def arrangement_count(key: tuple[int, int, frozenset[int]]) -> int:
+def arrangement_count(key: tuple[int, int, int]) -> int:
     """How many arrangements ``arrangements(key)`` holds, by inclusion and
     exclusion over the needed ranks that are missing."""
     noptions, nfree, need = key
-    k = len(need)
+    k = need.bit_count()
     return sum((-1) ** i * math.comb(k, i) * (noptions - i) ** nfree for i in range(k + 1))
 
 

@@ -39,6 +39,7 @@ from .codes import (
     check_code,
     function_mask,
     literal_masks,
+    serialize_function,
     table_variables,
     term_sort_key,
 )
@@ -221,8 +222,6 @@ def serialize_library(entries: list[LibraryEntry], paper_style: bool = False) ->
     The default layout is comment-free; paper_style adds decorated
     "-----" separators between entries.
     """
-    from .codes import serialize_function
-
     blocks = []
     for e in entries:
         lat = serialize_lattice(e.lattice)

@@ -145,14 +145,16 @@ def test_first_solutions_below_root_pinned(fn, dim, codes, order, poi):
 
 @pytest.mark.parametrize("noptions", range(1, 6))
 def test_arrangements_match_their_definition(noptions):
-    """Every rank tuple over the free cells that holds the needed ranks, in
-    lexicographic order, and as many as ``arrangement_count`` says; the
-    last option (constant 1) is never needed."""
+    """Every rank tuple over the free cells that holds the needed ranks (bit
+    r for rank r), in lexicographic order, and as many as
+    ``arrangement_count`` says; the last option (constant 1) is never
+    needed."""
     literals = range(noptions - 1)
     for nfree in range(7):
         for size in range(len(literals) + 1):
-            for need in map(frozenset, combinations(literals, size)):
-                want = [r for r in product(range(noptions), repeat=nfree) if need <= set(r)]
+            for ranks in map(set, combinations(literals, size)):
+                need = sum(1 << r for r in ranks)
+                want = [r for r in product(range(noptions), repeat=nfree) if ranks <= set(r)]
                 assert list(arrangements((noptions, nfree, need))) == want
                 assert arrangement_count((noptions, nfree, need)) == len(want)
 
@@ -160,7 +162,7 @@ def test_arrangements_match_their_definition(noptions):
 def test_arrangements_are_one_shared_table():
     """Every search reads a narrow key's list from one table: the same
     tuples in the same order, built once."""
-    key = (4, 3, frozenset({0, 2}))
+    key = (4, 3, 0b101)
     listed = arrangements(key)
     assert isinstance(listed, tuple)
     assert arrangements(key) is listed
@@ -302,12 +304,13 @@ def test_time_cut_ends_the_search_at_once(monkeypatch):
         clock.update(checks=0, k=k)
         r = map_function(HARD, DIM3, SearchBudget(time_limit=60))
         assert (r.status, r.solution, clock["after"]) == (INCONCLUSIVE, None, 0), k
-    assert cut_in == {"_try_terms", "_walk"}
+    assert cut_in == {"_try_terms", "_probes", "_walk"}
 
 
 def _mapped(monkeypatch, walk_from, fn, dim, paths):
-    """The answer of one mapping with the given cut-over, and the number of
-    interior nodes it opens (nodes that are not leaves of the last term).
+    """The answer of one mapping with the given cut-over, the number of
+    interior nodes it opens (nodes that are not leaves of the last term),
+    and the placements that open them in order, as (term, path, ranks).
     The shared arrangement table is emptied after it, since a raised
     cut-over fills it with wide lists."""
     monkeypatch.setattr(mapper, "WALK_FROM", walk_from)
@@ -317,20 +320,28 @@ def _mapped(monkeypatch, walk_from, fn, dim, paths):
             calls[_name] += 1
             return _method(self, *args)
         monkeypatch.setattr(_Search, name, counted)
+    placed = []
+
+    def opened(self, ti, pi, free, ranks, *args, _method=_Search._open):
+        if ti + 1 < len(self.f):
+            placed.append((ti, pi, ranks))
+        return _method(self, ti, pi, free, ranks, *args)
+
+    monkeypatch.setattr(_Search, "_open", opened)
     r = map_function(fn, dim, None, paths)
     monkeypatch.undo()
     mapper.arrangements.cache_clear()
     sol = r.solution
     answer = (r.status, None) if sol is None else (
         r.status, sol.assignment.codes, sol.order, sol.poi)
-    return answer, calls["_try_terms"] - calls["_finish"]
+    return answer, calls["_try_terms"] - calls["_finish"], placed
 
 
 @pytest.mark.parametrize("dim,seed", [(DIM3, 1800), (LatticeDim(3, 4), 1801)])
 def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
     """Walking every pair (cut-over 0) and probing every arrangement (a
     cut-over no pair reaches) give the same answers and open the same
-    interior nodes."""
+    interior nodes with the same placements, in the same order."""
     paths = enumerate_paths(dim)
     cases = [e.function for e in generate_library(dim, 5, 10, seed)]
     if dim == DIM3:
