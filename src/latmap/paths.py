@@ -8,20 +8,29 @@ before the last one, for each child of such a cell and for each child of
 the source (the top row), so a child of the last cell may extend the path
 exactly when its bit is clear.  A step ORs in the last cell and its
 children.
+A bottom-row cell has one child among the cells, the cell above it, so a
+path reaches it only from there and it is never forbidden: on a cell of the
+next-to-last row the DFS records the path through the cell below with no
+test, and it never steps into a bottom-row cell.
+The output is in canonical (length, cells) order with no global sort.  The
+DFS writes each path into the bucket of its length, and within one length
+its preorder, children in ascending order, is already the cell order.
 The lattice graph is left-right symmetric, so the DFS starts only from the
-left half of the top row, the middle column of an odd width included, and
-each path found from a column other than its own mirror column adds its
-left-right image.
+left half of the top row, the middle column of an odd width in buckets of
+its own.  The right columns' paths are the left ones' images: per length
+one byte-string translation of all their cells, cut into tuples again, and
+only these images are sorted.  Per length the output is the left paths,
+then the middle ones, then the images.
 The DFS recurses through a module-level function, not a closure that names
 itself, so no reference cycle keeps a finished enumeration's path tuples
 alive until a cyclic collection.
 A brute-force variant (generate all simple paths, then delete supersets)
 serves as the oracle for small dimensions.
 
-The walk's tables (``kids``, ``near``, ``ends``) are built once per
-dimension by ``walk_tables``, which also holds the ``MAX_DIM`` guard; the
-solver walks the same tables to list a grid's products without enumerating
-paths.
+The walk's tables (``steps``, ``near``, ``below``, ``ends``) are built once
+per dimension by ``walk_tables``, which also holds the ``MAX_DIM`` guard;
+the solver walks the same tables to list a grid's products without
+enumerating paths.
 A ``PathSet`` holds every irredundant path of its dimension (a path file
 is checked against the enumeration) and owns the tables derived from them,
 each built at its first use and then kept: ``cell_masks`` (each path as an
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 
 from .grid import MAX_DIM, SRC, LatticeDim, build_children
 
@@ -85,73 +95,81 @@ class PathSet:
         return tuple(out)
 
 
-def _canonical(paths: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """The paths in (length, cells) order; sorts ``paths`` in place."""
-    paths.sort()
-    paths.sort(key=len)  # stable: equal lengths keep the cell order
-    return tuple(paths)
-
-
 def _extend(
     node: int,
     path: list[int],
     forbid: int,
-    kids: tuple[tuple[int, ...], ...],
+    steps: tuple[tuple[tuple[int, int], ...], ...],
     near: tuple[int, ...],
-    ends: tuple[bool, ...],
-    out: list[tuple[int, ...]],
+    below: tuple[int | None, ...],
+    out: list[list[tuple[int, ...]]],
 ) -> None:
-    """Record every irredundant extension of ``path``, whose last node is
-    ``node``; ``forbid`` has bit ``y`` set for each node on the path before
-    ``node`` and for each child of one."""
+    """Record every irredundant extension of ``path``, whose last cell is
+    ``node``, in ``out[k]`` for its length ``k + 1``; ``forbid`` has bit
+    ``y`` set for each cell on the path before ``node`` and for each child
+    of one."""
+    end = below[node]
+    if end is not None:  # a child of ``node`` alone: never forbidden
+        out[len(path)].append((*path, end))
     inner = forbid | near[node]  # what a child of ``y`` must avoid
-    for y in kids[node]:
-        if forbid >> y & 1:
-            continue
-        path.append(y)
-        if ends[y]:
-            out.append(tuple(path))
-        _extend(y, path, inner, kids, near, ends, out)
-        path.pop()
+    for y, b in steps[node]:
+        if not forbid & b:
+            path.append(y)
+            _extend(y, path, inner, steps, near, below, out)
+            path.pop()
 
 
 @cache
 def walk_tables(dim: LatticeDim) -> tuple[
-    tuple[tuple[int, ...], ...], tuple[int, ...], tuple[bool, ...]
+    tuple[tuple[tuple[int, int], ...], ...],
+    tuple[int, ...],
+    tuple[int | None, ...],
+    tuple[bool, ...],
 ]:
-    """``(kids, near, ends)`` of the path walk on ``dim``, built once per
-    dimension: each cell's children among the cells, the mask of the cell
-    and those children, and whether the destination is a child.  Raises
-    ValueError beyond the ``MAX_DIM`` guard, which bounds every walk."""
+    """``(steps, near, below, ends)`` of the path walk on ``dim``, built
+    once per dimension.  Per cell: its children outside the bottom row as
+    ``(cell, 1 << cell)`` pairs, the mask of the cell and all its children,
+    the bottom-row cell under it (None outside the next-to-last row) and
+    whether it is in the bottom row.  Raises ValueError beyond the
+    ``MAX_DIM`` guard, which bounds every walk."""
     if dim.rows > MAX_DIM or dim.cols > MAX_DIM:
         raise ValueError(f"dimension {dim.rows}x{dim.cols} exceeds the {MAX_DIM} guard")
     children = build_children(dim)
-    n = dim.cells
-    kids = tuple(tuple(y for y in children[x] if 0 <= y < n) for x in range(n))
-    near = tuple(sum(1 << y for y in (x,) + kids[x]) for x in range(n))
-    ends = tuple(dim.dst in children[x] for x in range(n))
-    return kids, near, ends
+    n, bottom = dim.cells, dim.cells - dim.cols
+    kids = [[y for y in children[x] if 0 <= y < n] for x in range(n)]
+    steps = tuple(tuple((y, 1 << y) for y in kids[x] if y < bottom) for x in range(n))
+    near = tuple(sum(1 << y for y in [x, *kids[x]]) for x in range(n))
+    below = tuple(x + dim.cols if bottom - dim.cols <= x < bottom else None for x in range(n))
+    ends = tuple(x >= bottom for x in range(n))
+    return steps, near, below, ends
 
 
 def enumerate_paths(dim: LatticeDim) -> PathSet:
     """All irredundant paths, pruned during generation, in canonical order."""
-    kids, near, ends = walk_tables(dim)
+    steps, near, below, ends = walk_tables(dim)
     n, cols = dim.cells, dim.cols
     top = (1 << cols) - 1  # the source's children
-    flip = [x - x % cols + cols - 1 - x % cols for x in range(n)]
-    out: list[tuple[int, ...]] = []
+    # left[k] and middle[k] hold the paths of length k + 1 from the left
+    # columns and from the middle column of an odd width
+    left: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    middle: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for col in range((cols + 1) // 2):
-        start = len(out)
+        out = middle if 2 * col + 1 == cols else left
         if ends[col]:
-            out.append((col,))
-        _extend(col, [col], top, kids, near, ends, out)
-        if flip[col] != col:
-            # the lattice is left-right symmetric: the paths from the
-            # mirror column are the images of these.  A tuple made from a
-            # list is allocated at its size; one made from an iterator is
-            # shrunk to it, which on 7x8 leaves the peak RSS about 1 MB higher.
-            out.extend(tuple([flip[c] for c in out[i]]) for i in range(start, len(out)))
-    return PathSet(dim, _canonical(out))
+            out[0].append((col,))
+        _extend(col, [col], top, steps, near, below, out)
+    # the lattice is left-right symmetric: the paths from the right columns
+    # are the images of the left ones, each length's made in one pass
+    flip = bytes(x - x % cols + cols - 1 - x % cols if x < n else x for x in range(256))
+    paths: list[tuple[int, ...]] = []
+    for k in range(n):
+        cells = iter(bytes(chain.from_iterable(left[k])).translate(flip))
+        images = list(zip(*[cells] * (k + 1)))
+        images.sort()
+        paths += left[k]
+        paths += middle[k]
+        paths += images
+    return PathSet(dim, tuple(paths))
 
 
 def paths_for(dim: LatticeDim, paths: PathSet | None) -> PathSet:
@@ -200,7 +218,8 @@ def brute_force_paths(dim: LatticeDim) -> PathSet:
         for cells, seq in by_set.items()
         if not any(other < cells for other in by_set)
     ]
-    return PathSet(dim, _canonical(survivors))
+    survivors.sort(key=lambda p: (len(p), p))
+    return PathSet(dim, tuple(survivors))
 
 
 def longest_path_len(paths: PathSet) -> int:
@@ -208,10 +227,9 @@ def longest_path_len(paths: PathSet) -> int:
 
 
 def serialize_paths(paths: PathSet) -> str:
-    lines = [f"{len(paths.paths)} {paths.dim.cells}"]
-    for p in paths.paths:
-        lines.append(f"{len(p)} " + " ".join(str(c) for c in p))
-    return "\n".join(lines) + "\n"
+    word = [str(c) for c in range(paths.dim.cells + 1)].__getitem__
+    lines = [" ".join(map(word, (len(p), *p))) for p in paths.paths]
+    return f"{len(paths.paths)} {paths.dim.cells}\n" + "\n".join(lines) + "\n"
 
 
 def _infer_dim(num_cells: int, paths: list[tuple[int, ...]]) -> LatticeDim:

@@ -10,22 +10,23 @@ at any grid size.  ``verify_witness`` compares that table with f's.
 
 The solve walks the grid's own paths: the depth-first walk of
 ``paths._extend`` on the same ``walk_tables``, carrying the path's literals
-as an int with one bit per distinct literal of the grid.  A branch is cut
-at a 0 cell (its bit is in the initial ``forbid``), at a literal whose
-complement is already in the set (x x'), and wherever the set contains a
-product already found, tested at every step.  Every path below a cut is
-cancelled or absorbed, so no minimal product is lost.  A new product drops
-the kept ones that contain it, so the kept products stay an antichain and
-end as exactly the minimal ones: the per-path definition's listing,
-whatever the walk order.  Each step scans the kept products, so a grid
-whose every path has its own product solves slower than a pass over a
-given path set did.
+as an int with one bit per distinct literal of the grid.  It recurses by
+cell over the ``steps`` of the cell, and a cell of the next-to-last row
+ends a path in the bottom-row cell ``below`` it.  A branch is cut at a 0
+cell (its bit is in the initial ``forbid``, so unlike the enumeration the
+walk tests the cell below too), at a literal whose complement is already
+in the set (x x'), and wherever the set contains a product already found,
+tested at every step.  Every path below a cut is cancelled or absorbed, so
+no minimal product is lost.  A new product drops the kept ones that
+contain it, so the kept products stay an antichain and end as exactly the
+minimal ones: the per-path definition's listing, whatever the walk order.
+Each step scans the kept products, so a grid whose every path has its own
+product solves slower than a pass over a given path set did.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -61,37 +62,46 @@ class LatticeAssignment:
             check_code(c)
 
 
+def _keep(lits: int, found: list[int]) -> None:
+    """Add the literal set ``lits`` of a complete path to ``found`` unless a
+    product there absorbs it, dropping the products it absorbs."""
+    for p in found:
+        if lits & p == p:
+            return
+    found[:] = [p for p in found if p & lits != lits]
+    found.append(lits)
+
+
 def _grow(
-    ys: Iterable[int],
+    node: int,
     lits: int,
     forbid: int,
-    inner: int,
-    kids: tuple[tuple[int, ...], ...],
+    steps: tuple[tuple[tuple[int, int], ...], ...],
     near: tuple[int, ...],
-    ends: tuple[bool, ...],
+    below: tuple[int | None, ...],
     bit: list[int],
     clash: list[int],
     found: list[int],
 ) -> None:
-    """Extend a partial path, whose literal set is ``lits``, by each cell
-    ``y`` of ``ys`` whose bit ``forbid`` lacks, and add to ``found`` the
-    literal set of every complete path so reached that is neither cancelled
-    nor absorbed by a product already there, dropping the products it
-    absorbs.  ``inner`` is what the cell after ``y`` must avoid, apart from
-    ``y`` and its children."""
-    for y in ys:
-        if forbid >> y & 1 or lits & clash[y]:
+    """Add to ``found`` (by ``_keep``) the literal set of every complete path
+    that extends a partial one, whose last cell is ``node`` and whose
+    literal set is ``lits``, and is not cancelled.  ``forbid`` has a bit set
+    for each 0 cell, each cell on the path before ``node`` and each child of
+    one; a branch whose set contains a product already found is cut."""
+    end = below[node]
+    # a child of ``node`` alone, but it may be a 0 cell
+    if end is not None and not (forbid >> end & 1 or lits & clash[end]):
+        _keep(lits | bit[end], found)
+    inner = forbid | near[node]
+    for y, b in steps[node]:
+        if forbid & b or lits & clash[y]:
             continue
         ly = lits | bit[y]
         for p in found:
             if ly & p == p:
                 break
         else:
-            if ends[y]:  # a path that goes on from y is no irredundant path
-                found[:] = [p for p in found if p & ly != ly]
-                found.append(ly)
-            else:
-                _grow(kids[y], ly, inner, inner | near[y], kids, near, ends, bit, clash, found)
+            _grow(y, ly, inner, steps, near, below, bit, clash, found)
 
 
 def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
@@ -101,7 +111,7 @@ def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
     another dimension is still a ValueError."""
     if paths is not None:
         paths_for(lat.dim, paths)
-    kids, near, ends = walk_tables(lat.dim)
+    steps, near, below, ends = walk_tables(lat.dim)
     bit_of: dict[int, int] = {}
     zero = 0
     for cell, code in enumerate(lat.codes):
@@ -115,7 +125,13 @@ def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
     clash = [bit_of.get(COMPLEMENT_BASE - code, 0) for code in lat.codes]
     found: list[int] = []
     top = (1 << lat.dim.cols) - 1  # the source's children
-    _grow(range(lat.dim.cols), 0, zero, zero | top, kids, near, ends, bit, clash, found)
+    for col in range(lat.dim.cols):
+        if zero >> col & 1:
+            continue
+        if ends[col]:
+            _keep(bit[col], found)
+        else:
+            _grow(col, bit[col], zero | top, steps, near, below, bit, clash, found)
     terms = [frozenset([c for c, b in bit_of.items() if m & b]) for m in found]
     return sorted(terms, key=term_sort_key)
 

@@ -27,8 +27,9 @@ PATH_COUNTS = {
 }
 
 # Path count and sha256 of ``serialize_paths(enumerate_paths(r x c))`` for
-# every 1 <= r <= 7 and 1 <= c <= 8, recorded before the DFS moved to a
-# bitmask prune and mirror halving: the path tuples and their order are pinned.
+# every 1 <= r, c <= 8: the path tuples and their order are pinned.  Rows 1-7
+# were recorded before the DFS moved to a bitmask prune and mirror halving,
+# row 8 before it wrote its paths straight into length buckets.
 PATH_DIGESTS = {
     (1, 1): (1, "4e3a24612b0482a1a900e3e8f9924d8cac3eed3f2e9701faef818f239196d637"),
     (1, 2): (2, "fc05466f7cc7fdf7f12da83916dc1a8a938ec744ad683cb862a2b57c8c7d5bb2"),
@@ -86,6 +87,14 @@ PATH_DIGESTS = {
     (7, 6): (6562, "dd9539bc6ba63ee9eac8d201419e8ae0fa6271bfca5e0cb6e6b7c5ee6b98ef50"),
     (7, 7): (26317, "b7b9df7192681d1b50cb98ee9c9df4f1eb906fb2077de7f24a17cd46a624573d"),
     (7, 8): (110838, "8f25ad03c88ec890cd610a94c1884a1a044c6ffddafa7b53ccbf3291c4f8ef4e"),
+    (8, 1): (1, "978d9f66cf485eea10b2589dc82fa52c6008cfaadcdafde3f87ed5402835b30f"),
+    (8, 2): (42, "97b29dca359eb583059ce205749b8e8a9443b1d2c60a7eef1991956822da6adb"),
+    (8, 3): (343, "519cd0693d78adf7f75a6f8779a6f3b99a61e01fed2a9fb73afda8c52cdbdd5b"),
+    (8, 4): (1528, "83264b2d2231a16e72ec910ee3d63d64fa1ec6fab98b5985063d94c245c8e4db"),
+    (8, 5): (5835, "a7573bec391472dae781541d77faddb47f631799fc3c40d3e017a637d509fe05"),
+    (8, 6): (25686, "71418fac5f9eed0c2489be42ab124fe41bc50074ed556a614f1200a87ea861c2"),
+    (8, 7): (139231, "abb29279a60d24af13feca8ceaabf54d249f9cac2377d09f6dae34d12d949b86"),
+    (8, 8): (797048, "5bd5bf5d8c4e1312fd55c8c9849dcec6d7fa13ec12e1fd15c0739eb0bc6a934f"),
 }
 
 # The nine 3x3 paths in canonical (length, lexicographic) order.

@@ -43,7 +43,7 @@ def test_matches_brute_force(r, c):
 
 
 def test_enumeration_pinned():
-    """Every dimension up to 7x8 gives the recorded paths, in order."""
+    """Every dimension up to 8x8 gives the recorded paths, in order."""
     for (r, c), (count, digest) in PATH_DIGESTS.items():
         ps = enumerate_paths(LatticeDim(r, c))
         assert len(ps) == count, (r, c)
