@@ -11,7 +11,7 @@ from .codes import (
     serialize_function,
 )
 from .grid import SRC, LatticeDim, build_children
-from .paths import PathSet, enumerate_paths, parse_paths, serialize_paths
+from .paths import PathSet, enumerate_paths, serialize_paths
 from .solver import (
     LatticeAssignment,
     generate_library,
@@ -47,7 +47,6 @@ __all__ = [
     "build_children",
     "PathSet",
     "enumerate_paths",
-    "parse_paths",
     "serialize_paths",
     "LatticeAssignment",
     "generate_library",

@@ -8,7 +8,6 @@ go to the output file (or stdout with "-"); human summaries go to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -37,10 +36,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _budget(args: argparse.Namespace) -> mapper.SearchBudget:
-    time_limit = args.time_limit
-    if time_limit is None and os.environ.get("LATMAP_TIME_LIMIT"):
-        time_limit = float(os.environ["LATMAP_TIME_LIMIT"])
-    return mapper.SearchBudget(time_limit)
+    return mapper.SearchBudget(args.time_limit)
 
 
 def _load_function(path: str) -> codes.Sop:
@@ -93,9 +89,7 @@ def cmd_genlib(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     f = _load_function(args.function)
-    dim = LatticeDim(*args.dim) if args.dim else None
-    ps = paths.parse_paths(_read(args.paths), dim) if args.paths else None
-    result = mapper.map_function(f, dim or ps.dim, _budget(args), ps)
+    result = mapper.map_function(f, LatticeDim(*args.dim), _budget(args))
     if result.status == mapper.SOLVED:
         _print_solution(result.solution, args.pretty)
         if args.output:
@@ -226,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="map a function onto a lattice")
     p.add_argument("function")
-    p.add_argument("--dim", nargs=2, type=int, metavar=("R", "C"))
-    p.add_argument("--paths", help="path file, checked against --dim if given")
+    p.add_argument("--dim", nargs=2, type=int, required=True, metavar=("R", "C"))
     p.add_argument("--pretty", action="store_true")
     p.add_argument("-o", "--output", default=None, help="also write the lattice file")
     _add_budget_flags(p)
@@ -257,10 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    if args.command == "map" and not args.paths and not args.dim:
-        ap.error("map needs --dim or --paths")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as exc:

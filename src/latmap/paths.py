@@ -31,12 +31,11 @@ The walk's tables (``steps``, ``near``, ``below``, ``ends``) are built once
 per dimension by ``walk_tables``, which also holds the ``MAX_DIM`` guard;
 the solver walks the same tables to list a grid's products without
 enumerating paths.
-A ``PathSet`` holds every irredundant path of its dimension (a path file
-is checked against the enumeration) and owns the tables derived from them,
-each built at its first use and then kept: ``cell_masks`` (each path as an
-int with bit ``c`` set for every cell ``c`` on it), ``through`` (the paths
-on each cell) and ``mirrors``.  The mapper reads them, and ``parse_paths``
-compares a file with ``cell_masks``; the solver reads no path set.
+A ``PathSet`` holds every irredundant path of its dimension and owns the
+tables derived from them, each built at its first use and then kept:
+``cell_masks`` (each path as an int with bit ``c`` set for every cell ``c``
+on it), ``through`` (the paths on each cell) and ``mirrors``.  The mapper
+reads them; the solver reads no path set.
 """
 
 from __future__ import annotations
@@ -230,80 +229,3 @@ def serialize_paths(paths: PathSet) -> str:
     word = [str(c) for c in range(paths.dim.cells + 1)].__getitem__
     lines = [" ".join(map(word, (len(p), *p))) for p in paths.paths]
     return f"{len(paths.paths)} {paths.dim.cells}\n" + "\n".join(lines) + "\n"
-
-
-def _infer_dim(num_cells: int, paths: list[tuple[int, ...]]) -> LatticeDim:
-    for p in paths:
-        for a, b in zip(p, p[1:]):
-            d = abs(a - b)
-            if d > 1:
-                cols = d
-                if num_cells % cols:
-                    raise ValueError("cell count does not match inferred width")
-                return LatticeDim(num_cells // cols, cols)
-    if all(len(p) == 1 for p in paths) and len(paths) == num_cells:
-        return LatticeDim(1, num_cells)
-    return LatticeDim(num_cells, 1)
-
-
-def _path_fault(paths: list[tuple[int, ...]], dim: LatticeDim) -> str:
-    """The first path of ``paths`` that is no top-to-bottom path of ``dim``,
-    either way round, with the reason; empty when there is none."""
-    c = dim.cols
-    steps = {(a, b) for a, kids in build_children(dim).items() for b in kids}
-    for p in paths:
-        if not p or min(p[0], p[-1]) >= c or max(p[0], p[-1]) < dim.cells - c:
-            return f"path {p} does not run from the top row to the bottom row"
-        if not steps.issuperset(zip(p, p[1:])):
-            return f"path {p} takes a step that no lattice path takes"
-        if len(set(p)) != len(p):
-            return f"path {p} repeats a cell"
-    return ""
-
-
-def parse_paths(text: str, dim: LatticeDim | None = None) -> PathSet:
-    """``enumerate_paths(dim)``, the shape read from the file without
-    ``dim``, once the file lists exactly those paths, each once, in any order
-    and either way round; any other file is a ValueError.  Each path is
-    checked on its own (top row to bottom row, only steps of the lattice
-    graph ``build_children``, no repeated cell) before the enumeration runs,
-    so a malformed file costs none."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty path file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad header line {lines[0]!r}")
-    num_paths, num_cells = int(head[0]), int(head[1])
-    if len(lines) - 1 != num_paths:
-        raise ValueError(f"expected {num_paths} path lines, got {len(lines) - 1}")
-    parsed: list[tuple[int, ...]] = []
-    for ln in lines[1:]:
-        nums = list(map(int, ln.split()))
-        if not nums or nums[0] != len(nums) - 1:
-            raise ValueError(f"malformed path line {ln!r}")
-        cells = tuple(nums[1:])
-        if cells and (min(cells) < 0 or max(cells) >= num_cells):
-            raise ValueError(f"cell index out of range on line {ln!r}")
-        parsed.append(cells)
-    if dim is None:
-        dim = _infer_dim(num_cells, parsed)
-    elif dim.cells != num_cells:
-        raise ValueError("header cell count does not match the given dimension")
-    fault = _path_fault(parsed, dim)
-    if fault:
-        raise ValueError(
-            f"the file does not list the irredundant paths"
-            f" of a {dim.rows}x{dim.cols} lattice: {fault}"
-        )
-    ps = enumerate_paths(dim)
-    # a path repeats no cell, so its cell mask tells its cells, and distinct
-    # irredundant paths have distinct masks
-    bits = [1 << c for c in range(dim.cells)]
-    masks = {sum(map(bits.__getitem__, p)) for p in parsed}
-    if len(parsed) != len(ps) or masks != set(ps.cell_masks):
-        raise ValueError(
-            f"the file does not list the {len(ps)} irredundant paths"
-            f" of a {dim.rows}x{dim.cols} lattice, each once"
-        )
-    return ps

@@ -1,6 +1,5 @@
 import gc
 import hashlib
-import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,6 @@ from latmap.paths import (
     brute_force_paths,
     enumerate_paths,
     longest_path_len,
-    parse_paths,
     serialize_paths,
 )
 
@@ -83,7 +81,7 @@ def test_enumeration_leaves_no_garbage_cycles():
 
 def test_cell_masks_follow_path_order():
     """One mask per path, index by index."""
-    ps = parse_paths("2 4\n2 2 0\n2 1 3\n")
+    ps = enumerate_paths(LatticeDim(2, 2))
     assert ps.paths == ((0, 2), (1, 3))
     assert ps.cell_masks == (0b0101, 0b1010)
     big = enumerate_paths(LatticeDim(4, 5))
@@ -107,81 +105,6 @@ def test_serialize_format():
     lines = text.splitlines()
     assert lines[0] == "9 9"
     assert lines[1] == "3 0 3 6"
-
-
-@pytest.mark.parametrize("r,c", [(2, 2), (3, 3), (2, 5), (4, 3)])
-def test_parse_round_trip(r, c):
-    ps = enumerate_paths(LatticeDim(r, c))
-    back = parse_paths(serialize_paths(ps))
-    assert back.dim == ps.dim
-    assert back.paths == ps.paths
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_paths("")
-    with pytest.raises(ValueError):
-        parse_paths("2 4\n2 0 2\n")  # header says two paths, file has one
-    with pytest.raises(ValueError):
-        parse_paths("1 4\n3 0 2\n")  # count prefix disagrees with the cells
-    with pytest.raises(ValueError):
-        parse_paths("1 4\n2 0 9\n")  # cell out of range
-    with pytest.raises(ValueError):  # 2x3 paths step diagonally on 3x2
-        parse_paths(serialize_paths(enumerate_paths(LatticeDim(2, 3))), LatticeDim(3, 2))
-    with pytest.raises(ValueError, match="irredundant paths"):
-        parse_paths("1 4\n1 0\n", LatticeDim(2, 2))  # cell 0 alone does not cross
-    with pytest.raises(ValueError, match="irredundant paths"):
-        parse_paths("1 4\n0\n", LatticeDim(2, 2))  # a path with no cells
-    with pytest.raises(ValueError, match="irredundant paths"):
-        parse_paths("1 9\n3 0 1 2\n", LatticeDim(3, 3))  # along the top row
-    with pytest.raises(ValueError, match="irredundant paths"):
-        parse_paths("1 6\n4 0 3 0 3\n", LatticeDim(2, 3))  # 0 and 3 twice
-    with pytest.raises(ValueError, match="9 irredundant paths of a 3x3"):
-        parse_paths("3 9\n3 0 3 6\n3 1 4 7\n3 2 5 8\n")  # only the columns
-    with pytest.raises(ValueError, match="irredundant paths of a 4x1"):
-        parse_paths("0 4\n")  # no paths
-    with pytest.raises(ValueError, match="irredundant paths of a 2x2"):
-        parse_paths("3 4\n2 0 2\n2 0 2\n2 1 3\n")  # one path twice
-
-
-@pytest.mark.parametrize("text,dim,fault", [
-    # 0-8 ends in row 1 of 8x8, whose enumeration alone takes seconds
-    ("1 64\n2 0 8\n", None, r"path \(0, 8\) does not run from the top row"),
-    ("1 6\n3 0 4 3\n", LatticeDim(2, 3), "a step that no lattice"),  # 0-4 is diagonal
-    ("1 9\n3 2 3 6\n", LatticeDim(3, 3), "a step that no lattice"),  # 2-3 wraps a row
-    ("1 6\n4 0 3 0 3\n", LatticeDim(2, 3), r"path \(0, 3, 0, 3\) repeats a cell"),
-], ids=["8x8-short", "diagonal", "row-wrap", "repeat"])
-def test_parse_rejects_a_malformed_path_before_enumerating(monkeypatch, text, dim, fault):
-    def enumerate_paths(dim):
-        raise AssertionError(f"enumerated {dim}")
-
-    monkeypatch.setattr("latmap.paths.enumerate_paths", enumerate_paths)
-    with pytest.raises(ValueError, match=fault):
-        parse_paths(text, dim)
-
-
-def test_parse_single_cell_paths_as_one_row():
-    """With no step to read a width from, one single-cell path per cell is
-    a 1xN grid."""
-    ps = parse_paths("3 3\n1 2\n1 0\n1 1\n")
-    assert ps.dim == LatticeDim(1, 3)
-    assert ps.paths == ((0,), (1,), (2,))
-
-
-def test_parse_accepts_paths_either_way_round():
-    """A file may list the paths in any order, each from either end; it
-    parses to the enumerated paths in their own order, with or without the
-    dimension given."""
-    rng = random.Random(16)
-    for r, c in ((1, 3), (3, 1), (2, 2), (3, 4), (4, 4)):
-        dim = LatticeDim(r, c)
-        ps = enumerate_paths(dim)
-        head, *lines = serialize_paths(ps).splitlines()
-        body = [" ".join(ln.split()[:1] + ln.split()[:0:-1]) for ln in lines]
-        rng.shuffle(body)
-        text = "\n".join([head, *body]) + "\n"
-        assert parse_paths(text, dim).paths == ps.paths
-        assert parse_paths(text) == ps
 
 
 def _mirror(cells, dim, flip_cols, flip_rows):
