@@ -343,8 +343,11 @@ def test_too_many_variables_is_usage_error(tmp_path, capsys, command):
     ("x\n1 0\n", ["map", "{file}", "--dim", "2", "2"]),  # bad count line
     ("-1\n", ["map", "{file}", "--dim", "2", "2"]),  # negative count
     ("1\n1 a\n", ["map", "{file}", "--dim", "2", "2"]),  # non-integer token
-    ("2\n0 1\n1 0\n", ["verify", "{file}", "{fn}"]),  # bad dimension line
-    ("", ["genlib", "--dim", "2", "2", "--trials", "0"]),
+    # The last two ids are spelled out so they keep their names from when
+    # the list held two more cases.
+    pytest.param("2\n0 1\n1 0\n", ["verify", "{file}", "{fn}"],  # bad dimension line
+                 id="2\n0 1\n1 0\n-argv6"),
+    pytest.param("", ["genlib", "--dim", "2", "2", "--trials", "0"], id="-argv7"),
 ])
 def test_malformed_input_is_usage_error(tmp_path, capsys, text, argv):
     """The input file holds ``text``; ``fn`` is a well-formed function."""
