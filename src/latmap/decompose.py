@@ -6,6 +6,11 @@ pair whose two parts both map wins, so the larger part carries as many
 product terms as the mapper fits on one lattice.  The mapper's no-solution is
 not a proof (see ``latmap.mapper``), so a workable larger pair, or any pair
 at all, can be missed.
+
+A run fixes one deadline when it starts, and each mapper call gets the time
+that remains.  Its first time cut, a call with no time left or an
+inconclusive answer, raises ``OutOfTime`` and ends the run at every layer;
+the memo keeps only definite verdicts.
 """
 
 from __future__ import annotations
@@ -22,10 +27,13 @@ from .mapper import (
     SOLVED,
     MappingSolution,
     MapResult,
+    OutOfTime,
     SearchBudget,
     map_function,
 )
 from .paths import PathSet, paths_for
+
+Memo = dict[tuple[Term, ...], MapResult]
 
 
 def split_schedule(n: int) -> list[tuple[int, int]]:
@@ -35,25 +43,36 @@ def split_schedule(n: int) -> list[tuple[int, int]]:
     return [(a, n - a) for a in range(n - 1, (n + 1) // 2 - 1, -1)]
 
 
-def map_once(
-    memo: dict[tuple[Term, ...], MapResult],
-    terms: tuple[Term, ...],
-    dim: LatticeDim,
-    budget: SearchBudget,
-    deadline: Optional[float],
-    paths: PathSet,
-) -> MapResult:
-    """The verdict on ``terms``, mapped at most once per ``memo`` with the
-    time that remains before ``deadline``.  With none left the call is
-    skipped, and its verdict is inconclusive."""
-    if terms not in memo:
-        left = budget.until(deadline)
-        memo[terms] = (
-            MapResult(INCONCLUSIVE)
-            if left is None
-            else map_function(list(terms), dim, left, paths)
-        )
-    return memo[terms]
+class Run:
+    """One run's path set, deadline and memo of definite verdicts, keyed by
+    the ordered term tuple; callers may share the memo."""
+
+    def __init__(self, dim: LatticeDim, budget: SearchBudget,
+                 paths: PathSet | None = None, memo: Memo | None = None):
+        self.dim = dim
+        self.budget = budget
+        self.paths = paths_for(dim, paths)
+        self.deadline = budget.deadline()
+        self.memo = {} if memo is None else memo
+
+    def left(self) -> SearchBudget:
+        """The time that remains; ``OutOfTime`` when none does."""
+        left = self.budget.until(self.deadline)
+        if left is None:
+            raise OutOfTime
+        return left
+
+    def solve(self, terms: Sop) -> Optional[MappingSolution]:
+        """The lattice for ``terms``, None for no-solution, mapped at most
+        once per memo; ``OutOfTime`` when the time runs out first."""
+        key = tuple(terms)
+        result = self.memo.get(key)
+        if result is None:
+            result = map_function(list(key), self.dim, self.left(), self.paths)
+            if result.status == INCONCLUSIVE:
+                raise OutOfTime
+            self.memo[key] = result
+        return result.solution
 
 
 @dataclass(frozen=True)
@@ -75,45 +94,33 @@ def decompose_two(
     dim: LatticeDim,
     budget: SearchBudget | None = None,
     paths: PathSet | None = None,
-    memo: dict[tuple[Term, ...], MapResult] | None = None,
+    memo: Memo | None = None,
 ) -> DecomposeOutcome:
     """First schedule pair admitting a mapping of both parts.
 
     NoSolution is claimed only when every subset of every stage got a
-    negative that the time limit did not cut short.  The time limit
-    bounds the whole call: a mapper call gets the time that remains, and
-    with none left it is skipped and counts as inconclusive.  ``memo`` maps
-    the ordered term tuples mapped to their verdicts; callers may share it.
+    definite negative; the first time cut ends the call as inconclusive.
+    ``memo`` is a ``Run``'s memo, which callers may share.
     """
     n = len(f)
     if n < 2:
         raise ValueError("decomposition needs at least 2 terms")
     table_variables(f)  # bound f's variables before any part is mapped
-    if budget is None:
-        budget = SearchBudget()
-    paths = paths_for(dim, paths)
-    if memo is None:
-        memo = {}
-    deadline = budget.deadline()
-
-    def mapped(indices: tuple[int, ...]) -> MapResult:
-        return map_once(memo, tuple(f[i] for i in indices), dim, budget, deadline, paths)
-
-    inconclusive_seen = False
-    for a, b in split_schedule(n):
-        for combo in itertools.combinations(range(n), a):
-            if a == b and 0 not in combo:
-                continue  # visit each unordered pair once
-            ra = mapped(combo)
-            inconclusive_seen |= ra.status == INCONCLUSIVE
-            if ra.status != SOLVED:
-                continue
-            rest = tuple(i for i in range(n) if i not in combo)
-            rb = mapped(rest)
-            inconclusive_seen |= rb.status == INCONCLUSIVE
-            if rb.status == SOLVED:
-                return DecomposeOutcome(
-                    SOLVED,
-                    DecompositionResult(combo, ra.solution, rest, rb.solution),
-                )
-    return DecomposeOutcome(INCONCLUSIVE if inconclusive_seen else NO_SOLUTION)
+    run = Run(dim, budget or SearchBudget(), paths, memo)
+    try:
+        for a, b in split_schedule(n):
+            for combo in itertools.combinations(range(n), a):
+                if a == b and 0 not in combo:
+                    continue  # visit each unordered pair once
+                sol_a = run.solve([f[i] for i in combo])
+                if sol_a is None:
+                    continue
+                rest = tuple(i for i in range(n) if i not in combo)
+                sol_b = run.solve([f[i] for i in rest])
+                if sol_b is not None:
+                    return DecomposeOutcome(
+                        SOLVED, DecompositionResult(combo, sol_a, rest, sol_b)
+                    )
+    except OutOfTime:
+        return DecomposeOutcome(INCONCLUSIVE)
+    return DecomposeOutcome(NO_SOLUTION)

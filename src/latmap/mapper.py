@@ -6,10 +6,10 @@ literals to the path cells with constant-1 fillers, or deferred when no
 housing works (it may still be present as a combination of other paths).
 Dangling cells are zeroed at the end and the candidate grid is accepted only
 if its solve is truth-table equivalent to the target.  The search backtracks
-over path choices, placements and deferrals.  Running out of time ends it
-with inconclusive at once: after the check that finds the deadline passed,
-no placement is listed, no node opened and no leaf checked.  No other
-examination order is tried.
+over path choices, placements and deferrals.  No other examination order
+is tried.  The check that finds the deadline passed, at a node, a probe or
+a walk step, raises ``OutOfTime``: no placement is listed, no node opened
+and no leaf checked after it, and ``map_function`` answers inconclusive.
 
 A search that runs to the end reports no-solution.  That covers only the
 grids this search builds: the given terms housed on paths of their own
@@ -45,22 +45,22 @@ fixed.  A term skips a path whose bound does not contain the term's mask (a
 fixed cell holds a literal the term lacks); the paths that pass are scanned
 for their free cells.
 
-One loop places every (term, path) pair: it takes the arrangements that
-pass from one of two sources, picked by how many arrangements the pair has
+One loop places every (term, path) pair: it takes the arrangements that pass
+from one of two sources, picked by how many arrangements the pair has
 (``arrangement_count``), skips those whose mirror image comes earlier and
-opens a node for each other; it returns at a solution or when time runs
-out.  A narrow pair, with at most ``WALK_FROM`` (100), is probed: each
-arrangement's option masks are ANDed into a copy of the node's path bounds,
-and it fails when a path it completes is a live escape (a nonzero bound
-inside no term's mask), when the new bounds, ORed, no longer cover the
-function, or, unless its node is a leaf of the last term, where ``_finish``
-is exact, when the reach bound fails.  Which paths a placement completes
-depends only on the node and the path, so they are listed once for all its
-arrangements.  A wide pair is walked (below).  An opened node's cells are
-written to the grid and the copy becomes its bounds.  A node never writes
-its own bounds, so undo is putting them back and clearing the cells.  So a
-node's placements always cover the function, and a deferral, which keeps
-its parent's state, needs no test of its own.
+opens a node for each other; it returns at a solution.  A narrow pair, with
+at most ``WALK_FROM`` (100), is probed: each arrangement's option masks are
+ANDed into a copy of the node's path bounds, and it fails when a path it
+completes is a live escape (a nonzero bound inside no term's mask), when the
+new bounds, ORed, no longer cover the function, or, unless its node is a
+leaf of the last term, where ``_finish`` is exact, when the reach bound
+fails.  Which paths a placement completes depends only on the node and the
+path, so they are listed once for all its arrangements.  A wide pair is
+walked (below).  An opened node's cells are written to the grid and the copy
+becomes its bounds.  A node never writes its own bounds, so undo is putting
+them back and clearing the cells.  So a node's placements always cover the
+function, and a deferral, which keeps its parent's state, needs no test of
+its own.
 
 The reach bound: at an accepted leaf every nonzero path product lies inside
 one term's mask (live escapes are rejected, and ``_finish`` sets the paths
@@ -95,9 +95,9 @@ unlisted.  Of the pairs that reach the arrangements, with the share of their
 arrangements, these lie above 100: none of the 5,268 pairs of the
 benchmark's solved library maps on 3x3 (none holds more than 60), 0.5 % with
 10 % on 3x4, 8.4 % with 72 % over the pool negatives on 3x3, and 19 % with
-82 % when synthesizing SYNTH_EIGHT on 3x3.  Walking every pair made the
-benchmark's solved maps 1.7 times slower in median; at 100 its map-solved
-times stay within run-to-run noise (``BENCH_18.json``).
+82 % when synthesizing SYNTH_EIGHT on 3x3.  Walking every pair slows the
+solved maps (0.24 to 0.32-0.38 s) and speeds the negatives (6.7-7.5 to
+5.7-6.2 s) and SYNTH_EIGHT (0.30-0.34 to 0.27-0.28 s); see the README.
 
 Only subtrees without a solution are cut, so the answers and the first
 solution, its grid and its points of interest stay the same.
@@ -165,6 +165,10 @@ POI_PATH_XXPRIME = "path-saved-by-xxprime"
 POI_ZERO_ON_VAR = "zero-on-lattice-var"
 POI_TERM_HIDING = "term-hiding"
 POI_PLACED_XXPRIME = "placed-by-xxprime"
+
+
+class OutOfTime(Exception):
+    """The run's deadline has passed: every layer ends inconclusive."""
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,6 @@ class _Search:
         self.paths = paths.paths  # canonical = shortest first
         self.through = paths.through
         self.deadline = deadline
-        self.truncated = False  # time ran out: the search ends at once
 
         self.var_order = table_variables(f)
         # a fixed cell ANDs its mask into the bound of every path through it
@@ -349,7 +352,7 @@ class _Search:
         or an xx' pair) or lies inside a term's mask, and nothing fixed
         later changes that, nor makes a bound larger.  The paths other than
         ``pi`` a placement completes hold a free cell and none of ``unset``,
-        the cells left unset after it.  The probes end when time runs out."""
+        the cells left unset after it.  Past the deadline it raises."""
         path_ub = self.path_ub
         placed = self.unset & ~unset
         done = [
@@ -364,8 +367,7 @@ class _Search:
         term_outside = self.term_outside
         last = ti + 1 == len(self.f)  # ``_finish`` checks the child exactly
         for ranks in arrangements(key):
-            if self._out_of_time():
-                return
+            self._check_time()
             bounds = path_ub[:]
             for cell, rank in zip(free, ranks):
                 m = option_masks[rank]
@@ -395,8 +397,8 @@ class _Search:
         ranks in ``need`` (bit r for rank r) and passes, in lexicographic
         order, one free cell at a time.  A prefix that completes a live
         escape, or whose shares no longer cover the function, fails with
-        every arrangement below it.  The walk ends when time runs out.  It
-        starts from the node's shares, listed at the node's first walk.
+        every arrangement below it; past the deadline it raises.  It starts
+        from the node's shares, listed at the node's first walk.
 
         A step lists, for a free cell once it and the cells before it are
         fixed, the paths through it: those whose share is their bound, the
@@ -434,8 +436,7 @@ class _Search:
             if len(prefix) == ncells:
                 yield prefix, bounds, reach
                 continue
-            if self._out_of_time():
-                return
+            self._check_time()
             plain, bounded, done = steps[len(prefix)]
             left = ncells - len(prefix) - 1  # cells after this one
             children = []
@@ -460,18 +461,15 @@ class _Search:
 
     # -- search ----------------------------------------------------------
 
-    def _out_of_time(self) -> bool:
+    def _check_time(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
-            self.truncated = True
-            return True
-        return False
+            raise OutOfTime
 
     def _try_terms(self, ti: int, stab: Sequence[Mirror]) -> Optional[MappingSolution]:
         """Search below the current node; ``stab`` holds the mirrors that map
         its grid and used paths onto themselves.  The node's placements cover
         the function: the parent tested that before opening it."""
-        if self._out_of_time():
-            return None
+        self._check_time()
         if ti == len(self.f):
             return self._finish()
         term = self.f[ti]
@@ -504,10 +502,8 @@ class _Search:
                     if child is None:
                         continue  # a mirror image of it comes earlier
                 sol = self._open(ti, pi, free, ranks, bounds, reach, unset, child)
-                if sol is not None or self.truncated:
+                if sol is not None:
                     return sol
-            if self.truncated:
-                return None  # the probes or the walk ran out of time
         # no housing works down this branch: defer, the term may be hiding
         return self._try_terms(ti + 1, stab)
 
@@ -686,9 +682,12 @@ def map_function(
     if support_size(search.f_mask, len(search.var_order)) > dim.cells:
         # a grid of rc cells holds at most rc distinct literals
         return MapResult(NO_SOLUTION)
-    sol = search._try_terms(0, paths.mirrors)
+    try:
+        sol = search._try_terms(0, paths.mirrors)
+    except OutOfTime:
+        return MapResult(INCONCLUSIVE)
     if sol is not None:
         return MapResult(SOLVED, sol)
     # no-solution is not a proof that no grid realizes f (see the module
     # docstring)
-    return MapResult(INCONCLUSIVE if search.truncated else NO_SOLUTION)
+    return MapResult(NO_SOLUTION)

@@ -27,10 +27,10 @@ alive until a cyclic collection.
 A brute-force variant (generate all simple paths, then delete supersets)
 serves as the oracle for small dimensions.
 
-The walk's tables (``steps``, ``near``, ``below``, ``ends``) are built once
-per dimension by ``walk_tables``, which also holds the ``MAX_DIM`` guard;
-the solver walks the same tables to list a grid's products without
-enumerating paths.
+The walk's tables (``steps``, ``near``, ``below``) are built once per
+dimension by ``walk_tables``, which also holds the ``MAX_DIM`` guard; the
+solver walks the same tables to list a grid's products without enumerating
+paths.
 A ``PathSet`` holds every irredundant path of its dimension and owns the
 tables derived from them, each built at its first use and then kept:
 ``cell_masks`` (each path as an int with bit ``c`` set for every cell ``c``
@@ -123,14 +123,13 @@ def walk_tables(dim: LatticeDim) -> tuple[
     tuple[tuple[tuple[int, int], ...], ...],
     tuple[int, ...],
     tuple[int | None, ...],
-    tuple[bool, ...],
 ]:
-    """``(steps, near, below, ends)`` of the path walk on ``dim``, built
-    once per dimension.  Per cell: its children outside the bottom row as
+    """``(steps, near, below)`` of the path walk on ``dim``, built once
+    per dimension.  Per cell: its children outside the bottom row as
     ``(cell, 1 << cell)`` pairs, the mask of the cell and all its children,
-    the bottom-row cell under it (None outside the next-to-last row) and
-    whether it is in the bottom row.  Raises ValueError beyond the
-    ``MAX_DIM`` guard, which bounds every walk."""
+    and the bottom-row cell under it (None outside the next-to-last row); a
+    top-row cell ends a path exactly when ``dim.rows`` is 1.  Raises
+    ValueError beyond the ``MAX_DIM`` guard, which bounds every walk."""
     if dim.rows > MAX_DIM or dim.cols > MAX_DIM:
         raise ValueError(f"dimension {dim.rows}x{dim.cols} exceeds the {MAX_DIM} guard")
     children = build_children(dim)
@@ -139,13 +138,12 @@ def walk_tables(dim: LatticeDim) -> tuple[
     steps = tuple(tuple((y, 1 << y) for y in kids[x] if y < bottom) for x in range(n))
     near = tuple(sum(1 << y for y in [x, *kids[x]]) for x in range(n))
     below = tuple(x + dim.cols if bottom - dim.cols <= x < bottom else None for x in range(n))
-    ends = tuple(x >= bottom for x in range(n))
-    return steps, near, below, ends
+    return steps, near, below
 
 
 def enumerate_paths(dim: LatticeDim) -> PathSet:
     """All irredundant paths, pruned during generation, in canonical order."""
-    steps, near, below, ends = walk_tables(dim)
+    steps, near, below = walk_tables(dim)
     n, cols = dim.cells, dim.cols
     top = (1 << cols) - 1  # the source's children
     # left[k] and middle[k] hold the paths of length k + 1 from the left
@@ -154,7 +152,7 @@ def enumerate_paths(dim: LatticeDim) -> PathSet:
     middle: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
     for col in range((cols + 1) // 2):
         out = middle if 2 * col + 1 == cols else left
-        if ends[col]:
+        if dim.rows == 1:
             out[0].append((col,))
         _extend(col, [col], top, steps, near, below, out)
     # the lattice is left-right symmetric: the paths from the right columns

@@ -111,7 +111,7 @@ def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
     another dimension is still a ValueError."""
     if paths is not None:
         paths_for(lat.dim, paths)
-    steps, near, below, ends = walk_tables(lat.dim)
+    steps, near, below = walk_tables(lat.dim)
     bit_of: dict[int, int] = {}
     zero = 0
     for cell, code in enumerate(lat.codes):
@@ -128,7 +128,7 @@ def solve_lattice(lat: LatticeAssignment, paths: PathSet | None = None) -> Sop:
     for col in range(lat.dim.cols):
         if zero >> col & 1:
             continue
-        if ends[col]:
+        if lat.dim.rows == 1:
             _keep(bit[col], found)
         else:
             _grow(col, bit[col], zero | top, steps, near, below, bit, clash, found)

@@ -7,9 +7,11 @@ recursion: they go onto one lattice, else onto two (``decompose_two``), else
 they are halved.  Halving peels off the first half if it maps, else the
 larger part of its two-lattice decomposition (the smaller part rejoins the
 second half), else halves the first half in turn; the rest is covered
-anew.  All mapper calls of one run share one memo keyed by the ordered term
-tuple, so no term list is mapped twice, and the time limit bounds the whole
-run: each call gets the time that remains.
+anew.  All mapper calls of one run share one ``Run`` (see
+``latmap.decompose``): one memo of definite verdicts keyed by the ordered
+term tuple, so no term list is mapped twice, and one deadline, fixed when
+the run starts, so the time limit bounds the whole run.  Each call gets the
+time that remains, and the first time cut ends the run as inconclusive.
 
 ``realizes`` checks a plan by evaluating every lattice in plan order with
 ``lattice_table``; an auxiliary lattice's table becomes the truth table of
@@ -33,10 +35,10 @@ from .codes import (
     table_variables,
 )
 from .grid import LatticeDim
-from .mapper import INCONCLUSIVE, MappingSolution, MapResult, SearchBudget
+from .mapper import INCONCLUSIVE, MappingSolution, OutOfTime, SearchBudget
 from .mapper import map_function  # noqa: F401  bench/tests checks the tracer rebinds it here
-from .decompose import DecomposeOutcome, DecompositionResult, decompose_two, map_once
-from .paths import PathSet, enumerate_paths, longest_path_len
+from .decompose import DecompositionResult, Run, decompose_two
+from .paths import enumerate_paths, longest_path_len
 from .solver import LatticeAssignment, lattice_table
 
 
@@ -61,10 +63,6 @@ class PlanLattice:
 class SynthesisPlan:
     dim: LatticeDim
     lattices: tuple[PlanLattice, ...]  # auxiliary lattices first, in code order
-
-
-class SynthesisInconclusive(Exception):
-    """An inner search hit its budget; the plan cannot be trusted."""
 
 
 def split_long_terms(f: Sop, lb: int) -> tuple[Sop, list[AuxDefinition]]:
@@ -97,54 +95,28 @@ def split_long_terms(f: Sop, lb: int) -> tuple[Sop, list[AuxDefinition]]:
     return out, defs
 
 
-class _Run:
-    """One run's verdict memo and deadline.  A call with no time left is
-    skipped as inconclusive, and an inconclusive answer ends the run."""
-
-    def __init__(self, dim: LatticeDim, budget: SearchBudget, paths: PathSet):
-        self.dim = dim
-        self.budget = budget
-        self.paths = paths
-        self.deadline = budget.deadline()
-        self.memo: dict[tuple[Term, ...], MapResult] = {}
-
-    @staticmethod
-    def _settled(outcome: MapResult | DecomposeOutcome):
-        if outcome.status == INCONCLUSIVE:
-            raise SynthesisInconclusive
-        return outcome
-
-    def map(self, terms: Sop) -> Optional[MappingSolution]:
-        """The lattice for ``terms``, None for no-solution."""
-        outcome = map_once(
-            self.memo, tuple(terms), self.dim, self.budget, self.deadline, self.paths
-        )
-        return self._settled(outcome).solution
-
-    def split(self, terms: Sop) -> Optional[DecompositionResult]:
-        """A two-lattice decomposition of ``terms``, None when there is none."""
-        if len(terms) < 2:
-            return None
-        left = self.budget.until(self.deadline)
-        outcome = (
-            DecomposeOutcome(INCONCLUSIVE)
-            if left is None
-            else decompose_two(terms, self.dim, left, self.paths, memo=self.memo)
-        )
-        return self._settled(outcome).result
+def _split(run: Run, terms: Sop) -> Optional[DecompositionResult]:
+    """A two-lattice decomposition of ``terms``, None when there is none;
+    ``OutOfTime`` when the time runs out first."""
+    if len(terms) < 2:
+        return None
+    outcome = decompose_two(terms, run.dim, run.left(), run.paths, memo=run.memo)
+    if outcome.status == INCONCLUSIVE:
+        raise OutOfTime
+    return outcome.result
 
 
 def _part(terms: Sop, indices: tuple[int, ...], sol: MappingSolution) -> PlanLattice:
     return PlanLattice(sol.assignment, tuple(terms[i] for i in indices))
 
 
-def _cover(run: _Run, terms: Sop) -> list[PlanLattice]:
+def _cover(run: Run, terms: Sop) -> list[PlanLattice]:
     if not terms:
         return []
-    sol = run.map(terms)
+    sol = run.solve(terms)
     if sol is not None:
         return [PlanLattice(sol.assignment, tuple(terms))]
-    res = run.split(terms)
+    res = _split(run, terms)
     if res is not None:
         return [
             _part(terms, res.indices_a, res.solution_a),
@@ -153,16 +125,16 @@ def _cover(run: _Run, terms: Sop) -> list[PlanLattice]:
     return _halve(run, terms)
 
 
-def _halve(run: _Run, terms: Sop) -> list[PlanLattice]:
+def _halve(run: Run, terms: Sop) -> list[PlanLattice]:
     if len(terms) == 1:
         # a single short term always fits on some path
         raise AssertionError(f"unmappable single term {sorted(terms[0])}")
     half = (len(terms) + 1) // 2
     h1, h2 = terms[:half], terms[half:]
-    sol = run.map(h1)
+    sol = run.solve(h1)
     if sol is not None:
         return [PlanLattice(sol.assignment, tuple(h1))] + _cover(run, h2)
-    res = run.split(h1)
+    res = _split(run, h1)
     if res is not None:
         rest = [h1[i] for i in res.indices_b] + h2
         return [_part(h1, res.indices_a, res.solution_a)] + _cover(run, rest)
@@ -180,18 +152,18 @@ def synthesize(
     paths = enumerate_paths(dim)
     lb = longest_path_len(paths)
     working, aux_defs = split_long_terms(f, lb)
-    run = _Run(dim, budget or SearchBudget(), paths)
+    run = Run(dim, budget or SearchBudget(), paths)
     lattices: list[PlanLattice] = []
     try:
         for aux in aux_defs:
-            sol = run.map([aux.product])
+            sol = run.solve([aux.product])
             if sol is None:
                 raise AssertionError(
                     f"aux product of length {len(aux.product)} <= LB must map"
                 )
             lattices.append(PlanLattice(sol.assignment, (aux.product,), aux.code))
         lattices.extend(_cover(run, working))
-    except SynthesisInconclusive:
+    except OutOfTime:
         return None
     return SynthesisPlan(dim, tuple(lattices))
 

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -5,9 +6,16 @@ import pytest
 import latmap.decompose
 
 from latmap.codes import equivalent
-from latmap.decompose import decompose_two, map_once, split_schedule
+from latmap.decompose import Run, decompose_two, split_schedule
 from latmap.grid import LatticeDim
-from latmap.mapper import INCONCLUSIVE, NO_SOLUTION, SOLVED, SearchBudget
+from latmap.mapper import (
+    INCONCLUSIVE,
+    NO_SOLUTION,
+    SOLVED,
+    OutOfTime,
+    SearchBudget,
+    map_function,
+)
 from latmap.paths import enumerate_paths
 from latmap.solver import solve_lattice
 
@@ -94,15 +102,37 @@ def test_time_limit_bounds_the_whole_call():
     assert out.status in (SOLVED, INCONCLUSIVE)
 
 
-def test_map_once_with_no_time_left_is_inconclusive(monkeypatch):
-    """Past the deadline the mapper is not called; the verdict is
-    inconclusive and is kept, so a second ask maps nothing either."""
-    monkeypatch.setattr(latmap.decompose, "map_function", None)  # any call fails
+def test_first_time_cut_ends_the_schedule():
+    """Twenty 3-literal terms have 524,287 pairs to try on 3x3.  The first
+    mapping that the time limit cuts ends the call as inconclusive, and
+    nothing inconclusive is memoized."""
+    rng = random.Random(2026)
+    fn = []
+    while len(fn) < 20:
+        term = frozenset(v if rng.random() < 0.5 else 1000 - v
+                         for v in rng.sample(range(6), 3))
+        if term not in fn:
+            fn.append(term)
     memo = {}
-    terms = tuple(f({0}))
-    args = (LatticeDim(2, 2), SearchBudget(time_limit=60), time.monotonic() - 1,
-            enumerate_paths(LatticeDim(2, 2)))
-    assert map_once(memo, terms, *args).status == INCONCLUSIVE
-    assert map_once(memo, terms, *args) is memo[terms]
-    assert list(memo) == [terms]
+    start = time.monotonic()
+    out = decompose_two(fn, DIM3, SearchBudget(time_limit=0.05), memo=memo)
+    assert time.monotonic() - start < 1.0
+    assert out.status == INCONCLUSIVE
+    assert len(memo) < 1000
+    assert all(r.status != INCONCLUSIVE for r in memo.values())
 
+
+def test_map_once_with_no_time_left_is_inconclusive(monkeypatch):
+    """Past the deadline ``Run.solve`` calls no mapper and raises
+    ``OutOfTime``; nothing is memoized, so a second ask maps nothing
+    either.  A definite verdict already in the memo is still answered."""
+    monkeypatch.setattr(latmap.decompose, "map_function", None)  # any call fails
+    run = Run(LatticeDim(2, 2), SearchBudget(time_limit=60))
+    run.deadline = time.monotonic() - 1
+    for _ in range(2):
+        with pytest.raises(OutOfTime):
+            run.solve(f({0}))
+    assert run.memo == {}
+    known = map_function(f({1}), LatticeDim(2, 2))
+    run.memo[tuple(f({1}))] = known
+    assert run.solve(f({1})) is known.solution

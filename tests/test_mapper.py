@@ -6,13 +6,14 @@ from itertools import combinations, product
 
 import pytest
 
-from latmap.codes import CONST_ZERO, literal_masks
+from latmap.codes import CONST_ZERO, function_mask, literal_masks, table_variables
 from latmap.grid import LatticeDim
 from latmap import mapper
 from latmap.mapper import (
     INCONCLUSIVE,
     NO_SOLUTION,
     SOLVED,
+    OutOfTime,
     PoiEvent,
     SearchBudget,
     _Search,
@@ -21,7 +22,7 @@ from latmap.mapper import (
     map_function,
 )
 from latmap.paths import PathSet, enumerate_paths
-from latmap.solver import generate_library, verify_witness
+from latmap.solver import LatticeAssignment, generate_library, lattice_table, verify_witness
 
 from lattice_goldens import (
     DECOMP_EVEN8,
@@ -284,24 +285,25 @@ def test_time_cut_ends_the_search_at_once(monkeypatch):
     the first: cuts land at node entries, in probe loops of narrow pairs and
     inside walks of wide ones.  Each answers inconclusive, and after the cut
     no placement is listed, no node opened and no leaf checked."""
-    clock = {"checks": 0, "k": 0, "after": 0}
+    clock = {"checks": 0, "k": 0, "cut": False, "after": 0}
     cut_in = set()
 
-    def out_of_time(self):
+    def check_time(self):
         clock["checks"] += 1
-        if clock["checks"] >= clock["k"] and not self.truncated:
-            self.truncated = True
-            cut_in.add(sys._getframe(1).f_code.co_name)
-        return self.truncated
+        if clock["checks"] >= clock["k"]:
+            if not clock["cut"]:
+                clock["cut"] = True
+                cut_in.add(sys._getframe(1).f_code.co_name)
+            raise OutOfTime
 
-    monkeypatch.setattr(_Search, "_out_of_time", out_of_time)
+    monkeypatch.setattr(_Search, "_check_time", check_time)
     for name in ("_placements", "_open", "_finish"):
         def counted(self, *args, _method=getattr(_Search, name)):
-            clock["after"] += self.truncated
+            clock["after"] += clock["cut"]
             return _method(self, *args)
         monkeypatch.setattr(_Search, name, counted)
     for k in range(1, 4000, 52):
-        clock.update(checks=0, k=k)
+        clock.update(checks=0, k=k, cut=False)
         r = map_function(HARD, DIM3, SearchBudget(time_limit=60))
         assert (r.status, r.solution, clock["after"]) == (INCONCLUSIVE, None, 0), k
     assert cut_in == {"_try_terms", "_probes", "_walk"}
@@ -476,3 +478,37 @@ def test_library_functions_round_trip():
         r = map_function(e.function, DIM3)
         assert r.status == SOLVED
         assert verify_witness(r.solution.assignment, e.function)
+
+
+def _beside(g1, g2):
+    """[g1 | column of 0 | g2] for two grids with the same row count."""
+    rows, cols = g1.dim.rows, g1.dim.cols
+    codes = []
+    for row in range(rows):
+        cut = slice(row * cols, (row + 1) * cols)
+        codes += g1.codes[cut] + (CONST_ZERO,) + g2.codes[cut]
+    return LatticeAssignment(LatticeDim(rows, 2 * cols + 1), tuple(codes))
+
+
+@pytest.mark.parametrize("rows,cols,seed", [(2, 2, 1), (2, 3, 2), (3, 2, 3)])
+def test_or_composition_is_never_no_solution(rows, cols, seed):
+    """A column of 0 between two grids joins no path of one to the other,
+    so [G1 | 0 | G2] realizes f1 + f2 when G1 realizes f1 and G2 f2.  For
+    every pair of library functions with no common term that map on r x c,
+    the composed grid realizes f1 + f2 and the mapper, which may not find
+    it, never answers no-solution on r x (2c + 1)."""
+    dim = LatticeDim(rows, cols)
+    mapped = []
+    for e in generate_library(dim, 4, 12, seed):
+        if e.function and frozenset() not in e.function:
+            r = map_function(e.function, dim)
+            if r.status == SOLVED:
+                mapped.append((e.function, r.solution.assignment))
+    pairs = [(a, b) for a, b in combinations(mapped, 2) if not set(a[0]) & set(b[0])]
+    assert len(pairs) >= 40
+    for (f1, g1), (f2, g2) in pairs:
+        fn = f1 + f2
+        grid = _beside(g1, g2)
+        universe = table_variables(fn)
+        assert lattice_table(grid, literal_masks(universe)) == function_mask(fn, universe)
+        assert map_function(fn, grid.dim).status != NO_SOLUTION, (f1, f2)

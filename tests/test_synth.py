@@ -6,15 +6,15 @@ import pytest
 import latmap.decompose
 import latmap.synth
 from latmap.grid import LatticeDim
-from latmap.mapper import SearchBudget
+from latmap.decompose import Run
+from latmap.mapper import OutOfTime, SearchBudget
 from latmap.paths import enumerate_paths, longest_path_len
 from latmap.solver import LatticeAssignment
 from latmap.synth import (
     AuxDefinition,
     PlanLattice,
-    SynthesisInconclusive,
     SynthesisPlan,
-    _Run,
+    _split,
     realizes,
     split_long_terms,
     synthesize,
@@ -250,15 +250,16 @@ def test_time_limit_bounds_the_whole_run():
     assert plan is None or realizes(plan, SYNTH_EIGHT)
 
 
-def test_run_with_no_time_left_maps_nothing():
+def test_run_with_no_time_left_maps_nothing(monkeypatch):
     """Past its deadline, a run makes no mapper call or split and ends as
-    inconclusive; the skipped verdict is kept in the memo."""
-    run = _Run(DIM2, SearchBudget(time_limit=60), enumerate_paths(DIM2))
-    assert run.split(f({0})) is None  # one term has no split to try
+    inconclusive; nothing is memoized."""
+    run = Run(DIM2, SearchBudget(time_limit=60), enumerate_paths(DIM2))
+    assert _split(run, f({0})) is None  # one term has no split to try
     run.deadline = time.monotonic() - 1
-    with pytest.raises(SynthesisInconclusive):
-        run.map(f({0}))
-    assert [r.status for r in run.memo.values()] == ["inconclusive"]
-    with pytest.raises(SynthesisInconclusive):
-        run.split(f({0}, {1}))
-    assert len(run.memo) == 1
+    monkeypatch.setattr(latmap.decompose, "map_function", None)  # any call fails
+    monkeypatch.setattr(latmap.synth, "decompose_two", None)
+    with pytest.raises(OutOfTime):
+        run.solve(f({0}))
+    with pytest.raises(OutOfTime):
+        _split(run, f({0}, {1}))
+    assert run.memo == {}
