@@ -16,11 +16,14 @@ In order, the lines are:
 - each kept entry of the ``solved`` library pools, mapped on its pool's
   dimension;
 - each CLI run of the benchmark's ``pipeline`` workload: its exit code and
-  one sha256 per output (stdout, stderr and every file it writes).
+  one sha256 per output (stdout, stderr and every file it writes);
+- each case of ``CLI_CASES`` (every subcommand, its verdicts, a usage error
+  and every ``--help``), hashed the same way.
 
 A mapping line holds the status, grid codes, order and points of interest.
 The script reads only under ``bench/`` and imports latmap from ``src/`` of
-its own checkout; the CLI runs write to a temporary directory.
+its own checkout; the CLI runs write to a temporary directory, and ``--help``
+is formatted for 80 columns.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import tempfile
@@ -68,12 +72,47 @@ def _map_line(input_id: str, dim, terms, paths) -> str:
     })
 
 
-def _pipeline_line(name: str, argv: list[str], workdir: Path) -> str:
-    outdir = workdir / name.replace("/", "-")
+# Input files of CLI_CASES, written to the case directory's parent.
+CLI_INPUTS = {
+    "grid.lat": "3 3\n0 101 1\n1 1 998\n2 2 101\n",
+    "a.lat": "2 2\n0 100\n101 100\n",
+    "a.fn": "1\n1 0\n",
+    "b.fn": "1\n1 1\n",
+    "three.fn": "3\n2 997 999\n4 997 5 4 998\n2 1000 5\n",
+    "abc.fn": "1\n3 0 1 2\n",
+    "split.fn": "2\n3 0 1 2\n3 1000 999 998\n",
+}
+COMMANDS = ("paths", "solve", "genlib", "map", "decompose", "synth", "verify")
+# (id, argv): "{in}" is the inputs' directory, "{out}" the case's own.
+CLI_CASES = (
+    ("cli/paths", ["paths", "--dim", "3", "3"]),
+    ("cli/solve", ["solve", "{in}/grid.lat"]),
+    ("cli/genlib", ["genlib", "--dim", "3", "3", "--trials", "5", "--seed", "9"]),
+    ("cli/genlib-paper", ["genlib", "--dim", "2", "2", "--trials", "3", "--paper-style"]),
+    ("cli/map-pretty", ["map", "{in}/three.fn", "--dim", "3", "3", "--pretty",
+                        "-o", "{out}/sol.lat"]),
+    ("cli/map-no-solution", ["map", "{in}/abc.fn", "--dim", "2", "2"]),
+    ("cli/verify-equivalent", ["verify", "{in}/a.lat", "{in}/a.fn"]),
+    ("cli/verify-not", ["verify", "{in}/a.lat", "{in}/b.fn"]),
+    ("cli/decompose-no-solution", ["decompose", "{in}/split.fn", "--dim", "2", "2",
+                                   "--outdir", "{out}/split"]),
+    ("cli/usage", ["paths", "--dim", "x", "3"]),
+    ("cli/help", ["--help"]),
+    *((f"cli/help-{c}", [c, "--help"]) for c in COMMANDS),
+)
+
+
+def _cli_line(name: str, argv: list[str], outdir: Path) -> str:
+    """Run ``cli.main(argv)`` and hash its outputs and the files under
+    ``outdir``; an exit through ``SystemExit`` gives its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv + ["--outdir", str(outdir)])
-    files = {p.name: _sha(p.read_bytes()) for p in sorted(outdir.iterdir())}
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    written = sorted(p for p in outdir.rglob("*") if p.is_file())
+    files = {str(p.relative_to(outdir)): _sha(p.read_bytes()) for p in written}
     return json.dumps({
         "id": name,
         "exit": code,
@@ -140,9 +179,19 @@ def main() -> None:
         for name, subcommand, terms, _ in workloads.PIPELINE:
             fn_file = workdir / (name.replace("/", "-") + ".fn")
             fn_file.write_text(workloads._function_text(terms))
+            outdir = workdir / name.replace("/", "-")
             argv = [subcommand, str(fn_file), "--dim", "3", "3"]
             argv += ["--verify"] if subcommand == "synth" else []
-            print(_pipeline_line(name, argv, workdir))
+            argv += ["--outdir", str(outdir)]
+            print(_cli_line(name, argv, outdir))
+        for file_name, text in CLI_INPUTS.items():
+            (workdir / file_name).write_text(text)
+        os.environ["COLUMNS"] = "80"
+        for name, argv in CLI_CASES:
+            outdir = workdir / name.replace("/", "-")
+            outdir.mkdir()
+            argv = [a.format(**{"in": workdir, "out": outdir}) for a in argv]
+            print(_cli_line(name, argv, outdir))
 
 
 if __name__ == "__main__":
