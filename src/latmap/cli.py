@@ -35,10 +35,6 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _budget(args: argparse.Namespace) -> mapper.SearchBudget:
-    return mapper.SearchBudget(args.time_limit)
-
-
 def _load_function(path: str) -> codes.Sop:
     warnings: list[str] = []
     f = codes.parse_function(_read(path), warnings)
@@ -47,24 +43,24 @@ def _load_function(path: str) -> codes.Sop:
     return f
 
 
-def _print_solution(sol: mapper.MappingSolution, pretty: bool) -> None:
-    lat = sol.assignment
-    if pretty:
-        assg = " ".join(
-            f"v{i}={codes.pretty_code(code)}" for i, code in enumerate(lat.codes)
-        )
-    else:
-        assg = " ".join(f"v{i}={code}" for i, code in enumerate(lat.codes))
-    print("SOLUTION FOUND:")
-    print(f"ASSG {assg}")
-    for ev in sol.poi:
-        print(f"POI: {ev.text()}")
-    print("ORDER: " + " ".join(str(i + 1) for i in sol.order))
+def _not_solved(status: str) -> int:
+    """Print a verdict other than solved; its exit code."""
+    if status == mapper.NO_SOLUTION:
+        print("NO SOLUTION")
+        return EXIT_NEGATIVE
+    print("INCONCLUSIVE (budget)")
+    return EXIT_INCONCLUSIVE
+
+
+def _write_outdir(outdir: str, files: dict[str, str]) -> None:
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text)
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    dim = LatticeDim(args.dim[0], args.dim[1])
-    ps = paths.enumerate_paths(dim)
+    ps = paths.enumerate_paths(LatticeDim(*args.dim))
     _write(args.output, paths.serialize_paths(ps))
     print(f"paths: {len(ps)}", file=sys.stderr)
     return EXIT_OK
@@ -79,7 +75,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_genlib(args: argparse.Namespace) -> int:
-    dim = LatticeDim(args.dim[0], args.dim[1])
+    dim = LatticeDim(*args.dim)
     entries = solver.generate_library(dim, args.num_vars, args.trials, args.seed)
     header = f"# seed {args.seed}\n" if args.paper_style else ""
     _write(args.output, header + solver.serialize_library(entries, args.paper_style))
@@ -89,80 +85,64 @@ def cmd_genlib(args: argparse.Namespace) -> int:
 
 def cmd_map(args: argparse.Namespace) -> int:
     f = _load_function(args.function)
-    result = mapper.map_function(f, LatticeDim(*args.dim), _budget(args))
-    if result.status == mapper.SOLVED:
-        _print_solution(result.solution, args.pretty)
-        if args.output:
-            _write(args.output, solver.serialize_lattice(result.solution.assignment))
-        return EXIT_OK
-    if result.status == mapper.NO_SOLUTION:
-        print("NO SOLUTION")
-        return EXIT_NEGATIVE
-    print("INCONCLUSIVE (budget)")
-    return EXIT_INCONCLUSIVE
+    dim = LatticeDim(*args.dim)
+    result = mapper.map_function(f, dim, mapper.SearchBudget(args.time_limit))
+    if result.status != mapper.SOLVED:
+        return _not_solved(result.status)
+    sol = result.solution
+    show = codes.pretty_code if args.pretty else str
+    print("SOLUTION FOUND:")
+    print("ASSG " + " ".join(f"v{i}={show(c)}" for i, c in enumerate(sol.assignment.codes)))
+    for ev in sol.poi:
+        print(f"POI: {ev.text()}")
+    print("ORDER: " + " ".join(str(i + 1) for i in sol.order))
+    if args.output:
+        _write(args.output, solver.serialize_lattice(sol.assignment))
+    return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     f = _load_function(args.function)
-    dim = LatticeDim(args.dim[0], args.dim[1])
-    outcome = decompose.decompose_two(f, dim, _budget(args))
-    if outcome.status == mapper.SOLVED:
-        res = outcome.result
-        outdir = Path(args.outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        manifest = []
-        for name, indices, sol in (
-            ("sub1", res.indices_a, res.solution_a),
-            ("sub2", res.indices_b, res.solution_b),
-        ):
-            (outdir / f"{name}.lat").write_text(
-                solver.serialize_lattice(sol.assignment)
-            )
-            manifest.append(f"{name}: terms " + " ".join(str(i + 1) for i in indices))
-            for ev in sol.poi:
-                manifest.append(f"{name} POI: {ev.text()}")
-        (outdir / "manifest.txt").write_text("\n".join(manifest) + "\n")
-        print(
-            f"decomposed into {len(res.indices_a)} + {len(res.indices_b)} terms",
-            file=sys.stderr,
-        )
-        return EXIT_OK
-    if outcome.status == mapper.NO_SOLUTION:
-        print("NO SOLUTION")
-        return EXIT_NEGATIVE
-    print("INCONCLUSIVE (budget)")
-    return EXIT_INCONCLUSIVE
+    dim = LatticeDim(*args.dim)
+    outcome = decompose.decompose_two(f, dim, mapper.SearchBudget(args.time_limit))
+    if outcome.status != mapper.SOLVED:
+        return _not_solved(outcome.status)
+    res = outcome.result
+    files, manifest = {}, []
+    for name, indices, sol in (
+        ("sub1", res.indices_a, res.solution_a),
+        ("sub2", res.indices_b, res.solution_b),
+    ):
+        files[f"{name}.lat"] = solver.serialize_lattice(sol.assignment)
+        manifest.append(f"{name}: terms " + " ".join(str(i + 1) for i in indices))
+        manifest += (f"{name} POI: {ev.text()}" for ev in sol.poi)
+    files["manifest.txt"] = "\n".join(manifest) + "\n"
+    _write_outdir(args.outdir, files)
+    print(f"decomposed into {len(res.indices_a)} + {len(res.indices_b)} terms", file=sys.stderr)
+    return EXIT_OK
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     f = _load_function(args.function)
-    dim = LatticeDim(args.dim[0], args.dim[1])
-    plan = synth.synthesize(f, dim, _budget(args))
+    dim = LatticeDim(*args.dim)
+    plan = synth.synthesize(f, dim, mapper.SearchBudget(args.time_limit))
     if plan is None:
-        print("INCONCLUSIVE (budget)")
-        return EXIT_INCONCLUSIVE
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for i, pl in enumerate(plan.lattices):
-        name = f"lattice{i + 1}.lat"
-        (outdir / name).write_text(solver.serialize_lattice(pl.assignment))
-        what = (
-            f"aux x{pl.aux_code - codes.AUX_MIN + 1}"
-            if pl.aux_code is not None
-            else "output"
-        )
+        return _not_solved(mapper.INCONCLUSIVE)
+    files, manifest, aux = {}, [], []
+    for i, pl in enumerate(plan.lattices, 1):
+        name = f"lattice{i}.lat"
+        files[name] = solver.serialize_lattice(pl.assignment)
+        what = "output"
+        if pl.aux_code is not None:
+            what = f"aux x{pl.aux_code - codes.AUX_MIN + 1}"
+            term = sorted(pl.terms[0])
+            aux.append(f"{pl.aux_code} {len(term)} " + " ".join(map(str, term)))
         manifest.append(
             f"{name}: {what}: " + " + ".join(codes.pretty_term(t) for t in pl.terms)
         )
-    aux_lines = [
-        f"{pl.aux_code} {len(pl.terms[0])} "
-        + " ".join(str(c) for c in sorted(pl.terms[0]))
-        for pl in plan.lattices
-        if pl.aux_code is not None
-    ]
-    (outdir / "aux.txt").write_text("\n".join(aux_lines) + "\n" if aux_lines else "")
-    (outdir / "manifest.txt").write_text("\n".join(manifest) + "\n")
+    files["aux.txt"] = "".join(line + "\n" for line in aux)
+    files["manifest.txt"] = "\n".join(manifest) + "\n"
+    _write_outdir(args.outdir, files)
     n = len(plan.lattices)
     print(f"plan: {n} lattice{'' if n == 1 else 's'}", file=sys.stderr)
     if args.verify:
@@ -183,10 +163,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_NEGATIVE
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--time-limit", type=float, default=None)
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 64: argparse's own 2 means inconclusive here."""
 
@@ -195,57 +171,46 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _arg(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return names, kwargs
+
+
+DIM = _arg("--dim", nargs=2, type=int, required=True, metavar=("R", "C"))
+OUTPUT = _arg("-o", "--output", default="-")
+TIME_LIMIT = _arg("--time-limit", type=float, default=None)
+FUNCTION, LATTICE = _arg("function"), _arg("lattice")
+
+# name: (handler, help, arguments in the order --help lists them)
+COMMANDS = {
+    "paths": (cmd_paths, "enumerate irredundant lattice paths", [DIM, OUTPUT]),
+    "solve": (cmd_solve, "solve a literal-assigned lattice", [LATTICE, OUTPUT]),
+    "genlib": (cmd_genlib, "generate a seeded function library", [
+        DIM, _arg("--num-vars", type=int, default=5), _arg("--trials", type=int, default=20),
+        _arg("--seed", type=int, default=0), _arg("--paper-style", action="store_true"), OUTPUT,
+    ]),
+    "map": (cmd_map, "map a function onto a lattice", [
+        FUNCTION, DIM, _arg("--pretty", action="store_true"),
+        _arg(*OUTPUT[0], default=None, help="also write the lattice file"), TIME_LIMIT,
+    ]),
+    "decompose": (cmd_decompose, "split a function over two lattices", [
+        FUNCTION, DIM, _arg("--outdir", default="decomposition"), TIME_LIMIT,
+    ]),
+    "synth": (cmd_synth, "systematic multi-lattice synthesis", [
+        FUNCTION, DIM, _arg("--outdir", default="plan"), _arg("--verify", action="store_true"),
+        TIME_LIMIT,
+    ]),
+    "verify": (cmd_verify, "check a lattice against a function", [LATTICE, FUNCTION]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="latmap")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("paths", help="enumerate irredundant lattice paths")
-    p.add_argument("--dim", nargs=2, type=int, required=True, metavar=("R", "C"))
-    p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_paths)
-
-    p = sub.add_parser("solve", help="solve a literal-assigned lattice")
-    p.add_argument("lattice")
-    p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("genlib", help="generate a seeded function library")
-    p.add_argument("--dim", nargs=2, type=int, required=True, metavar=("R", "C"))
-    p.add_argument("--num-vars", type=int, default=5)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paper-style", action="store_true")
-    p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_genlib)
-
-    p = sub.add_parser("map", help="map a function onto a lattice")
-    p.add_argument("function")
-    p.add_argument("--dim", nargs=2, type=int, required=True, metavar=("R", "C"))
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("-o", "--output", default=None, help="also write the lattice file")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_map)
-
-    p = sub.add_parser("decompose", help="split a function over two lattices")
-    p.add_argument("function")
-    p.add_argument("--dim", nargs=2, type=int, required=True, metavar=("R", "C"))
-    p.add_argument("--outdir", default="decomposition")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("synth", help="systematic multi-lattice synthesis")
-    p.add_argument("function")
-    p.add_argument("--dim", nargs=2, type=int, required=True, metavar=("R", "C"))
-    p.add_argument("--outdir", default="plan")
-    p.add_argument("--verify", action="store_true")
-    _add_budget_flags(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("verify", help="check a lattice against a function")
-    p.add_argument("lattice")
-    p.add_argument("function")
-    p.set_defaults(func=cmd_verify)
-
+    for name, (func, help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for names, kwargs in arguments:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
