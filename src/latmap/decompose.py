@@ -16,6 +16,7 @@ the memo keeps only definite verdicts.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,10 +58,12 @@ class Run:
 
     def left(self) -> SearchBudget:
         """The time that remains; ``OutOfTime`` when none does."""
-        left = self.budget.until(self.deadline)
-        if left is None:
+        if self.deadline is None:
+            return self.budget
+        left = self.deadline - time.monotonic()
+        if left <= 0:
             raise OutOfTime
-        return left
+        return SearchBudget(left)
 
     def solve(self, terms: Sop) -> Optional[MappingSolution]:
         """The lattice for ``terms``, None for no-solution, mapped at most

@@ -189,14 +189,6 @@ class SearchBudget:
         t = self.time_limit
         return None if t is None else time.monotonic() + t
 
-    def until(self, deadline: Optional[float]) -> Optional[SearchBudget]:
-        """This budget for one call of a run that stops at ``deadline``:
-        the time that remains, or None when none does."""
-        if deadline is None:
-            return self
-        left = deadline - time.monotonic()
-        return SearchBudget(left) if left > 0 else None
-
 
 @dataclass(frozen=True)
 class PoiEvent:
