@@ -232,6 +232,19 @@ def test_decompose_negative(tmp_path, capsys):
                        "--outdir", str(tmp_path / "x"))
     assert code == 1
     assert out.strip() == "NO SOLUTION"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["decompose", "synth"])
+def test_outdir_naming_a_file_is_io_error(tmp_path, capsys, command):
+    """a + b splits and plans on 2x2, but its output directory cannot be
+    made where a file stands: exit 66 with one error line."""
+    fn = tmp_path / "ab.fn"
+    fn.write_text("2\n1 0\n1 1\n")
+    code, out, err = run(capsys, command, str(fn), "--dim", "2", "2", "--outdir", str(fn))
+    assert (code, out) == (66, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_synth_plan_and_verify(tmp_path, capsys):

@@ -6,7 +6,15 @@ from itertools import combinations, product
 
 import pytest
 
-from latmap.codes import CONST_ZERO, function_mask, literal_masks, table_variables
+from latmap.codes import (
+    CONST_ONE,
+    CONST_ZERO,
+    absorb,
+    function_mask,
+    literal_masks,
+    normalize_term,
+    table_variables,
+)
 from latmap.grid import LatticeDim
 from latmap import mapper
 from latmap.mapper import (
@@ -512,3 +520,38 @@ def test_or_composition_is_never_no_solution(rows, cols, seed):
         universe = table_variables(fn)
         assert lattice_table(grid, literal_masks(universe)) == function_mask(fn, universe)
         assert map_function(fn, grid.dim).status != NO_SOLUTION, (f1, f2)
+
+
+def _above(g1, g2):
+    """[g1 ; row of 1 ; g2] for two grids with the same column count."""
+    cols = g1.dim.cols
+    codes = g1.codes + (CONST_ONE,) * cols + g2.codes
+    return LatticeAssignment(LatticeDim(2 * g1.dim.rows + 1, cols), codes)
+
+
+@pytest.mark.parametrize("rows,cols,seed", [(2, 2, 1), (2, 3, 2), (3, 2, 3)])
+def test_and_composition_is_never_no_solution(rows, cols, seed):
+    """A row of 1 between two grids joins every path of one to every path
+    of the other, so [G1 ; 1 ; G2] realizes f1 f2 when G1 realizes f1 and G2
+    f2.  For every pair of library functions that map on r x c and whose
+    product is not 0, the composed grid realizes f1 f2 and the mapper, which
+    may not find it within 1 s, never answers no-solution on (2r + 1) x c."""
+    dim = LatticeDim(rows, cols)
+    mapped = []
+    for e in generate_library(dim, 4, 12, seed):
+        if e.function and frozenset() not in e.function:
+            r = map_function(e.function, dim)
+            if r.status == SOLVED:
+                mapped.append((e.function, r.solution.assignment))
+    products = []
+    for (f1, g1), (f2, g2) in combinations(mapped, 2):
+        terms = (normalize_term(t1 | t2) for t1 in f1 for t2 in f2)
+        fn = absorb([t for t in terms if t is not None])
+        if fn:
+            products.append((f1, f2, fn, _above(g1, g2)))
+    assert len(products) >= 30
+    for f1, f2, fn, grid in products:
+        universe = table_variables(f1, f2)
+        assert lattice_table(grid, literal_masks(universe)) == function_mask(fn, universe)
+        result = map_function(fn, grid.dim, SearchBudget(time_limit=1.0))
+        assert result.status != NO_SOLUTION, (f1, f2)
