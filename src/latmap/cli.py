@@ -180,6 +180,14 @@ OUTPUT = _arg("-o", "--output", default="-")
 TIME_LIMIT = _arg("--time-limit", type=float, default=None)
 FUNCTION, LATTICE = _arg("function"), _arg("lattice")
 
+# The --help description of map, decompose and synth (see latmap.mapper).
+NO_SOLUTION_MEANS = (
+    "The mapper's NO SOLUTION, for a function or a part of one, proves only that no R x C "
+    "grid houses its terms one per path, with constant-1 fillers, the other cells 0 and no "
+    "completed path outside the function. It is not a proof that no lattice does: map may "
+    "miss a grid, decompose a split, and synth may use more lattices than needed."
+)
+
 # name: (handler, help, arguments in the order --help lists them)
 COMMANDS = {
     "paths": (cmd_paths, "enumerate irredundant lattice paths", [DIM, OUTPUT]),
@@ -207,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="latmap")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (func, help_text, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        description = NO_SOLUTION_MEANS if name in ("map", "decompose", "synth") else None
+        p = sub.add_parser(name, help=help_text, description=description)
         for names, kwargs in arguments:
             p.add_argument(*names, **kwargs)
         p.set_defaults(func=func)

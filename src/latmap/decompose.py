@@ -3,9 +3,11 @@
 A function with n terms is split across two lattices by trying sub-function
 pairs of sizes (n-1, 1), (n-2, 2), ... down to the even split; the first
 pair whose two parts both map wins, so the larger part carries as many
-product terms as the mapper fits on one lattice.  The mapper's no-solution is
-not a proof (see ``latmap.mapper``), so a workable larger pair, or any pair
-at all, can be missed.
+product terms as the mapper fits on one lattice.  The mapper's no-solution
+for a part proves only that no grid houses its terms one per path, with
+constant-1 fillers, the other cells 0 and no completed path outside the part
+(see ``latmap.mapper``), not that no lattice does.  So a workable larger
+pair, or any pair at all, can be missed where this answers NO SOLUTION.
 
 A run fixes one deadline when it starts, and each mapper call gets the time
 that remains.  Its first time cut, a call with no time left or an

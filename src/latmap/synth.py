@@ -12,6 +12,10 @@ anew.  All mapper calls of one run share one ``Run`` (see
 term tuple, so no term list is mapped twice, and one deadline, fixed when
 the run starts, so the time limit bounds the whole run.  Each call gets the
 time that remains, and the first time cut ends the run as inconclusive.
+Terms go to more lattices only on a no-solution, which proves only that no
+grid houses them one per path, with constant-1 fillers, the other cells 0
+and no completed path outside them (see ``latmap.mapper``), not that no
+lattice does: a plan may hold more lattices than the function needs.
 
 ``realizes`` checks a plan by evaluating every lattice in plan order with
 ``lattice_table``; an auxiliary lattice's table becomes the truth table of
