@@ -82,6 +82,7 @@ CLI_INPUTS = {
     "abc.fn": "1\n3 0 1 2\n",
     "split.fn": "2\n3 0 1 2\n3 1000 999 998\n",
 }
+# Spelled out, not read from latmap.cli, so every checkout runs the same cases.
 COMMANDS = ("paths", "solve", "genlib", "map", "decompose", "synth", "verify")
 # (id, argv): "{in}" is the inputs' directory, "{out}" the case's own.
 CLI_CASES = (
