@@ -8,6 +8,8 @@ go to the output file (or stdout with "-"); human summaries go to stderr.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -52,6 +54,14 @@ def _not_solved(status: str) -> int:
     return EXIT_INCONCLUSIVE
 
 
+def _check_outdir(outdir: str) -> None:
+    """Raise before the search the error ``_write_outdir`` would meet after
+    it where ``outdir`` names a file, so a failed run still makes nothing."""
+    out = Path(outdir)
+    if out.exists() and not out.is_dir():
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+
+
 def _write_outdir(outdir: str, files: dict[str, str]) -> None:
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
@@ -91,20 +101,25 @@ def cmd_map(args: argparse.Namespace) -> int:
         return _not_solved(result.status)
     sol = result.solution
     show = codes.pretty_code if args.pretty else str
+    lattice = solver.serialize_lattice(sol.assignment)
+    if args.output not in (None, "-"):
+        _write(args.output, lattice)  # first, so a failed write prints no solution
     print("SOLUTION FOUND:")
     print("ASSG " + " ".join(f"v{i}={show(c)}" for i, c in enumerate(sol.assignment.codes)))
     for ev in sol.poi:
         print(f"POI: {ev.text()}")
     print("ORDER: " + " ".join(str(i + 1) for i in sol.order))
-    if args.output:
-        _write(args.output, solver.serialize_lattice(sol.assignment))
+    if args.output == "-":
+        _write(args.output, lattice)
     return EXIT_OK
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     f = _load_function(args.function)
     dim = LatticeDim(*args.dim)
-    outcome = decompose.decompose_two(f, dim, mapper.SearchBudget(args.time_limit))
+    budget = mapper.SearchBudget(args.time_limit)
+    _check_outdir(args.outdir)
+    outcome = decompose.decompose_two(f, dim, budget)
     if outcome.status != mapper.SOLVED:
         return _not_solved(outcome.status)
     res = outcome.result
@@ -125,7 +140,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     f = _load_function(args.function)
     dim = LatticeDim(*args.dim)
-    plan = synth.synthesize(f, dim, mapper.SearchBudget(args.time_limit))
+    budget = mapper.SearchBudget(args.time_limit)
+    _check_outdir(args.outdir)
+    plan = synth.synthesize(f, dim, budget)
     if plan is None:
         return _not_solved(mapper.INCONCLUSIVE)
     files, manifest, aux = {}, [], []

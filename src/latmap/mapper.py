@@ -45,16 +45,16 @@ fixed.  A term skips a path whose bound does not contain the term's mask (a
 fixed cell holds a literal the term lacks); the paths that pass are scanned
 for their free cells.
 
-One loop places every (term, path) pair: it takes the arrangements that pass
-from one of two sources, picked by how many arrangements the pair has
-(``arrangement_count``), skips those whose mirror image comes earlier and
-opens a node for each other; it returns at a solution.  A narrow pair, with
-at most ``WALK_FROM`` (100), is probed: each arrangement's option masks are
-ANDed into a copy of the node's path bounds, and it fails when a path it
-completes is a live escape (a nonzero bound inside no term's mask), when the
-new bounds, ORed, no longer cover the function, or, unless its node is a
-leaf of the last term, where ``_finish`` is exact, when the reach bound
-fails.  Which paths a placement completes depends only on the node and the
+One loop places every (term, path) pair that passes the pair bound (below):
+it takes the arrangements that pass from one of two sources, picked by how
+many arrangements the pair has (``arrangement_count``), skips those whose
+mirror image comes earlier and opens a node for each other; it returns at a
+solution.  A narrow pair, with at most ``WALK_FROM`` (100), is probed: each
+arrangement's option masks are ANDed into a copy of the node's path bounds,
+and it fails when a path it completes is a live escape (a nonzero bound
+inside no term's mask), when the new bounds, ORed, no longer cover the
+function, or, unless its node is a leaf of the last term, where ``_finish``
+is exact, when the reach bound fails.  Which paths a placement completes depends only on the node and the
 path, so they are listed once for all its arrangements.  A wide pair is
 walked (below).  An opened node's cells are written to the grid and the copy
 becomes its bounds.  A node never writes its own bounds, so undo is putting
@@ -89,15 +89,36 @@ prefix still reaches.  So the walk opens exactly the nodes the probes would,
 in the same order; the only extra rejections are leaves of the last term
 that ``_finish`` would reject.
 
+The pair bound: before a pair lists any arrangement, ``_may_pass`` bounds
+them all at once, and the pair is skipped when the bound does not cover the
+function.  Let F be the path's free cells.  The path itself ends up with the
+term's mask.  A path through no cell of F keeps its bound b and its u unset
+cells, so it adds its share.  A path through k cells of F ends up with the
+bound b & c, where c, the product of the options on those cells, is a cube
+of at most k of the term's literals (c = 1 when they all hold 1), and keeps
+u' unset cells; it adds the OR over every such cube of the share of b & c
+(``_most``), where a completed path (u' = 0) adds b & c only when that is
+no live escape, since the probe and the walk reject an arrangement that
+completes one.  Above the last term, each path's share under any one
+arrangement lies in what the bound gives it, so a skipped pair is one whose
+every arrangement fails its probe or walk, and the search opens the same
+interior nodes in the same order.  At the last term a path with unset cells
+adds nothing, as ``_finish`` zeroes them, so a pair is skipped only where
+``_finish`` would reject each of its leaves.  The ORs are memoized by
+(term, b, k, u') for the search and built at first use.  On HARD
+(DECOMP_EVEN8 on 3x3, in the tests) the search still opens 1,669 interior
+nodes, and checks 490 leaves instead of 1,610; it checks the deadline 4,039
+times instead of 30,033 and walks no pair instead of 10.
+
 The cut-over trades the walk's cost per prefix (two list copies and the
 shares of the paths through a cell) against the arrangements it cuts
-unlisted.  Of the pairs that reach the arrangements, with the share of their
-arrangements, these lie above 100: none of the 5,268 pairs of the
-benchmark's solved library maps on 3x3 (none holds more than 60), 0.5 % with
-10 % on 3x4, 8.4 % with 72 % over the pool negatives on 3x3, and 19 % with
-82 % when synthesizing SYNTH_EIGHT on 3x3.  Walking every pair slows the
-solved maps (0.24 to 0.32-0.38 s) and speeds the negatives (6.7-7.5 to
-5.7-6.2 s) and SYNTH_EIGHT (0.30-0.34 to 0.27-0.28 s); see the README.
+unlisted.  Of the pairs that pass the pair bound, with the share of their
+arrangements, these lie above 100: none of the 1,582 pairs of the
+benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,366 on 3x4,
+0.7 % with 19 % of 33,670 over the pool negatives on 3x3, and 2.6 % with
+50 % of 380 when synthesizing SYNTH_EIGHT on 3x3.  Walking every pair slows
+the solved maps (0.15-0.23 to 0.22-0.31 s) and the negatives (2.2-2.4 to
+2.7-2.8 s) and leaves SYNTH_EIGHT at about 0.1 s; see the README.
 
 Only subtrees without a solution are cut, so the answers and the first
 solution, its grid and its points of interest stay the same.
@@ -119,7 +140,7 @@ arrangements of the remaining cells.  Its lists are one table shared by
 every search of the process.  Only narrow pairs read it, and the key of a
 remaining-cells list has no more arrangements than the key that asked for
 it, so each list holds at most ``WALK_FROM`` arrangements; after every
-benchmark input the table holds 87 lists, about 0.09 MB.  That order is the
+benchmark input the table holds 76 lists, about 0.06 MB.  That order is the
 one the search has always used, so answers are unchanged.
 """
 
@@ -129,7 +150,7 @@ import functools
 import math
 import operator
 import time
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -260,6 +281,9 @@ class _Search:
         self.longest = max(map(len, f), default=0)
         # what a path can still add to the function, by (bound, unset cells)
         self.reach: dict[tuple[int, int], int] = {}
+        # the most a path can add once a term is placed over some of its
+        # cells, by (term, bound, cells placed, unset cells after)
+        self.most: dict[tuple[int, int, int, int], int] = {}
         # each path's reach at this node, listed when a wide pair needs it
         self.path_reach: Optional[list[int]] = None
 
@@ -310,6 +334,62 @@ class _Search:
                 b & t for t in self.term_mask if (b & t).bit_count() << u >= size
             ], 0)
         return reach
+
+    def _may_pass(self, ti: int, pi: int, unset: int) -> bool:
+        """Whether some arrangement of term ``ti`` on path ``pi``, which
+        leaves ``unset`` unset, can pass: the OR of the most each path can
+        still add covers the function.  Path ``pi`` adds the term's mask, a
+        path through none of the placed cells its ``_share`` and a path
+        through some of them its ``_most``.  At the last term a path with
+        unset cells adds nothing, since ``_finish`` zeroes it."""
+        lost = self.f_mask & ~self.term_mask[ti]
+        if not lost:
+            return True
+        placed = self.unset & ~unset
+        last = ti + 1 == len(self.f)
+        memo = self.reach
+        longest = self.longest
+        for pj, (b, cells) in enumerate(zip(self.path_ub, self.cell_masks)):
+            if not b & lost or pj == pi:
+                continue  # it adds at most b
+            u = (cells & unset).bit_count()
+            if u and last:
+                continue
+            k = (cells & placed).bit_count()
+            if k and u < longest:
+                b = self._most(ti, b, k, u)
+            elif 0 < u < longest:
+                reach = memo.get((b, u))
+                b = self._share(b, u) if reach is None else reach
+            lost &= ~b
+            if not lost:
+                return True
+        return False
+
+    def _most(self, ti: int, b: int, k: int, u: int) -> int:
+        """The most a path with bound b can still add once k of its cells
+        hold options of term ``ti`` and u stay unset: the OR, over each cube
+        c of at most k of the term's literals (c = 1 included), of
+        ``_share(b & c, u)``, or of b & c when u is 0 and b & c is no live
+        escape.  The k cells multiply to one such cube, so this contains
+        the path's share under every arrangement that passes.  Memoized by
+        (ti, b, k, u) for the search."""
+        key = ti, b, k, u
+        most = self.most.get(key)
+        if most is None:
+            literals = self.option_masks[ti][:-1]
+            most = 0
+            for n in range(min(k, len(literals)) + 1):
+                for cube in combinations(literals, n):
+                    bc = functools.reduce(operator.and_, cube, b)
+                    if u:
+                        most |= self._share(bc, u)
+                    elif not self._escapes(bc):
+                        most |= bc
+                if most == b:
+                    break  # no cube adds more than b
+            self.most[key] = most
+        return most
 
     # -- placements ------------------------------------------------------
 
@@ -482,6 +562,8 @@ class _Search:
                 continue
             free, key = housing
             unset = self.unset & ~self.cell_masks[pi]  # all of the path is set
+            if not self._may_pass(ti, pi, unset):
+                continue  # no arrangement of the pair can pass
             fixing = self._fixing(pi, free, stab) if stab else ()
             if arrangement_count(key) > WALK_FROM:
                 passing = self._walk(ti, pi, free, key[2])

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import latmap.mapper
 import latmap.synth
 from latmap.cli import main
 from latmap.codes import serialize_function
@@ -92,6 +93,28 @@ def test_map_writes_lattice_that_verifies(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(lat), str(fn))
     assert code == 0
     assert out.strip() == "equivalent"
+
+
+def test_map_lattice_to_stdout_follows_the_solution(tmp_path, capsys):
+    """``-o -`` writes the lattice file to stdout after the solution."""
+    fn = tmp_path / "ab.fn"
+    fn.write_text("1\n2 0 1\n")
+    code, out, _ = run(capsys, "map", str(fn), "--dim", "2", "2", "-o", "-")
+    solution, lattice = out.split("ORDER: 1\n")
+    assert code == 0
+    assert solution.startswith("SOLUTION FOUND:\n")
+    assert lattice.splitlines()[0] == "2 2"
+
+
+def test_map_lattice_file_not_writable_prints_no_solution(tmp_path, capsys):
+    """The lattice file is written before the solution is printed, so a
+    write that fails leaves stdout empty: exit 66 with one error line."""
+    fn = tmp_path / "ab.fn"
+    fn.write_text("1\n2 0 1\n")
+    code, out, err = run(capsys, "map", str(fn), "--dim", "2", "2",
+                         "-o", str(tmp_path / "nodir" / "x.lat"))
+    assert (code, out) == (66, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_map_no_solution_exit_code(tmp_path, capsys):
@@ -236,13 +259,17 @@ def test_decompose_negative(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["decompose", "synth"])
-def test_outdir_naming_a_file_is_io_error(tmp_path, capsys, command):
+def test_outdir_naming_a_file_is_io_error(tmp_path, capsys, monkeypatch, command):
     """a + b splits and plans on 2x2, but its output directory cannot be
-    made where a file stands: exit 66 with one error line."""
+    made where a file stands: exit 66 with one error line, found before
+    anything is mapped."""
+    searches = []
+    monkeypatch.setattr(latmap.mapper._Search, "_try_terms",
+                        lambda self, *args: searches.append(args))
     fn = tmp_path / "ab.fn"
     fn.write_text("2\n1 0\n1 1\n")
     code, out, err = run(capsys, command, str(fn), "--dim", "2", "2", "--outdir", str(fn))
-    assert (code, out) == (66, "")
+    assert (code, out, searches) == (66, "", [])
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 

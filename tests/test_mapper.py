@@ -1,4 +1,5 @@
 import functools
+import math
 import operator
 import sys
 import time
@@ -34,6 +35,7 @@ from latmap.solver import LatticeAssignment, generate_library, lattice_table, ve
 
 from lattice_goldens import (
     DECOMP_EVEN8,
+    DECOMP_NOSPLIT8,
     MAP_EX1,
     MAP_EX2,
     MAP_EX3,
@@ -289,11 +291,13 @@ def test_deadline_past_on_entering_the_root_is_inconclusive(monkeypatch):
 
 
 def test_time_cut_ends_the_search_at_once(monkeypatch):
-    """A clock that runs out at its k-th check, for k every 52 checks from
-    the first: cuts land at node entries, in probe loops of narrow pairs and
-    inside walks of wide ones.  Each answers inconclusive, and after the cut
-    no placement is listed, no node opened and no leaf checked."""
-    clock = {"checks": 0, "k": 0, "cut": False, "after": 0}
+    """A clock that runs out at its k-th check: on HARD for k every 52
+    checks from the first, and on five terms of DECOMP_NOSPLIT8, whose
+    search walks a wide pair, at every one of its checks.  Cuts land at
+    node entries, in probe loops of narrow pairs and inside walks of wide
+    ones.  Each answers inconclusive, and after the cut no placement is
+    listed, no node opened and no leaf checked."""
+    clock = {"checks": 0, "k": math.inf, "cut": False, "after": 0}
     cut_in = set()
 
     def check_time(self):
@@ -310,19 +314,23 @@ def test_time_cut_ends_the_search_at_once(monkeypatch):
             clock["after"] += clock["cut"]
             return _method(self, *args)
         monkeypatch.setattr(_Search, name, counted)
-    for k in range(1, 4000, 52):
-        clock.update(checks=0, k=k, cut=False)
-        r = map_function(HARD, DIM3, SearchBudget(time_limit=60))
-        assert (r.status, r.solution, clock["after"]) == (INCONCLUSIVE, None, 0), k
+    walked = [DECOMP_NOSPLIT8[i - 1] for i in (1, 3, 4, 6, 7)]
+    map_function(walked, DIM3, SearchBudget(time_limit=60))
+    for fn, ks in ((HARD, range(1, 4000, 52)), (walked, range(1, clock["checks"] + 1))):
+        for k in ks:
+            clock.update(checks=0, k=k, cut=False)
+            r = map_function(fn, DIM3, SearchBudget(time_limit=60))
+            assert (r.status, r.solution, clock["after"]) == (INCONCLUSIVE, None, 0), k
     assert cut_in == {"_try_terms", "_probes", "_walk"}
 
 
 def _mapped(monkeypatch, walk_from, fn, dim, paths):
     """The answer of one mapping with the given cut-over, the number of
     interior nodes it opens (nodes that are not leaves of the last term),
-    and the placements that open them in order, as (term, path, ranks).
-    The shared arrangement table is emptied after it, since a raised
-    cut-over fills it with wide lists."""
+    the placements that open them in order, as (term, path, ranks), and
+    the number of leaves it checks.  The patches are undone and the shared
+    arrangement table is emptied after it, since a raised cut-over fills
+    it with wide lists."""
     monkeypatch.setattr(mapper, "WALK_FROM", walk_from)
     calls = {"_try_terms": 0, "_finish": 0}
     for name in calls:
@@ -344,7 +352,7 @@ def _mapped(monkeypatch, walk_from, fn, dim, paths):
     sol = r.solution
     answer = (r.status, None) if sol is None else (
         r.status, sol.assignment.codes, sol.order, sol.poi)
-    return answer, calls["_try_terms"] - calls["_finish"], placed
+    return answer, calls["_try_terms"] - calls["_finish"], placed, calls["_finish"]
 
 
 @pytest.mark.parametrize("dim,seed", [(DIM3, 1800), (LatticeDim(3, 4), 1801)])
@@ -359,7 +367,36 @@ def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
     for fn in cases:
         walked = _mapped(monkeypatch, 0, fn, dim, paths)
         probed = _mapped(monkeypatch, 10**9, fn, dim, paths)
-        assert walked == probed, fn
+        assert walked[:3] == probed[:3], fn
+
+
+def test_pair_bound_opens_the_same_interior_nodes(monkeypatch):
+    """Skipping the pairs whose bound fails gives the same answers and
+    opens the same interior nodes with the same placements, in the same
+    order, as a bound that passes every pair, and it checks no more leaves:
+    on library functions of 2x2, 2x3, 3x2 and 3x3 and on HARD.  The bound
+    skips pairs of the pool (none on 2x2 or 2x3, where every pair passes)."""
+    skipped = []
+
+    def may_pass(self, *args, _method=_Search._may_pass):
+        passes = _method(self, *args)
+        skipped.append(not passes)
+        return passes
+
+    for dim, seed in ((LatticeDim(2, 2), 1900), (LatticeDim(2, 3), 1901),
+                      (LatticeDim(3, 2), 1902), (DIM3, 1903)):
+        paths = enumerate_paths(dim)
+        cases = [e.function for e in generate_library(dim, 4, 12, seed)]
+        if dim == DIM3:
+            cases.append(HARD)
+        for fn in cases:
+            monkeypatch.setattr(_Search, "_may_pass", lambda self, *args: True)
+            unbounded = _mapped(monkeypatch, mapper.WALK_FROM, fn, dim, paths)
+            monkeypatch.setattr(_Search, "_may_pass", may_pass)
+            bounded = _mapped(monkeypatch, mapper.WALK_FROM, fn, dim, paths)
+            assert bounded[:3] == unbounded[:3], (dim, fn)
+            assert bounded[3] <= unbounded[3], (dim, fn)
+    assert any(skipped)
 
 
 @pytest.mark.parametrize("limits", [
