@@ -56,10 +56,16 @@ def _not_solved(status: str) -> int:
 
 def _check_outdir(outdir: str) -> None:
     """Raise before the search the error ``_write_outdir`` would meet after
-    it where ``outdir`` names a file, so a failed run still makes nothing."""
+    it where ``outdir`` names a file (EEXIST) or its nearest existing
+    ancestor is one (ENOTDIR), so a failed run still makes nothing."""
     out = Path(outdir)
-    if out.exists() and not out.is_dir():
-        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+    for at in (out, *out.parents):
+        if at.is_dir():
+            return
+        if at.exists():
+            # OSError picks FileExistsError or NotADirectoryError by the code
+            code = errno.EEXIST if at == out else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(out))
 
 
 def _write_outdir(outdir: str, files: dict[str, str]) -> None:

@@ -104,11 +104,21 @@ arrangement lies in what the bound gives it, so a skipped pair is one whose
 every arrangement fails its probe or walk, and the search opens the same
 interior nodes in the same order.  At the last term a path with unset cells
 adds nothing, as ``_finish`` zeroes them, so a pair is skipped only where
-``_finish`` would reject each of its leaves.  The ORs are memoized by
-(term, b, k, u') for the search and built at first use.  On HARD
-(DECOMP_EVEN8 on 3x3, in the tests) the search still opens 1,669 interior
-nodes, and checks 490 leaves instead of 1,610; it checks the deadline 4,039
-times instead of 30,033 and walks no pair instead of 10.
+``_finish`` would reject each of its leaves.
+
+That OR needs no cube listed.  Every b & c & T lies in b & T, and for each
+term T the cube that brings b closest to T takes min(k, g) of the g
+literals that the placed term and T hold and b lacks; if that cube fails
+the share's test for T, every cube does.  So the OR is b & T over the terms
+T that b meets and that need at most u' + min(k, g) literals beyond b's
+(for u' = 0, b & c lies inside T exactly when T's literals lie in b's and
+c's).  A term that shares no literal with the placed one has g = 0 and is
+in b's own share, so one pass over the terms linked to the placed one, in
+a table built per term at first use, completes it.  The ORs are memoized by
+(term, b, k, u') for the search.  On HARD (DECOMP_EVEN8 on 3x3, in the
+tests) the search still opens 1,669 interior nodes, and checks 490 leaves
+instead of 1,610; it checks the deadline 4,039 times instead of 30,033 and
+walks no pair instead of 10.
 
 The cut-over trades the walk's cost per prefix (two list copies and the
 shares of the paths through a cell) against the arrangements it cuts
@@ -150,7 +160,7 @@ import functools
 import math
 import operator
 import time
-from itertools import chain, combinations, permutations, product
+from itertools import chain, permutations, product
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -249,6 +259,8 @@ class _Search:
     """Exhaustive backtracking search over the terms in the order given."""
 
     def __init__(self, f: Sop, paths: PathSet, deadline: Optional[float]):
+        # every attribute is set here: one added mid-search changes the
+        # instance's layout, which measurably slowed every method
         self.f = f
         self.dim = paths.dim
         self.paths = paths.paths  # canonical = shortest first
@@ -284,6 +296,9 @@ class _Search:
         # the most a path can add once a term is placed over some of its
         # cells, by (term, bound, cells placed, unset cells after)
         self.most: dict[tuple[int, int, int, int], int] = {}
+        # (term mask, mask of the shared literals) for each term that shares
+        # a literal with a term, by term, listed at its first ``_most``
+        self.linked: dict[int, list[tuple[int, int]]] = {}
         # each path's reach at this node, listed when a wide pair needs it
         self.path_reach: Optional[list[int]] = None
 
@@ -369,27 +384,52 @@ class _Search:
     def _most(self, ti: int, b: int, k: int, u: int) -> int:
         """The most a path with bound b can still add once k of its cells
         hold options of term ``ti`` and u stay unset: the OR, over each cube
-        c of at most k of the term's literals (c = 1 included), of
-        ``_share(b & c, u)``, or of b & c when u is 0 and b & c is no live
-        escape.  The k cells multiply to one such cube, so this contains
-        the path's share under every arrangement that passes.  Memoized by
-        (ti, b, k, u) for the search."""
+        c of at most k of the term's literals L, of ``_share(b & c, u)``, or
+        of b & c when u is 0 and b & c is no live escape.  The k cells
+        multiply to one such cube, so this contains the path's share under
+        every arrangement that passes.
+
+        In closed form (see the module docstring for why) it is the OR of
+        b & T over the terms T that b meets and that need at most u +
+        min(k, g) literals beyond b's, where g counts the literals of L
+        that T holds and b lacks.  It starts from c = 1, b's own share,
+        which is the answer when it is all of b; only the terms that share
+        a literal with term ``ti`` can add more.  Cube masks have
+        power-of-two sizes, so the literals one cube lacks of a smaller one
+        are the difference of their sizes' bit lengths.  Memoized by (ti,
+        b, k, u) for the search."""
         key = ti, b, k, u
         most = self.most.get(key)
         if most is None:
-            literals = self.option_masks[ti][:-1]
-            most = 0
-            for n in range(min(k, len(literals)) + 1):
-                for cube in combinations(literals, n):
-                    bc = functools.reduce(operator.and_, cube, b)
-                    if u:
-                        most |= self._share(bc, u)
-                    elif not self._escapes(bc):
-                        most |= bc
-                if most == b:
-                    break  # no cube adds more than b
+            if u:
+                most = self._share(b, u)
+            else:
+                most = 0 if self._escapes(b) else b
+            if most != b:
+                linked = self.linked.get(ti)
+                if linked is None:
+                    linked = self.linked[ti] = self._linked(ti)
+                size = b.bit_count().bit_length()
+                for t, s in linked:
+                    bt = b & t
+                    if bt and size - bt.bit_count().bit_length() <= u + min(
+                        k, size - (b & s).bit_count().bit_length()
+                    ):
+                        most |= bt
             self.most[key] = most
         return most
+
+    def _linked(self, ti: int) -> list[tuple[int, int]]:
+        """``(T, S)`` for each term T that shares a literal with term
+        ``ti``, ``ti`` itself included: S is the mask of the shared
+        literals."""
+        literals = set(self.f[ti])
+        linked = []
+        for t, options, masks in zip(self.term_mask, self.options, self.option_masks):
+            shared = [m for v, m in zip(options, masks) if v in literals]
+            if shared:
+                linked.append((t, functools.reduce(operator.and_, shared)))
+        return linked
 
     # -- placements ------------------------------------------------------
 

@@ -261,17 +261,19 @@ def test_decompose_negative(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["decompose", "synth"])
 def test_outdir_naming_a_file_is_io_error(tmp_path, capsys, monkeypatch, command):
     """a + b splits and plans on 2x2, but its output directory cannot be
-    made where a file stands: exit 66 with one error line, found before
-    anything is mapped."""
+    made where a file stands, nor below one: exit 66 with one error line,
+    found before anything is mapped."""
     searches = []
     monkeypatch.setattr(latmap.mapper._Search, "_try_terms",
                         lambda self, *args: searches.append(args))
     fn = tmp_path / "ab.fn"
     fn.write_text("2\n1 0\n1 1\n")
-    code, out, err = run(capsys, command, str(fn), "--dim", "2", "2", "--outdir", str(fn))
-    assert (code, out, searches) == (66, "", [])
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    for outdir, reason in ((fn, "File exists"), (fn / "sub" / "dir", "Not a directory")):
+        code, out, err = run(capsys, command, str(fn), "--dim", "2", "2",
+                             "--outdir", str(outdir))
+        assert (code, out, searches) == (66, "", []), outdir
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err and "Traceback" not in err
 
 
 def test_synth_plan_and_verify(tmp_path, capsys):

@@ -16,6 +16,7 @@ from latmap.codes import (
     normalize_term,
     table_variables,
 )
+from latmap.decompose import decompose_two
 from latmap.grid import LatticeDim
 from latmap import mapper
 from latmap.mapper import (
@@ -36,6 +37,7 @@ from latmap.solver import LatticeAssignment, generate_library, lattice_table, ve
 from lattice_goldens import (
     DECOMP_EVEN8,
     DECOMP_NOSPLIT8,
+    DECOMP_UNEVEN8,
     MAP_EX1,
     MAP_EX2,
     MAP_EX3,
@@ -397,6 +399,59 @@ def test_pair_bound_opens_the_same_interior_nodes(monkeypatch):
             assert bounded[:3] == unbounded[:3], (dim, fn)
             assert bounded[3] <= unbounded[3], (dim, fn)
     assert any(skipped)
+
+
+def _cube_or_most(search, ti, b, k, u):
+    """``_Search._most`` by its definition: the OR, over each cube c of at
+    most k of term ``ti``'s literals, of ``_share(b & c, u)``, or of b & c
+    when u is 0 and b & c is no live escape."""
+    literals = search.option_masks[ti][:-1]
+    most = 0
+    for n in range(min(k, len(literals)) + 1):
+        for cube in combinations(literals, n):
+            bc = functools.reduce(operator.and_, cube, b)
+            if u:
+                most |= search._share(bc, u)
+            elif not search._escapes(bc):
+                most |= bc
+    return most
+
+
+def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
+    """``_most`` equals the OR over every cube on each of its calls: for
+    library functions of 2x2, 2x3, 3x2, 3x3 and 3x4, for HARD and for
+    every subset ``decompose_two`` maps of DECOMP_UNEVEN8.  The calls
+    include completed paths (u = 0) and k at least the term's length."""
+    seen = {"calls": 0, "completed": 0, "whole term": 0}
+
+    def most(self, ti, b, k, u, _method=_Search._most):
+        got = _method(self, ti, b, k, u)
+        assert got == _cube_or_most(self, ti, b, k, u), (self.f, ti, b, k, u)
+        seen["calls"] += 1
+        seen["completed"] += not u
+        seen["whole term"] += k >= len(self.f[ti])
+        return got
+
+    monkeypatch.setattr(_Search, "_most", most)
+    for dim, seed in ((LatticeDim(2, 2), 2000), (LatticeDim(2, 3), 2001),
+                      (LatticeDim(3, 2), 2002), (DIM3, 2003),
+                      (LatticeDim(3, 4), 2004)):
+        paths = enumerate_paths(dim)
+        for e in generate_library(dim, 4, 12, seed):
+            assert map_function(e.function, dim, None, paths).status == SOLVED
+    assert map_function(HARD, DIM3).status == NO_SOLUTION
+    decompose_two(DECOMP_UNEVEN8, DIM3)
+    assert min(seen.values()) > 0, seen
+
+
+def test_search_sets_every_attribute_when_built():
+    """A search adds no attribute after ``__init__``: the instance keeps
+    the layout it was built with."""
+    paths = enumerate_paths(DIM3)
+    search = _Search(HARD, paths, None)
+    layout = set(vars(search))
+    assert search._try_terms(0, paths.mirrors) is None
+    assert set(vars(search)) == layout
 
 
 @pytest.mark.parametrize("limits", [
