@@ -54,13 +54,13 @@ arrangement's option masks are ANDed into a copy of the node's path bounds,
 and it fails when a path it completes is a live escape (a nonzero bound
 inside no term's mask), when the new bounds, ORed, no longer cover the
 function, or, unless its node is a leaf of the last term, where ``_finish``
-is exact, when the reach bound fails.  Which paths a placement completes depends only on the node and the
-path, so they are listed once for all its arrangements.  A wide pair is
-walked (below).  An opened node's cells are written to the grid and the copy
-becomes its bounds.  A node never writes its own bounds, so undo is putting
-them back and clearing the cells.  So a node's placements always cover the
-function, and a deferral, which keeps its parent's state, needs no test of
-its own.
+is exact, when the reach bound fails.  Which paths a placement completes
+depends only on the node and the path, so they are listed once for all its
+arrangements.  A wide pair is walked (below).  An opened node's cells are
+written to the grid and the copy becomes its bounds.  So a node's
+placements always cover the function, and a deferral, which keeps its
+parent's state, needs no test of its own.  A node never writes its own
+bounds, so undo is putting them back and clearing the cells.
 
 The reach bound: at an accepted leaf every nonzero path product lies inside
 one term's mask (live escapes are rejected, and ``_finish`` sets the paths
@@ -74,20 +74,20 @@ the shares no longer cover the function no solution lies below.  Each share
 is memoized by (b, u) for the search.
 
 A wide pair walks its arrangements one free cell at a time, depth first,
-in the same lexicographic order.  A prefix fixes the first cells and counts
-the others as unset, and it fails when a path it completes is a live escape
-or when the shares no longer cover the function;
-every arrangement below it is then rejected unlisted.  A node keeps each
-path's share next to its bound, listed the first time one of its wide pairs
-is walked; fixing a cell updates only the bounds and shares of the paths
-through it, and the cover test is one OR over the shares, which implies the
-OR over the bounds.  The walk is sound because a share only shrinks down the
-walk: fixing d more cells of a path adds at most d literals to its bound and
-takes d cells off its u, so a term out of a prefix's reach stays out below
-it, and a completed path that is no live escape lies inside a term the
-prefix still reaches.  So the walk opens exactly the nodes the probes would,
-in the same order; the only extra rejections are leaves of the last term
-that ``_finish`` would reject.
+in the same lexicographic order.  A prefix gets the probe's tests, in the
+probe's order, with the cells after it counted as unset: no path it
+completes is a live escape, the bounds, ORed, still cover the function, and
+the reach bound passes.  When a prefix fails, every arrangement below it is
+rejected unlisted.  Fixing a cell ANDs its option into the bounds of the
+paths through it; those paths, the ones the cell completes and the cells
+left unset after it are listed once per walk.  The walk is sound because
+each test only gets harder down the walk: a completed path keeps its bound,
+bounds only shrink, and so does a share, since fixing d more cells of a
+path adds at most d literals to its bound and takes d cells off its u.  A
+whole arrangement gets the probe's tests with the probe's unset cells, so
+above the last term the walk yields exactly the arrangements the probes
+pass, in the same order.  At the last term it keeps the reach test, so its
+only extra rejections are leaves that ``_finish`` would reject.
 
 The pair bound: before a pair lists any arrangement, ``_may_pass`` bounds
 them all at once, and the pair is skipped when the bound does not cover the
@@ -120,15 +120,17 @@ tests) the search still opens 1,669 interior nodes, and checks 490 leaves
 instead of 1,610; it checks the deadline 4,039 times instead of 30,033 and
 walks no pair instead of 10.
 
-The cut-over trades the walk's cost per prefix (two list copies and the
-shares of the paths through a cell) against the arrangements it cuts
-unlisted.  Of the pairs that pass the pair bound, with the share of their
+The cut-over trades the walk's cost per prefix (a copy of the bounds and
+the reach bound over every path) against the arrangements it cuts unlisted.
+Of the pairs that pass the pair bound, with the share of their
 arrangements, these lie above 100: none of the 1,582 pairs of the
 benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,366 on 3x4,
 0.7 % with 19 % of 33,670 over the pool negatives on 3x3, and 2.6 % with
-50 % of 380 when synthesizing SYNTH_EIGHT on 3x3.  Walking every pair slows
-the solved maps (0.15-0.23 to 0.22-0.31 s) and the negatives (2.2-2.4 to
-2.7-2.8 s) and leaves SYNTH_EIGHT at about 0.1 s; see the README.
+50 % of 380 when synthesizing SYNTH_EIGHT on 3x3.  Neither source alone
+does as well: walking every pair slows the solved maps on 3x3 (0.08-0.13
+to 0.15-0.18 s) and the pool negatives (2.5-2.7 to 3.4-4.7 s), and
+probing every pair slows DECOMP_EVEN8 on 6x6 (0.29-0.39 to 3.1-3.8 s) and
+DECOMP_UNEVEN8 on 4x4 (10-12 to 13-15 s); see the README.
 
 Only subtrees without a solution are cut, so the answers and the first
 solution, its grid and its points of interest stay the same.
@@ -299,8 +301,6 @@ class _Search:
         # (term mask, mask of the shared literals) for each term that shares
         # a literal with a term, by term, listed at its first ``_most``
         self.linked: dict[int, list[tuple[int, int]]] = {}
-        # each path's reach at this node, listed when a wide pair needs it
-        self.path_reach: Optional[list[int]] = None
 
     # -- bounds ----------------------------------------------------------
 
@@ -335,13 +335,12 @@ class _Search:
         return False
 
     def _share(self, b: int, u: int) -> int:
-        """What a path with bound b and u unset cells can still add: b when
-        u is 0 (a completed path is no live escape, or it houses a term) or
-        at least the longest term's length, and otherwise b & T for each term T that b meets and that
-        needs at most u literals more, so that ``popcount(b & T) << u >=
-        popcount(b)``.  Memoized by (b, u) for the search."""
-        if not 0 < u < self.longest:
-            return b
+        """What a path with bound b and u unset cells, 0 < u < ``longest``,
+        can still add: b & T for each term T that b meets and that needs at
+        most u literals more, so that ``popcount(b & T) << u >=
+        popcount(b)``.  Callers take all of b for any other u (a completed
+        path is no live escape, or it houses a term).  Memoized by (b, u)
+        for the search."""
         reach = self.reach.get((b, u))
         if reach is None:
             size = b.bit_count()
@@ -383,11 +382,11 @@ class _Search:
 
     def _most(self, ti: int, b: int, k: int, u: int) -> int:
         """The most a path with bound b can still add once k of its cells
-        hold options of term ``ti`` and u stay unset: the OR, over each cube
-        c of at most k of the term's literals L, of ``_share(b & c, u)``, or
-        of b & c when u is 0 and b & c is no live escape.  The k cells
-        multiply to one such cube, so this contains the path's share under
-        every arrangement that passes.
+        hold options of term ``ti`` and u < ``longest`` stay unset: the OR,
+        over each cube c of at most k of the term's literals L, of
+        ``_share(b & c, u)``, or of b & c when u is 0 and b & c is no live
+        escape.  The k cells multiply to one such cube, so this contains
+        the path's share under every arrangement that passes.
 
         In closed form (see the module docstring for why) it is the OR of
         b & T over the terms T that b meets and that need at most u +
@@ -456,8 +455,8 @@ class _Search:
 
     def _probes(
         self, ti: int, pi: int, free: list[int], key: tuple[int, int, int], unset: int
-    ) -> Iterator[tuple[tuple[int, ...], list[int], None]]:
-        """``(ranks, bounds, None)`` for each arrangement of
+    ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """``(ranks, bounds)`` for each arrangement of
         ``arrangements(key)`` that passes its probe, in order: ``bounds``
         are the path bounds once each free cell holds its ranked option.  A
         completed path must be neutralized: its product mask is 0 (a 0 cell
@@ -500,56 +499,39 @@ class _Search:
                 if not f_mask & ~functools.reduce(operator.or_, bounds, 0) and (
                     last or self._reaches(bounds, unset)
                 ):
-                    yield ranks, bounds, None
+                    yield ranks, bounds
 
     def _walk(
         self, ti: int, pi: int, free: list[int], need: int
-    ) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
-        """``(ranks, bounds, reach)`` for each arrangement that holds the
-        ranks in ``need`` (bit r for rank r) and passes, in lexicographic
-        order, one free cell at a time.  A prefix that completes a live
-        escape, or whose shares no longer cover the function, fails with
-        every arrangement below it; past the deadline it raises.  It starts
-        from the node's shares, listed at the node's first walk.
+    ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """``(ranks, bounds)`` for each arrangement that holds the ranks in
+        ``need`` (bit r for rank r) and passes, in lexicographic order, one
+        free cell at a time.  A prefix gets the probe's tests, with the cells
+        after it unset, and when it fails so does every arrangement below
+        it; past the deadline it raises.
 
-        A step lists, for a free cell once it and the cells before it are
-        fixed, the paths through it: those whose share is their bound, the
-        others with their unset cells, and those other than ``pi`` it
-        completes."""
-        memo = self.reach
-        longest = self.longest
-        if self.path_reach is None:
-            self.path_reach = [
-                self._share(b, (cells & self.unset).bit_count())
-                for b, cells in zip(self.path_ub, self.cell_masks)
-            ]
+        A step lists, for a free cell, the paths through it, those other
+        than ``pi`` it completes, and the cells left unset once it and the
+        cells before it are fixed."""
+        through = self.through
+        cell_masks = self.cell_masks
         unset = self.unset
         steps = []
         for cell in free:
             unset &= ~(1 << cell)
-            plain = []
-            bounded = []
-            done = []
-            for pj in self.through[cell]:
-                u = (self.cell_masks[pj] & unset).bit_count()
-                if 0 < u < longest:
-                    bounded.append((pj, u))
-                else:
-                    plain.append(pj)
-                    if not u and pj != pi:
-                        done.append(pj)
-            steps.append((plain, bounded, done))
+            done = [pj for pj in through[cell] if not cell_masks[pj] & unset and pj != pi]
+            steps.append((through[cell], done, unset))
         option_masks = self.option_masks[ti]
         f_mask = self.f_mask
         ncells = len(steps)
-        stack = [((), need, self.path_ub, self.path_reach)]
+        stack = [((), need, self.path_ub)]
         while stack:
-            prefix, need, bounds, reach = stack.pop()
+            prefix, need, bounds = stack.pop()
             if len(prefix) == ncells:
-                yield prefix, bounds, reach
+                yield prefix, bounds
                 continue
             self._check_time()
-            plain, bounded, done = steps[len(prefix)]
+            crossing, done, unset = steps[len(prefix)]
             left = ncells - len(prefix) - 1  # cells after this one
             children = []
             for r, m in enumerate(option_masks):
@@ -557,18 +539,15 @@ class _Search:
                 if rest.bit_count() > left:
                     continue
                 nb = bounds[:]
-                nr = reach[:]
-                for pj in plain:
-                    nb[pj] = nr[pj] = nb[pj] & m
-                for pj, u in bounded:
-                    b = nb[pj] = nb[pj] & m
-                    share = memo.get((b, u))
-                    nr[pj] = self._share(b, u) if share is None else share
-                if f_mask & ~functools.reduce(operator.or_, nr, 0) or (
-                    done and any([self._escapes(nb[pj]) for pj in done])
+                for pj in crossing:
+                    nb[pj] &= m
+                if done and any([self._escapes(nb[pj]) for pj in done]):
+                    continue
+                if f_mask & ~functools.reduce(operator.or_, nb, 0) or not self._reaches(
+                    nb, unset
                 ):
                     continue
-                children.append((prefix + (r,), rest, nb, nr))
+                children.append((prefix + (r,), rest, nb))
             stack += reversed(children)
 
     # -- search ----------------------------------------------------------
@@ -609,13 +588,13 @@ class _Search:
                 passing = self._walk(ti, pi, free, key[2])
             else:
                 passing = self._probes(ti, pi, free, key, unset)
-            for ranks, bounds, reach in passing:
+            for ranks, bounds in passing:
                 child: Sequence[Mirror] = ()
                 if fixing:
                     child = self._arrangement_stab(ranks, fixing)
                     if child is None:
                         continue  # a mirror image of it comes earlier
-                sol = self._open(ti, pi, free, ranks, bounds, reach, unset, child)
+                sol = self._open(ti, pi, free, ranks, bounds, unset, child)
                 if sol is not None:
                     return sol
         # no housing works down this branch: defer, the term may be hiding
@@ -628,7 +607,6 @@ class _Search:
         free: list[int],
         ranks: tuple[int, ...],
         bounds: list[int],
-        reach: Optional[list[int]],
         unset: int,
         stab: Sequence[Mirror],
     ) -> Optional[MappingSolution]:
@@ -639,13 +617,13 @@ class _Search:
         options = self.options[ti]
         for cell, rank in zip(free, ranks):
             grid[cell] = options[rank]
-        node = self.path_ub, self.path_reach, self.unset
-        self.path_ub, self.path_reach, self.unset = bounds, reach, unset
+        node = self.path_ub, self.unset
+        self.path_ub, self.unset = bounds, unset
         self.matched[pi] = ti
         sol = self._try_terms(ti + 1, stab)
         if sol is None:
             self.matched[pi] = None
-            self.path_ub, self.path_reach, self.unset = node
+            self.path_ub, self.unset = node
             for cell in free:
                 grid[cell] = None
         return sol

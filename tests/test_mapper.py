@@ -329,12 +329,12 @@ def test_time_cut_ends_the_search_at_once(monkeypatch):
 def _mapped(monkeypatch, walk_from, fn, dim, paths):
     """The answer of one mapping with the given cut-over, the number of
     interior nodes it opens (nodes that are not leaves of the last term),
-    the placements that open them in order, as (term, path, ranks), and
-    the number of leaves it checks.  The patches are undone and the shared
-    arrangement table is emptied after it, since a raised cut-over fills
-    it with wide lists."""
+    the placements that open them in order, as (term, path, ranks), the
+    number of leaves it checks and the number of pairs it walks.  The
+    patches are undone and the shared arrangement table is emptied after
+    it, since a raised cut-over fills it with wide lists."""
     monkeypatch.setattr(mapper, "WALK_FROM", walk_from)
-    calls = {"_try_terms": 0, "_finish": 0}
+    calls = {"_try_terms": 0, "_finish": 0, "_walk": 0}
     for name in calls:
         def counted(self, *args, _name=name, _method=getattr(_Search, name)):
             calls[_name] += 1
@@ -354,22 +354,75 @@ def _mapped(monkeypatch, walk_from, fn, dim, paths):
     sol = r.solution
     answer = (r.status, None) if sol is None else (
         r.status, sol.assignment.codes, sol.order, sol.poi)
-    return answer, calls["_try_terms"] - calls["_finish"], placed, calls["_finish"]
+    return (answer, calls["_try_terms"] - calls["_finish"], placed, calls["_finish"],
+            calls["_walk"])
 
 
-@pytest.mark.parametrize("dim,seed", [(DIM3, 1800), (LatticeDim(3, 4), 1801)])
+@pytest.mark.parametrize("dim,seed", [(DIM3, 1800), (LatticeDim(3, 4), 1801),
+                                      (LatticeDim(4, 4), 1802)])
 def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
     """Walking every pair (cut-over 0) and probing every arrangement (a
     cut-over no pair reaches) give the same answers and open the same
-    interior nodes with the same placements, in the same order."""
+    interior nodes with the same placements, in the same order.  On 4x4,
+    where probing every pair would list millions of arrangements, cut-over
+    0 is compared with the default one, which walks pairs of a 7-term
+    library function and of terms 1, 2, 3, 4 and 8 of DECOMP_NOSPLIT8."""
     paths = enumerate_paths(dim)
     cases = [e.function for e in generate_library(dim, 5, 10, seed)]
+    probe_from = 10**9
     if dim == DIM3:
         cases.append(HARD)
+    elif dim == LatticeDim(4, 4):
+        cases.append([DECOMP_NOSPLIT8[i - 1] for i in (1, 2, 3, 4, 8)])
+        probe_from = mapper.WALK_FROM
+    walks = 0
     for fn in cases:
         walked = _mapped(monkeypatch, 0, fn, dim, paths)
-        probed = _mapped(monkeypatch, 10**9, fn, dim, paths)
+        probed = _mapped(monkeypatch, probe_from, fn, dim, paths)
         assert walked[:3] == probed[:3], fn
+        walks += probed[4]
+    if probe_from == mapper.WALK_FROM:
+        assert walks > 0  # the default run walks some pairs, too
+
+
+def test_walk_yields_what_the_probes_pass(monkeypatch):
+    """On each pair the search lists arrangements for, on HARD, on terms 1,
+    2 and 6 of DECOMP_EVEN8 and on library maps of 3x3 and 3x4, both the
+    walk and the probes run.  Above the last term they yield the same
+    ``(ranks, bounds)`` items in the same order; at the last term the walk's
+    items are a subsequence of the probes', since the walk keeps the reach
+    test there (and drops some on the DECOMP_EVEN8 terms)."""
+    seen = {"above": 0, "last": 0, "fewer": 0}
+
+    def both(self, ti, pi, free, key, unset, _walk=_Search._walk, _probes=_Search._probes):
+        walked = list(_walk(self, ti, pi, free, key[2]))
+        probed = list(_probes(self, ti, pi, free, key, unset))
+        if ti + 1 < len(self.f):
+            assert walked == probed, (self.f, ti, pi)
+            seen["above"] += bool(probed)
+        else:
+            rest = iter(probed)
+            assert all(item in rest for item in walked), (self.f, ti, pi)
+            seen["last"] += bool(walked)
+            seen["fewer"] += len(walked) < len(probed)
+        return iter(probed)
+
+    def walk(self, ti, pi, free, need):
+        key = len(self.options[ti]), len(free), need
+        return both(self, ti, pi, free, key, self.unset & ~self.cell_masks[pi])
+
+    monkeypatch.setattr(_Search, "_probes", both)
+    monkeypatch.setattr(_Search, "_walk", walk)
+    try:
+        assert map_function(HARD, DIM3).status == NO_SOLUTION
+        assert map_function([DECOMP_EVEN8[i - 1] for i in (1, 2, 6)], DIM3).status == SOLVED
+        for dim, seed in ((DIM3, 2100), (LatticeDim(3, 4), 2101)):
+            paths = enumerate_paths(dim)
+            for e in generate_library(dim, 5, 8, seed):
+                assert map_function(e.function, dim, None, paths).status == SOLVED
+    finally:
+        mapper.arrangements.cache_clear()
+    assert min(seen.values()) > 0, seen
 
 
 def test_pair_bound_opens_the_same_interior_nodes(monkeypatch):
