@@ -51,13 +51,13 @@ many arrangements the pair has (``arrangement_count``), skips those whose
 mirror image comes earlier and opens a node for each other; it returns at a
 solution.  A narrow pair, with at most ``WALK_FROM`` (100), is probed: each
 arrangement's option masks are ANDed into a copy of the node's path bounds,
-and it fails when a path it completes is a live escape (a nonzero bound
-inside no term's mask), when the new bounds, ORed, no longer cover the
-function, or, unless its node is a leaf of the last term, where ``_finish``
-is exact, when the reach bound fails.  Which paths a placement completes
-depends only on the node and the path, so they are listed once for all its
-arrangements.  A wide pair is walked (below).  An opened node's cells are
-written to the grid and the copy becomes its bounds.  So a node's
+and it fails ``_passes`` when a path it completes is a live escape (a
+nonzero bound inside no term's mask), when the new bounds, ORed, no longer
+cover the function, or, unless its node is a leaf of the last term, where
+``_finish`` is exact, when the reach bound fails.  Which paths a placement
+completes depends only on the node and the path, so they are listed once for
+all its arrangements.  A wide pair is walked (below).  An opened node's
+cells are written to the grid and the copy becomes its bounds.  So a node's
 placements always cover the function, and a deferral, which keeps its
 parent's state, needs no test of its own.  A node never writes its own
 bounds, so undo is putting them back and clearing the cells.
@@ -68,26 +68,27 @@ through its 0 cells to 0), and that product is the path's bound b ANDed with
 the literals that later fill its u unset cells.  b and each term T are
 cubes, so the product can lie in T only when b meets T and T needs at most u
 literals that b lacks: ``popcount(b & T) << u >= popcount(b)``.  A path's
-share is b & T for each such T, and all of b when u is 0 (a completed path
-lies inside a term already) or at least the longest term's length.  Where
-the shares no longer cover the function no solution lies below.  Each share
-is memoized by (b, u) for the search.
+share (``_share`` with k = 0) is b & T for each such T, and all of b when u
+is 0 (a completed path lies inside a term already) or at least the longest
+term's length.  Where the shares no longer cover the function no solution
+lies below.
 
-A wide pair walks its arrangements one free cell at a time, depth first,
-in the same lexicographic order.  A prefix gets the probe's tests, in the
-probe's order, with the cells after it counted as unset: no path it
-completes is a live escape, the bounds, ORed, still cover the function, and
-the reach bound passes.  When a prefix fails, every arrangement below it is
-rejected unlisted.  Fixing a cell ANDs its option into the bounds of the
-paths through it; those paths, the ones the cell completes and the cells
-left unset after it are listed once per walk.  The walk is sound because
-each test only gets harder down the walk: a completed path keeps its bound,
-bounds only shrink, and so does a share, since fixing d more cells of a
-path adds at most d literals to its bound and takes d cells off its u.  A
-whole arrangement gets the probe's tests with the probe's unset cells, so
-above the last term the walk yields exactly the arrangements the probes
-pass, in the same order.  At the last term it keeps the reach test, so its
-only extra rejections are leaves that ``_finish`` would reject.
+A wide pair walks its arrangements one free cell at a time, depth first, in
+the same lexicographic order.  A prefix gets the probe's tests
+(``_passes``), in the probe's order, with the cells after it counted as
+unset: no path it completes is a live escape, the bounds, ORed, still cover
+the function, and the reach bound passes.  When a prefix fails, every
+arrangement below it is rejected unlisted.  Fixing a cell ANDs its option
+into the bounds of the paths through it; those paths, the ones the cell
+completes and the cells left unset after it are listed once per walk.  The
+walk is sound because each test only gets harder down the walk: a completed
+path keeps its bound, bounds only shrink, and so does a share, since fixing
+d more cells of a path adds at most d literals to its bound and takes d
+cells off its u.  A whole arrangement gets the probe's tests with the
+probe's unset cells, so above the last term the walk yields exactly the
+arrangements the probes pass, in the same order.  At the last term it keeps
+the reach test, so its only extra rejections are leaves that ``_finish``
+would reject.
 
 The pair bound: before a pair lists any arrangement, ``_may_pass`` bounds
 them all at once, and the pair is skipped when the bound does not cover the
@@ -96,29 +97,30 @@ term's mask.  A path through no cell of F keeps its bound b and its u unset
 cells, so it adds its share.  A path through k cells of F ends up with the
 bound b & c, where c, the product of the options on those cells, is a cube
 of at most k of the term's literals (c = 1 when they all hold 1), and keeps
-u' unset cells; it adds the OR over every such cube of the share of b & c
-(``_most``), where a completed path (u' = 0) adds b & c only when that is
-no live escape, since the probe and the walk reject an arrangement that
-completes one.  Above the last term, each path's share under any one
-arrangement lies in what the bound gives it, so a skipped pair is one whose
-every arrangement fails its probe or walk, and the search opens the same
-interior nodes in the same order.  At the last term a path with unset cells
-adds nothing, as ``_finish`` zeroes them, so a pair is skipped only where
-``_finish`` would reject each of its leaves.
+u' unset cells; it adds the OR over every such cube of the share of b & c,
+where a completed path (u' = 0) adds b & c only when that is no live escape,
+since the probe and the walk reject an arrangement that completes one.
+Above the last term, each path's share under any one arrangement lies in
+what the bound gives it, so a skipped pair is one whose every arrangement
+fails its probe or walk, and the search opens the same interior nodes in the
+same order.  At the last term a path with unset cells adds nothing, as
+``_finish`` zeroes them, so a pair is skipped only where ``_finish`` would
+reject each of its leaves.
 
-That OR needs no cube listed.  Every b & c & T lies in b & T, and for each
-term T the cube that brings b closest to T takes min(k, g) of the g
-literals that the placed term and T hold and b lacks; if that cube fails
-the share's test for T, every cube does.  So the OR is b & T over the terms
-T that b meets and that need at most u' + min(k, g) literals beyond b's
-(for u' = 0, b & c lies inside T exactly when T's literals lie in b's and
-c's).  A term that shares no literal with the placed one has g = 0 and is
-in b's own share, so one pass over the terms linked to the placed one, in
-a table built per term at first use, completes it.  The ORs are memoized by
-(term, b, k, u') for the search.  On HARD (DECOMP_EVEN8 on 3x3, in the
-tests) the search still opens 1,669 interior nodes, and checks 490 leaves
-instead of 1,610; it checks the deadline 4,039 times instead of 30,033 and
-walks no pair instead of 10.
+That OR needs no cube listed: it is the share's test with u' + min(k, g)
+in place of u.  Every b & c & T lies in b & T, and for each term T the cube
+that brings b closest to T takes min(k, g) of the g literals that the
+placed term and T hold and b lacks; if that cube fails the share's test for
+T, every cube does.  So the OR is b & T over the terms T that b meets and
+that need at most u' + min(k, g) literals beyond b's (for u' = 0, b & c
+lies inside T exactly when T's literals lie in b's and c's).  With k = 0
+that is the share, so ``_share`` is the one bound on what a path can still
+add: one pass over every term, each listed with the literals it shares with
+the placed term (g = 0 for one that shares none), in a table built per term
+at first use.  It is memoized for the search, by (b, u) for a share and by
+(b, u', term, k) for a pair's bound.  On HARD (DECOMP_EVEN8 on 3x3, in the
+tests) the search opens the same 1,669 interior nodes as without the bound,
+checks 490 leaves and the deadline 4,039 times, and walks no pair.
 
 The cut-over trades the walk's cost per prefix (a copy of the bounds and
 the reach bound over every path) against the arrangements it cuts unlisted.
@@ -151,9 +153,10 @@ every free cell is needed, and otherwise each first rank followed by the
 arrangements of the remaining cells.  Its lists are one table shared by
 every search of the process.  Only narrow pairs read it, and the key of a
 remaining-cells list has no more arrangements than the key that asked for
-it, so each list holds at most ``WALK_FROM`` arrangements; after every
-benchmark input the table holds 76 lists, about 0.06 MB.  That order is the
-one the search has always used, so answers are unchanged.
+it, so each list holds at most ``WALK_FROM`` arrangements; after every pool
+input of the benchmark and its pipeline calls the table holds 76 lists,
+about 0.06 MB.  That order is the one the search has always used, so answers
+are unchanged.
 """
 
 from __future__ import annotations
@@ -294,27 +297,31 @@ class _Search:
         # a path with this many unset cells may still end up in any term
         self.longest = max(map(len, f), default=0)
         # what a path can still add to the function, by (bound, unset cells)
-        self.reach: dict[tuple[int, int], int] = {}
-        # the most a path can add once a term is placed over some of its
-        # cells, by (term, bound, cells placed, unset cells after)
-        self.most: dict[tuple[int, int, int, int], int] = {}
-        # (term mask, mask of the shared literals) for each term that shares
-        # a literal with a term, by term, listed at its first ``_most``
+        # and, once a term is placed over some of its cells, by (bound,
+        # unset cells after, term, cells placed)
+        self.reach: dict[tuple[int, ...], int] = {}
+        # (term mask, mask of the literals it shares) for every term, by the
+        # term placed, listed at its first ``_share``
         self.linked: dict[int, list[tuple[int, int]]] = {}
 
     # -- bounds ----------------------------------------------------------
 
-    def _escapes(self, ub: int) -> bool:
-        """Whether a completed path with product mask ``ub`` is a live
-        escape: nonzero and inside no term's mask."""
-        if not ub:
-            return False
-        if ub & self.f_outside:
-            return True
-        for outside in self.term_outside:
-            if not ub & outside:
-                return False
-        return True
+    def _escapes(self, bounds: list[int], done: list[int]) -> bool:
+        """Whether a path of ``done``, each completed, is a live escape: its
+        bound, now its product mask, is nonzero and inside no term's mask."""
+        f_outside = self.f_outside
+        term_outside = self.term_outside
+        for pj in done:
+            ub = bounds[pj]
+            if ub:
+                if ub & f_outside:
+                    return True
+                for outside in term_outside:
+                    if not ub & outside:
+                        break
+                else:
+                    return True
+        return False
 
     def _reaches(self, bounds: list[int], unset: int) -> bool:
         """Whether the paths can still cover the function, with ``unset``
@@ -334,28 +341,55 @@ class _Search:
                 return True
         return False
 
-    def _share(self, b: int, u: int) -> int:
-        """What a path with bound b and u unset cells, 0 < u < ``longest``,
-        can still add: b & T for each term T that b meets and that needs at
-        most u literals more, so that ``popcount(b & T) << u >=
-        popcount(b)``.  Callers take all of b for any other u (a completed
-        path is no live escape, or it houses a term).  Memoized by (b, u)
-        for the search."""
-        reach = self.reach.get((b, u))
+    def _passes(self, bounds: list[int], done: list[int], unset: int, reach: bool) -> bool:
+        """The test of an arrangement or a walk prefix that gives the paths
+        ``bounds`` and leaves ``unset`` unset: no path in ``done``, those it
+        completes, is a live escape, the bounds, ORed, cover the function,
+        and, with ``reach``, so does the reach bound."""
+        return (
+            not self._escapes(bounds, done)
+            and not self.f_mask & ~functools.reduce(operator.or_, bounds, 0)
+            and (not reach or self._reaches(bounds, unset))
+        )
+
+    def _share(self, b: int, u: int, ti: int = 0, k: int = 0) -> int:
+        """What a path with bound b and u unset cells can still add once k
+        of its cells hold options of term ``ti``: b & T for each term T that
+        b meets and that needs at most u + min(k, g) literals beyond b's,
+        where g counts the literals of term ``ti`` that T holds and b lacks.
+        With k = 0 it is the path's share, which callers take for 0 < u <
+        ``longest`` and all of b otherwise (a completed path is no live
+        escape, or it houses a term); with k > 0, u = 0 included, it holds
+        the path's share under every arrangement that passes (see the
+        module docstring).  Cube masks have power-of-two sizes, so the
+        literals one cube lacks of a smaller one are the difference of their
+        sizes' bit lengths.  Memoized by (b, u) or (b, u, ti, k) for the
+        search."""
+        key = (b, u, ti, k) if k else (b, u)
+        reach = self.reach.get(key)
         if reach is None:
-            size = b.bit_count()
-            reach = self.reach[b, u] = functools.reduce(operator.or_, [
-                b & t for t in self.term_mask if (b & t).bit_count() << u >= size
-            ], 0)
+            linked = self.linked.get(ti)
+            if linked is None:
+                linked = self.linked[ti] = self._linked(ti)
+            size = b.bit_count().bit_length()
+            reach = 0
+            for t, s in linked:
+                bt = b & t
+                # g, the placed literals T holds and b lacks, counts only when k > 0
+                if bt and size - bt.bit_count().bit_length() <= u + (
+                    k and min(k, size - (b & s).bit_count().bit_length())
+                ):
+                    reach |= bt
+            self.reach[key] = reach
         return reach
 
     def _may_pass(self, ti: int, pi: int, unset: int) -> bool:
         """Whether some arrangement of term ``ti`` on path ``pi``, which
         leaves ``unset`` unset, can pass: the OR of the most each path can
-        still add covers the function.  Path ``pi`` adds the term's mask, a
-        path through none of the placed cells its ``_share`` and a path
-        through some of them its ``_most``.  At the last term a path with
-        unset cells adds nothing, since ``_finish`` zeroes it."""
+        still add covers the function.  Path ``pi`` adds the term's mask and
+        every other path its ``_share``, with k the number of placed cells
+        it holds.  At the last term a path with unset cells adds nothing,
+        since ``_finish`` zeroes it."""
         lost = self.f_mask & ~self.term_mask[ti]
         if not lost:
             return True
@@ -371,7 +405,8 @@ class _Search:
                 continue
             k = (cells & placed).bit_count()
             if k and u < longest:
-                b = self._most(ti, b, k, u)
+                reach = memo.get((b, u, ti, k))
+                b = self._share(b, u, ti, k) if reach is None else reach
             elif 0 < u < longest:
                 reach = memo.get((b, u))
                 b = self._share(b, u) if reach is None else reach
@@ -380,55 +415,16 @@ class _Search:
                 return True
         return False
 
-    def _most(self, ti: int, b: int, k: int, u: int) -> int:
-        """The most a path with bound b can still add once k of its cells
-        hold options of term ``ti`` and u < ``longest`` stay unset: the OR,
-        over each cube c of at most k of the term's literals L, of
-        ``_share(b & c, u)``, or of b & c when u is 0 and b & c is no live
-        escape.  The k cells multiply to one such cube, so this contains
-        the path's share under every arrangement that passes.
-
-        In closed form (see the module docstring for why) it is the OR of
-        b & T over the terms T that b meets and that need at most u +
-        min(k, g) literals beyond b's, where g counts the literals of L
-        that T holds and b lacks.  It starts from c = 1, b's own share,
-        which is the answer when it is all of b; only the terms that share
-        a literal with term ``ti`` can add more.  Cube masks have
-        power-of-two sizes, so the literals one cube lacks of a smaller one
-        are the difference of their sizes' bit lengths.  Memoized by (ti,
-        b, k, u) for the search."""
-        key = ti, b, k, u
-        most = self.most.get(key)
-        if most is None:
-            if u:
-                most = self._share(b, u)
-            else:
-                most = 0 if self._escapes(b) else b
-            if most != b:
-                linked = self.linked.get(ti)
-                if linked is None:
-                    linked = self.linked[ti] = self._linked(ti)
-                size = b.bit_count().bit_length()
-                for t, s in linked:
-                    bt = b & t
-                    if bt and size - bt.bit_count().bit_length() <= u + min(
-                        k, size - (b & s).bit_count().bit_length()
-                    ):
-                        most |= bt
-            self.most[key] = most
-        return most
-
     def _linked(self, ti: int) -> list[tuple[int, int]]:
-        """``(T, S)`` for each term T that shares a literal with term
-        ``ti``, ``ti`` itself included: S is the mask of the shared
-        literals."""
+        """``(T, S)`` for each term T: S is the mask of the literals T shares
+        with term ``ti``, ``full`` when it shares none."""
         literals = set(self.f[ti])
-        linked = []
-        for t, options, masks in zip(self.term_mask, self.options, self.option_masks):
-            shared = [m for v, m in zip(options, masks) if v in literals]
-            if shared:
-                linked.append((t, functools.reduce(operator.and_, shared)))
-        return linked
+        return [
+            (t, functools.reduce(
+                operator.and_, [m for v, m in zip(options, masks) if v in literals], self.full
+            ))
+            for t, options, masks in zip(self.term_mask, self.options, self.option_masks)
+        ]
 
     # -- placements ------------------------------------------------------
 
@@ -473,10 +469,7 @@ class _Search:
         ]
         option_masks = self.option_masks[ti]
         through = self.through
-        f_mask = self.f_mask
-        f_outside = self.f_outside
-        term_outside = self.term_outside
-        last = ti + 1 == len(self.f)  # ``_finish`` checks the child exactly
+        reach = ti + 1 < len(self.f)  # ``_finish`` checks a last-term child exactly
         for ranks in arrangements(key):
             self._check_time()
             bounds = path_ub[:]
@@ -484,22 +477,8 @@ class _Search:
                 m = option_masks[rank]
                 for pj in through[cell]:
                     bounds[pj] &= m
-            # ``_escapes``, inlined and first: it is the hot loop of a probe
-            for pj in done:
-                ub = bounds[pj]
-                if ub:
-                    if ub & f_outside:
-                        break
-                    for outside in term_outside:
-                        if not ub & outside:
-                            break
-                    else:
-                        break  # inside no term's mask
-            else:
-                if not f_mask & ~functools.reduce(operator.or_, bounds, 0) and (
-                    last or self._reaches(bounds, unset)
-                ):
-                    yield ranks, bounds
+            if self._passes(bounds, done, unset, reach):
+                yield ranks, bounds
 
     def _walk(
         self, ti: int, pi: int, free: list[int], need: int
@@ -522,7 +501,6 @@ class _Search:
             done = [pj for pj in through[cell] if not cell_masks[pj] & unset and pj != pi]
             steps.append((through[cell], done, unset))
         option_masks = self.option_masks[ti]
-        f_mask = self.f_mask
         ncells = len(steps)
         stack = [((), need, self.path_ub)]
         while stack:
@@ -541,13 +519,8 @@ class _Search:
                 nb = bounds[:]
                 for pj in crossing:
                     nb[pj] &= m
-                if done and any([self._escapes(nb[pj]) for pj in done]):
-                    continue
-                if f_mask & ~functools.reduce(operator.or_, nb, 0) or not self._reaches(
-                    nb, unset
-                ):
-                    continue
-                children.append((prefix + (r,), rest, nb))
+                if self._passes(nb, done, unset, True):
+                    children.append((prefix + (r,), rest, nb))
             stack += reversed(children)
 
     # -- search ----------------------------------------------------------

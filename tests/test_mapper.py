@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import random
 import sys
 import time
 from itertools import combinations, product
@@ -8,13 +9,16 @@ from itertools import combinations, product
 import pytest
 
 from latmap.codes import (
+    COMPLEMENT_BASE,
     CONST_ONE,
     CONST_ZERO,
     absorb,
     function_mask,
+    is_complement_code,
     literal_masks,
     normalize_term,
     table_variables,
+    variable_of,
 )
 from latmap.decompose import decompose_two
 from latmap.grid import LatticeDim
@@ -42,6 +46,7 @@ from lattice_goldens import (
     MAP_EX2,
     MAP_EX3,
     MAP_EX4,
+    SYNTH_EIGHT,
     f,
 )
 
@@ -454,38 +459,53 @@ def test_pair_bound_opens_the_same_interior_nodes(monkeypatch):
     assert any(skipped)
 
 
+def _popcount_share(search, b, u):
+    """A path's share by its definition: the OR of b & T over the terms T
+    with ``popcount(b & T) << u >= popcount(b)``."""
+    size = b.bit_count()
+    return functools.reduce(operator.or_, [
+        b & t for t in search.term_mask if (b & t).bit_count() << u >= size
+    ], 0)
+
+
 def _cube_or_most(search, ti, b, k, u):
-    """``_Search._most`` by its definition: the OR, over each cube c of at
-    most k of term ``ti``'s literals, of ``_share(b & c, u)``, or of b & c
-    when u is 0 and b & c is no live escape."""
+    """``_Search._share`` for k > 0 by its definition: the OR, over each cube
+    c of at most k of term ``ti``'s literals, of the share of b & c, or of
+    b & c when u is 0 and b & c is no live escape."""
     literals = search.option_masks[ti][:-1]
     most = 0
     for n in range(min(k, len(literals)) + 1):
         for cube in combinations(literals, n):
             bc = functools.reduce(operator.and_, cube, b)
             if u:
-                most |= search._share(bc, u)
-            elif not search._escapes(bc):
+                most |= _popcount_share(search, bc, u)
+            elif not search._escapes([bc], [0]):
                 most |= bc
     return most
 
 
 def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
-    """``_most`` equals the OR over every cube on each of its calls: for
-    library functions of 2x2, 2x3, 3x2, 3x3 and 3x4, for HARD and for
-    every subset ``decompose_two`` maps of DECOMP_UNEVEN8.  The calls
-    include completed paths (u = 0) and k at least the term's length."""
-    seen = {"calls": 0, "completed": 0, "whole term": 0}
+    """``_share`` in closed form equals its definition on each of its
+    calls: the popcount test for k = 0, and for k > 0 the OR over every
+    cube.  For library functions of 2x2, 2x3, 3x2, 3x3 and 3x4, for HARD
+    and for every subset ``decompose_two`` maps of DECOMP_UNEVEN8.  The
+    calls with k > 0 include completed paths (u = 0) and k at least the
+    term's length."""
+    seen = {"share": 0, "placed": 0, "completed": 0, "whole term": 0}
 
-    def most(self, ti, b, k, u, _method=_Search._most):
-        got = _method(self, ti, b, k, u)
-        assert got == _cube_or_most(self, ti, b, k, u), (self.f, ti, b, k, u)
-        seen["calls"] += 1
-        seen["completed"] += not u
-        seen["whole term"] += k >= len(self.f[ti])
+    def share(self, b, u, ti=0, k=0, _method=_Search._share):
+        got = _method(self, b, u, ti, k)
+        if k:
+            assert got == _cube_or_most(self, ti, b, k, u), (self.f, ti, b, k, u)
+            seen["placed"] += 1
+            seen["completed"] += not u
+            seen["whole term"] += k >= len(self.f[ti])
+        else:
+            assert got == _popcount_share(self, b, u), (self.f, b, u)
+            seen["share"] += 1
         return got
 
-    monkeypatch.setattr(_Search, "_most", most)
+    monkeypatch.setattr(_Search, "_share", share)
     for dim, seed in ((LatticeDim(2, 2), 2000), (LatticeDim(2, 3), 2001),
                       (LatticeDim(3, 2), 2002), (DIM3, 2003),
                       (LatticeDim(3, 4), 2004)):
@@ -700,3 +720,71 @@ def test_and_composition_is_never_no_solution(rows, cols, seed):
         assert lattice_table(grid, literal_masks(universe)) == function_mask(fn, universe)
         result = map_function(fn, grid.dim, SearchBudget(time_limit=1.0))
         assert result.status != NO_SOLUTION, (f1, f2)
+
+
+def _relabel(fn, rename):
+    """``fn`` with each literal's variable v replaced by ``rename[v]``,
+    keeping its polarity."""
+    def code(c):
+        w = rename[variable_of(c)]
+        return COMPLEMENT_BASE - w if is_complement_code(c) else w
+    return [frozenset(map(code, t)) for t in fn]
+
+
+def _metamorphic_inputs(rng):
+    """Seeded 3- to 6-term subsets of the four 8-term study functions on
+    3x3, in their own term order, and library functions of 2x2, 2x3 and
+    3x3 that depend on some variable."""
+    inputs = []
+    for fn in (DECOMP_EVEN8, DECOMP_NOSPLIT8, DECOMP_UNEVEN8, SYNTH_EIGHT):
+        for _ in range(12):
+            picked = sorted(rng.sample(range(len(fn)), rng.randint(3, 6)))
+            inputs.append(([fn[i] for i in picked], DIM3))
+    for dim, seed in ((LatticeDim(2, 2), 2200), (LatticeDim(2, 3), 2201), (DIM3, 2202)):
+        for e in generate_library(dim, 5, 20, seed):
+            if e.function and frozenset() not in e.function:
+                inputs.append((e.function, dim))
+    return inputs
+
+
+def test_verdict_invariant_under_relabelling_and_term_order():
+    """The verdict stays the same when one letter variable is complemented
+    throughout, when the variables are renamed by a permutation and when
+    the term order is reversed; the inputs hold both verdicts."""
+    rng = random.Random(2300)
+    paths = {}
+    verdicts = set()
+    checks = 0
+    for fn, dim in _metamorphic_inputs(rng):
+        ps = paths.setdefault(dim, enumerate_paths(dim))
+        want = map_function(fn, dim, None, ps).status
+        verdicts.add(want)
+        letters = sorted({variable_of(c) for t in fn for c in t})
+        v = rng.choice(letters)
+        perm = dict(zip(letters, rng.sample(range(8), len(letters))))
+        complemented = [frozenset(c if variable_of(c) != v else COMPLEMENT_BASE - c for c in t)
+                        for t in fn]
+        for name, variant in (("complement", complemented),
+                              ("rename", _relabel(fn, perm)),
+                              ("reverse", fn[::-1])):
+            got = map_function(variant, dim, None, ps).status
+            assert got == want, (name, dim, fn, variant)
+            checks += 1
+    assert verdicts == {SOLVED, NO_SOLUTION}
+    assert checks >= 300
+
+
+@pytest.mark.parametrize("rows,cols,seed", [(2, 2, 2400), (2, 3, 2401), (3, 2, 2402)])
+def test_solved_stays_solved_on_a_larger_grid(rows, cols, seed):
+    """A grid the search finds on r x c, with a column of 0 beside it or a
+    row of 1 below it, lies in the search's space on r x (c + 1) and
+    (r + 1) x c, so a function solved on r x c stays solved on both."""
+    dim = LatticeDim(rows, cols)
+    wider, taller = LatticeDim(rows, cols + 1), LatticeDim(rows + 1, cols)
+    solved = 0
+    for e in generate_library(dim, 5, 25, seed):
+        if map_function(e.function, dim).status == SOLVED:
+            solved += 1
+            for bigger in (wider, taller):
+                assert map_function(e.function, bigger).status == SOLVED, (bigger, e.function)
+    assert solved >= 20
