@@ -73,6 +73,29 @@ is 0 (a completed path lies inside a term already) or at least the longest
 term's length.  Where the shares no longer cover the function no solution
 lies below.
 
+The literal pool: cells are written only by placements, in term order, and
+a placement of term i writes only its own literals and 1.  So pool i, the
+literals of terms i to the last, holds every literal that an unset cell can
+still get from placements of terms i on; ``_finish`` adds only 0s.  A path
+whose product ends up inside a term T holds every literal of T, so each
+literal of T outside the pool must already lie in b: b lies inside bare[T],
+the AND of the masks of those literals (``not b & ~bare[T]``).  ``_share``
+counts T only then, under the pool its caller names; under pool 0, which
+holds every literal, bare[T] is all rows and every term passes.  With term
+i being placed, the pair bound (below) takes pool i for the paths through
+the placed cells, which hold term i's options, and pool i + 1 for the
+others; a probe's reach test takes pool i + 1; a walk prefix takes pool i,
+since its later cells still take term i's options, and its last cell pool
+i + 1.  Each bound still dominates the one after it: a literal outside pool
+i is outside pool i + 1, and it lies in b & c, for c a cube of term i's
+literals, only when it lies in b, since pool i holds c's literals.  So a
+prefix's test is still weaker than each arrangement's below it, the pair
+bound still holds every arrangement's shares, and above the last term the
+walk still yields exactly what the probes pass.  Pools are numbered once
+per search, equal pools alike (``pool``), and each has its own memo; the
+bare masks of every pool are listed at the search's first ``_share``, in
+one pass over the terms' literals.
+
 A wide pair walks its arrangements one free cell at a time, depth first, in
 the same lexicographic order.  A prefix gets the probe's tests
 (``_passes``), in the probe's order, with the cells after it counted as
@@ -116,19 +139,22 @@ that need at most u' + min(k, g) literals beyond b's (for u' = 0, b & c
 lies inside T exactly when T's literals lie in b's and c's).  With k = 0
 that is the share, so ``_share`` is the one bound on what a path can still
 add: one pass over every term, each listed with the literals it shares with
-the placed term (g = 0 for one that shares none), in a table built per term
-at first use.  It is memoized for the search, by (b, u) for a share and by
-(b, u', term, k) for a pair's bound.  On HARD (DECOMP_EVEN8 on 3x3, in the
-tests) the search opens the same 1,669 interior nodes as without the bound,
-checks 490 leaves and the deadline 4,039 times, and walks no pair.
+the placed term (g = 0 for one that shares none) and its bare mask, in a
+table built per term and pool at first use.  A cube c of the placed term's
+literals adds no literal outside that term's pool, so the pool's test reads
+b alone.  It is memoized for the search, per pool, by (b, u) for a share
+and by (b, u', term, k) for a pair's bound.  On HARD (DECOMP_EVEN8 on 3x3,
+in the tests) the search opens 887 interior nodes, the same as without the
+pair bound, checks 193 leaves and the deadline 1,987 times, and walks no
+pair.
 
 The cut-over trades the walk's cost per prefix (a copy of the bounds and
 the reach bound over every path) against the arrangements it cuts unlisted.
 Of the pairs that pass the pair bound, with the share of their
-arrangements, these lie above 100: none of the 1,582 pairs of the
-benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,366 on 3x4,
-0.7 % with 19 % of 33,670 over the pool negatives on 3x3, and 2.6 % with
-50 % of 380 when synthesizing SYNTH_EIGHT on 3x3.  Neither source alone
+arrangements, these lie above 100: none of the 1,489 pairs of the
+benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,155 on 3x4,
+0.4 % with 13 % of 18,123 over the pool negatives on 3x3, and none of the
+235 when synthesizing SYNTH_EIGHT on 3x3.  Neither source alone
 does as well: walking every pair slows the solved maps on 3x3 (0.08-0.13
 to 0.15-0.18 s) and the pool negatives (2.5-2.7 to 3.4-4.7 s), and
 probing every pair slows DECOMP_EVEN8 on 6x6 (0.29-0.39 to 3.1-3.8 s) and
@@ -154,8 +180,8 @@ arrangements of the remaining cells.  Its lists are one table shared by
 every search of the process.  Only narrow pairs read it, and the key of a
 remaining-cells list has no more arrangements than the key that asked for
 it, so each list holds at most ``WALK_FROM`` arrangements; after every pool
-input of the benchmark and its pipeline calls the table holds 76 lists,
-about 0.06 MB.  That order is the one the search has always used, so answers
+input of the benchmark and its pipeline calls the table holds 71 lists,
+about 0.05 MB.  That order is the one the search has always used, so answers
 are unchanged.
 """
 
@@ -165,7 +191,7 @@ import functools
 import math
 import operator
 import time
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, permutations, product
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -274,7 +300,7 @@ class _Search:
 
         self.var_order = table_variables(f)
         # a fixed cell ANDs its mask into the bound of every path through it
-        masks = literal_masks(self.var_order)
+        self.masks = masks = literal_masks(self.var_order)
         self.full = masks[CONST_ONE]
         self.term_mask = term_masks(f, masks)
         self.term_outside = [self.full & ~m for m in self.term_mask]
@@ -296,13 +322,26 @@ class _Search:
         self.matched: list[Optional[int]] = [None] * len(self.paths)
         # a path with this many unset cells may still end up in any term
         self.longest = max(map(len, f), default=0)
-        # what a path can still add to the function, by (bound, unset cells)
-        # and, once a term is placed over some of its cells, by (bound,
-        # unset cells after, term, cells placed)
-        self.reach: dict[tuple[int, ...], int] = {}
-        # (term mask, mask of the literals it shares) for every term, by the
-        # term placed, listed at its first ``_share``
-        self.linked: dict[int, list[tuple[int, int]]] = {}
+        # pool i, the literals of terms i.., holds every literal that
+        # placements from term i on write; ``pool[i]`` numbers it, 0 for
+        # every literal, and ``last`` gives each literal's last term
+        self.last = {v: ti for ti, term in enumerate(f) for v in term}
+        ends = set(self.last.values())
+        self.pool = list(accumulate((ti in ends for ti in range(len(f))), initial=0))
+        # what a path can still add to the function, one memo per pool, by
+        # (bound, unset cells) and, once a term is placed over some of its
+        # cells, by (bound, unset cells after, term, cells placed)
+        self.reach: list[dict[tuple[int, ...], int]] = [{} for _ in range(self.pool[-1] + 1)]
+        # by pool, each term's ``full & ~bare``, bare being the AND of the
+        # masks of its literals outside the pool; listed at the first
+        # ``_share``
+        self.bare_outside: Optional[list[list[int]]] = None
+        # for each term, the mask of the literals it shares with the term
+        # placed, by the term placed; and (term mask, that mask, ``full &
+        # ~bare``) for each term, by the term placed and the pool; each
+        # listed at its first ``_share``
+        self.shared: dict[int, list[int]] = {}
+        self.linked: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
     # -- bounds ----------------------------------------------------------
 
@@ -323,64 +362,70 @@ class _Search:
                     return True
         return False
 
-    def _reaches(self, bounds: list[int], unset: int) -> bool:
+    def _reaches(self, bounds: list[int], unset: int, pool: int) -> bool:
         """Whether the paths can still cover the function, with ``unset``
-        left unset: the OR of each path's ``_share``."""
+        left unset and written from ``pool``: the OR of each path's
+        ``_share``."""
         lost = self.f_mask
         longest = self.longest
-        memo = self.reach
+        memo = self.reach[pool]
         for b, cells in zip(bounds, self.cell_masks):
             if not b & lost:
                 continue  # it adds at most b
             u = (cells & unset).bit_count()
             if 0 < u < longest:
                 reach = memo.get((b, u))
-                b = self._share(b, u) if reach is None else reach
+                b = self._share(b, u, pool) if reach is None else reach
             lost &= ~b
             if not lost:
                 return True
         return False
 
-    def _passes(self, bounds: list[int], done: list[int], unset: int, reach: bool) -> bool:
+    def _passes(
+        self, bounds: list[int], done: list[int], unset: int, pool: Optional[int]
+    ) -> bool:
         """The test of an arrangement or a walk prefix that gives the paths
         ``bounds`` and leaves ``unset`` unset: no path in ``done``, those it
         completes, is a live escape, the bounds, ORed, cover the function,
-        and, with ``reach``, so does the reach bound."""
+        and, unless ``pool`` is None, so does the reach bound under it."""
         return (
             not self._escapes(bounds, done)
             and not self.f_mask & ~functools.reduce(operator.or_, bounds, 0)
-            and (not reach or self._reaches(bounds, unset))
+            and (pool is None or self._reaches(bounds, unset, pool))
         )
 
-    def _share(self, b: int, u: int, ti: int = 0, k: int = 0) -> int:
-        """What a path with bound b and u unset cells can still add once k
-        of its cells hold options of term ``ti``: b & T for each term T that
-        b meets and that needs at most u + min(k, g) literals beyond b's,
-        where g counts the literals of term ``ti`` that T holds and b lacks.
-        With k = 0 it is the path's share, which callers take for 0 < u <
-        ``longest`` and all of b otherwise (a completed path is no live
-        escape, or it houses a term); with k > 0, u = 0 included, it holds
-        the path's share under every arrangement that passes (see the
+    def _share(self, b: int, u: int, pool: int, ti: int = 0, k: int = 0) -> int:
+        """What a path with bound b and u unset cells, written from
+        ``pool``, can still add once k of its cells hold options of term
+        ``ti``: b & T for each term T whose literals outside the pool all
+        lie in b's (not ``b & ~bare[T]``), that b meets and that needs at
+        most u + min(k, g) literals beyond b's, where g counts the literals
+        of term ``ti`` that T holds and b lacks.  With k = 0 it is the
+        path's share, which callers take for 0 < u < ``longest`` and all of
+        b otherwise (a completed path is no live escape, or it houses a
+        term); with k > 0, u = 0 included, and the pool of term ``ti``, it
+        holds the path's share under every arrangement that passes (see the
         module docstring).  Cube masks have power-of-two sizes, so the
         literals one cube lacks of a smaller one are the difference of their
-        sizes' bit lengths.  Memoized by (b, u) or (b, u, ti, k) for the
-        search."""
+        sizes' bit lengths.  Memoized per pool by (b, u) or (b, u, ti, k)
+        for the search."""
+        memo = self.reach[pool]
         key = (b, u, ti, k) if k else (b, u)
-        reach = self.reach.get(key)
+        reach = memo.get(key)
         if reach is None:
-            linked = self.linked.get(ti)
+            linked = self.linked.get((ti, pool))
             if linked is None:
-                linked = self.linked[ti] = self._linked(ti)
+                linked = self.linked[ti, pool] = self._linked(ti, pool)
             size = b.bit_count().bit_length()
             reach = 0
-            for t, s in linked:
+            for t, s, out in linked:
                 bt = b & t
                 # g, the placed literals T holds and b lacks, counts only when k > 0
                 if bt and size - bt.bit_count().bit_length() <= u + (
                     k and min(k, size - (b & s).bit_count().bit_length())
-                ):
+                ) and not b & out:
                     reach |= bt
-            self.reach[key] = reach
+            memo[key] = reach
         return reach
 
     def _may_pass(self, ti: int, pi: int, unset: int) -> bool:
@@ -388,14 +433,17 @@ class _Search:
         leaves ``unset`` unset, can pass: the OR of the most each path can
         still add covers the function.  Path ``pi`` adds the term's mask and
         every other path its ``_share``, with k the number of placed cells
-        it holds.  At the last term a path with unset cells adds nothing,
-        since ``_finish`` zeroes it."""
+        it holds: under the pool of term ``ti`` when k > 0, whose placed
+        cells hold its options, and under the next term's otherwise.  At the
+        last term a path with unset cells adds nothing, since ``_finish``
+        zeroes it."""
         lost = self.f_mask & ~self.term_mask[ti]
         if not lost:
             return True
         placed = self.unset & ~unset
         last = ti + 1 == len(self.f)
-        memo = self.reach
+        pool, after = self.pool[ti], self.pool[ti + 1]
+        placed_memo, memo = self.reach[pool], self.reach[after]
         longest = self.longest
         for pj, (b, cells) in enumerate(zip(self.path_ub, self.cell_masks)):
             if not b & lost or pj == pi:
@@ -405,26 +453,55 @@ class _Search:
                 continue
             k = (cells & placed).bit_count()
             if k and u < longest:
-                reach = memo.get((b, u, ti, k))
-                b = self._share(b, u, ti, k) if reach is None else reach
+                reach = placed_memo.get((b, u, ti, k))
+                b = self._share(b, u, pool, ti, k) if reach is None else reach
             elif 0 < u < longest:
                 reach = memo.get((b, u))
-                b = self._share(b, u) if reach is None else reach
+                b = self._share(b, u, after) if reach is None else reach
             lost &= ~b
             if not lost:
                 return True
         return False
 
-    def _linked(self, ti: int) -> list[tuple[int, int]]:
-        """``(T, S)`` for each term T: S is the mask of the literals T shares
-        with term ``ti``, ``full`` when it shares none."""
+    def _linked(self, ti: int, pool: int) -> list[tuple[int, int, int]]:
+        """``(T, S, O)`` for each term T: S is the mask of the literals T
+        shares with term ``ti`` and O is ``full & ~bare[T]`` under pool
+        ``pool``."""
+        shared = self.shared.get(ti)
+        if shared is None:
+            shared = self.shared[ti] = self._shared(ti)
+        if self.bare_outside is None:
+            self.bare_outside = self._bare_outside()
+        return list(zip(self.term_mask, shared, self.bare_outside[pool]))
+
+    def _shared(self, ti: int) -> list[int]:
+        """For each term, the mask of the literals it shares with term
+        ``ti``, ``full`` when it shares none."""
         literals = set(self.f[ti])
+        get = self.masks.__getitem__
         return [
-            (t, functools.reduce(
-                operator.and_, [m for v, m in zip(options, masks) if v in literals], self.full
-            ))
-            for t, options, masks in zip(self.term_mask, self.options, self.option_masks)
+            functools.reduce(operator.and_, map(get, literals.intersection(t)), self.full)
+            for t in self.f
         ]
+
+    def _bare_outside(self) -> list[list[int]]:
+        """By pool, each term's ``full & ~bare``: the rows where one of its
+        literals outside the pool is false, 0 when the pool holds them all.
+        A literal is outside the pools after its last term's."""
+        pool, last, full, masks = self.pool, self.last, self.full, self.masks
+        # each term's literals, as (term, full & ~mask), by the first pool
+        # that lacks them
+        leaving: list[list[tuple[int, int]]] = [[] for _ in range(pool[-1] + 1)]
+        for j, term in enumerate(self.f):
+            for v in term:
+                leaving[pool[last[v] + 1]].append((j, full & ~masks[v]))
+        row = [0] * len(self.f)
+        table = []
+        for gone in leaving:
+            for j, out in gone:
+                row[j] |= out
+            table.append(row[:])
+        return table
 
     # -- placements ------------------------------------------------------
 
@@ -469,7 +546,8 @@ class _Search:
         ]
         option_masks = self.option_masks[ti]
         through = self.through
-        reach = ti + 1 < len(self.f)  # ``_finish`` checks a last-term child exactly
+        # ``_finish`` checks a last-term child exactly
+        pool = self.pool[ti + 1] if ti + 1 < len(self.f) else None
         for ranks in arrangements(key):
             self._check_time()
             bounds = path_ub[:]
@@ -477,7 +555,7 @@ class _Search:
                 m = option_masks[rank]
                 for pj in through[cell]:
                     bounds[pj] &= m
-            if self._passes(bounds, done, unset, reach):
+            if self._passes(bounds, done, unset, pool):
                 yield ranks, bounds
 
     def _walk(
@@ -490,16 +568,19 @@ class _Search:
         it; past the deadline it raises.
 
         A step lists, for a free cell, the paths through it, those other
-        than ``pi`` it completes, and the cells left unset once it and the
-        cells before it are fixed."""
+        than ``pi`` it completes, the cells left unset once it and the
+        cells before it are fixed, and the pool they are written from: the
+        term's own before the last cell, whose later cells still take its
+        options, and the next term's at the last."""
         through = self.through
         cell_masks = self.cell_masks
         unset = self.unset
+        pools = [self.pool[ti]] * (len(free) - 1) + [self.pool[ti + 1]]
         steps = []
-        for cell in free:
+        for cell, pool in zip(free, pools):
             unset &= ~(1 << cell)
             done = [pj for pj in through[cell] if not cell_masks[pj] & unset and pj != pi]
-            steps.append((through[cell], done, unset))
+            steps.append((through[cell], done, unset, pool))
         option_masks = self.option_masks[ti]
         ncells = len(steps)
         stack = [((), need, self.path_ub)]
@@ -509,7 +590,7 @@ class _Search:
                 yield prefix, bounds
                 continue
             self._check_time()
-            crossing, done, unset = steps[len(prefix)]
+            crossing, done, unset, pool = steps[len(prefix)]
             left = ncells - len(prefix) - 1  # cells after this one
             children = []
             for r, m in enumerate(option_masks):
@@ -519,7 +600,7 @@ class _Search:
                 nb = bounds[:]
                 for pj in crossing:
                     nb[pj] &= m
-                if self._passes(nb, done, unset, True):
+                if self._passes(nb, done, unset, pool):
                     children.append((prefix + (r,), rest, nb))
             stack += reversed(children)
 
@@ -549,13 +630,13 @@ class _Search:
             path = self.paths[pi]
             if len(term) > len(path):
                 continue
+            unset = self.unset & ~self.cell_masks[pi]  # all of the path is set
+            if not self._may_pass(ti, pi, unset):
+                continue  # no arrangement of the pair can pass
             housing = self._placements(ti, path)
             if housing is None:
                 continue
             free, key = housing
-            unset = self.unset & ~self.cell_masks[pi]  # all of the path is set
-            if not self._may_pass(ti, pi, unset):
-                continue  # no arrangement of the pair can pass
             fixing = self._fixing(pi, free, stab) if stab else ()
             if arrangement_count(key) > WALK_FROM:
                 passing = self._walk(ti, pi, free, key[2])
@@ -653,9 +734,11 @@ class _Search:
         """Points of interest of the finished grid.  Every path is fixed, so
         its bound is its product mask: an unused path with a nonzero mask is
         absorbed by the first term whose mask holds it, and one without a 0
-        cell has mask 0 exactly when it holds an xx' pair.  A literal cell
-        was written by the first term, in order, whose path holds it: terms
-        are placed in order, and a cell is written only while it is free."""
+        cell has mask 0 exactly when it holds an xx' pair.  Placements never
+        write 0, so the 0 cells are the zeroed ones, still ``unset``.  A
+        literal cell was written by the first term, in order, whose path
+        holds it: terms are placed in order, and a cell is written only
+        while it is free."""
         owner: dict[int, int] = {}
         housed = sorted((ti, pi) for pi, ti in enumerate(self.matched) if ti is not None)
         for ti, pi in housed:
@@ -674,9 +757,9 @@ class _Search:
                         absorbed_count[t_idx] = absorbed_count.get(t_idx, 0) + 1
                         break
                 continue
+            if self.cell_masks[pi] & self.unset:
+                continue  # it holds a 0 cell
             codes = {self.grid[c] for c in path}
-            if CONST_ZERO in codes:
-                continue
             xxprime_paths.append(pi)
             for cell in path:
                 if COMPLEMENT_BASE - self.grid[cell] in codes:

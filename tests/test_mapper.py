@@ -298,13 +298,14 @@ def test_deadline_past_on_entering_the_root_is_inconclusive(monkeypatch):
 
 
 def test_time_cut_ends_the_search_at_once(monkeypatch):
-    """A clock that runs out at its k-th check: on HARD for k every 52
-    checks from the first, and on five terms of DECOMP_NOSPLIT8, whose
-    search walks a wide pair, at every one of its checks.  Cuts land at
-    node entries, in probe loops of narrow pairs and inside walks of wide
-    ones.  Each answers inconclusive, and after the cut no placement is
-    listed, no node opened and no leaf checked."""
-    clock = {"checks": 0, "k": math.inf, "cut": False, "after": 0}
+    """A clock that runs out at its k-th check: on HARD for k every 26
+    checks from the first, and on terms 1-4 of DECOMP_EVEN8, whose search
+    walks a wide pair, at every one of its checks; each input's checks are
+    counted on an uncut run.  Cuts land at node entries, in probe loops of
+    narrow pairs and inside walks of wide ones.  Each answers inconclusive,
+    and after the cut no placement is listed, no node opened and no leaf
+    checked."""
+    clock = {"checks": 0, "k": math.inf, "cut": False, "after": 0, "walks": 0}
     cut_in = set()
 
     def check_time(self):
@@ -321,9 +322,19 @@ def test_time_cut_ends_the_search_at_once(monkeypatch):
             clock["after"] += clock["cut"]
             return _method(self, *args)
         monkeypatch.setattr(_Search, name, counted)
-    walked = [DECOMP_NOSPLIT8[i - 1] for i in (1, 3, 4, 6, 7)]
-    map_function(walked, DIM3, SearchBudget(time_limit=60))
-    for fn, ks in ((HARD, range(1, 4000, 52)), (walked, range(1, clock["checks"] + 1))):
+
+    def walk(self, *args, _method=_Search._walk):
+        clock["walks"] += 1
+        return _method(self, *args)
+
+    monkeypatch.setattr(_Search, "_walk", walk)
+    cases = []
+    for fn, step in ((HARD, 26), (DECOMP_EVEN8[:4], 1)):
+        clock.update(checks=0, walks=0)
+        assert map_function(fn, DIM3, SearchBudget(time_limit=60)).status == NO_SOLUTION
+        cases.append((fn, range(1, clock["checks"] + 1, step)))
+    assert clock["walks"] > 0  # the second input walks a pair
+    for fn, ks in cases:
         for k in ks:
             clock.update(checks=0, k=k, cut=False)
             r = map_function(fn, DIM3, SearchBudget(time_limit=60))
@@ -459,26 +470,42 @@ def test_pair_bound_opens_the_same_interior_nodes(monkeypatch):
     assert any(skipped)
 
 
-def _popcount_share(search, b, u):
+def _pool_literals(search, pool):
+    """The literals of pool ``pool``: those of the terms from the first
+    whose pool it numbers on.  Equal pools, and only those, share a number,
+    and pool 0 holds every literal."""
+    sets = [frozenset().union(*search.f[i:]) for i in range(len(search.f) + 1)]
+    assert all((search.pool[i] == search.pool[j]) == (sets[i] == sets[j])
+               for i in range(len(sets)) for j in range(len(sets)))
+    assert search.pool[0] == 0
+    return sets[search.pool.index(pool)]
+
+
+def _popcount_share(search, b, u, pool):
     """A path's share by its definition: the OR of b & T over the terms T
-    with ``popcount(b & T) << u >= popcount(b)``."""
+    whose literals outside the literal set ``pool`` each hold wherever b
+    does, with ``popcount(b & T) << u >= popcount(b)``."""
+    masks = literal_masks(search.var_order)
     size = b.bit_count()
     return functools.reduce(operator.or_, [
-        b & t for t in search.term_mask if (b & t).bit_count() << u >= size
+        b & t for t, term in zip(search.term_mask, search.f)
+        if (b & t).bit_count() << u >= size
+        and all(not b & ~masks[v] for v in term - pool)
     ], 0)
 
 
-def _cube_or_most(search, ti, b, k, u):
+def _cube_or_most(search, ti, b, k, u, pool):
     """``_Search._share`` for k > 0 by its definition: the OR, over each cube
-    c of at most k of term ``ti``'s literals, of the share of b & c, or of
-    b & c when u is 0 and b & c is no live escape."""
+    c of at most k of term ``ti``'s literals, of the share of b & c under
+    the literal set ``pool``, or of b & c when u is 0 and b & c is no live
+    escape."""
     literals = search.option_masks[ti][:-1]
     most = 0
     for n in range(min(k, len(literals)) + 1):
         for cube in combinations(literals, n):
             bc = functools.reduce(operator.and_, cube, b)
             if u:
-                most |= _popcount_share(search, bc, u)
+                most |= _popcount_share(search, bc, u, pool)
             elif not search._escapes([bc], [0]):
                 most |= bc
     return most
@@ -486,22 +513,24 @@ def _cube_or_most(search, ti, b, k, u):
 
 def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
     """``_share`` in closed form equals its definition on each of its
-    calls: the popcount test for k = 0, and for k > 0 the OR over every
-    cube.  For library functions of 2x2, 2x3, 3x2, 3x3 and 3x4, for HARD
-    and for every subset ``decompose_two`` maps of DECOMP_UNEVEN8.  The
-    calls with k > 0 include completed paths (u = 0) and k at least the
-    term's length."""
-    seen = {"share": 0, "placed": 0, "completed": 0, "whole term": 0}
+    calls: the popcount and pool test for k = 0, and for k > 0 the OR over
+    every cube.  For library functions of 2x2, 2x3, 3x2, 3x3 and 3x4, for
+    HARD and for every subset ``decompose_two`` maps of DECOMP_UNEVEN8.
+    The calls include pools that lack some literal, and those with k > 0
+    include completed paths (u = 0) and k at least the term's length."""
+    seen = {"share": 0, "pooled": 0, "placed": 0, "completed": 0, "whole term": 0}
 
-    def share(self, b, u, ti=0, k=0, _method=_Search._share):
-        got = _method(self, b, u, ti, k)
+    def share(self, b, u, pool, ti=0, k=0, _method=_Search._share):
+        got = _method(self, b, u, pool, ti, k)
+        literals = _pool_literals(self, pool)
+        seen["pooled"] += literals != _pool_literals(self, 0)
         if k:
-            assert got == _cube_or_most(self, ti, b, k, u), (self.f, ti, b, k, u)
+            assert got == _cube_or_most(self, ti, b, k, u, literals), (self.f, ti, b, k, u)
             seen["placed"] += 1
             seen["completed"] += not u
             seen["whole term"] += k >= len(self.f[ti])
         else:
-            assert got == _popcount_share(self, b, u), (self.f, b, u)
+            assert got == _popcount_share(self, b, u, literals), (self.f, b, u, pool)
             seen["share"] += 1
         return got
 
@@ -596,10 +625,10 @@ def test_solution_escape_paths_are_neutralized():
             assert any(t <= lits for t in fn), (fn, p, lits)
 
 
-def _reaches(search, cells):
+def _reaches(search, cells, pool=0):
     """Whether the search's reach bound passes the state that fixes
-    ``cells`` (cell -> code) and no other, and whether the OR of its path
-    bounds covers the function."""
+    ``cells`` (cell -> code) and no other, under pool ``pool``, and whether
+    the OR of its path bounds covers the function."""
     masks = literal_masks(search.var_order)
     bounds = [search.full] * len(search.paths)
     unset = (1 << search.dim.cells) - 1
@@ -608,27 +637,48 @@ def _reaches(search, cells):
         for pj in search.through[cell]:
             bounds[pj] &= masks[code]
     covered = not search.f_mask & ~functools.reduce(operator.or_, bounds)
-    return search._reaches(bounds, unset), covered
+    return search._reaches(bounds, unset, pool), covered
+
+
+def _writers(fn, paths):
+    """The grid a search of ``fn`` finds and the term that wrote each of
+    its nonzero cells: the first, in order, whose path holds it."""
+    search = _Search(fn, paths, None)
+    codes = search._try_terms(0, paths.mirrors).assignment.codes
+    writer = {}
+    for ti, pi in sorted((ti, pi) for pi, ti in enumerate(search.matched) if ti is not None):
+        for cell in search.paths[pi]:
+            writer.setdefault(cell, ti)
+    return codes, writer
 
 
 @pytest.mark.parametrize("dim,seed", [(DIM3, 1700), (LatticeDim(3, 4), 1701)])
 def test_reach_bound_admits_every_state_on_the_way_to_a_found_grid(dim, seed):
     """The per-path reach bound cuts no subtree that holds a solution: for
     grids the mapper finds, every state that fixes some of the grid's
-    nonzero cells and leaves the rest unset passes it."""
+    nonzero cells and leaves the rest unset passes it under pool 0 (on 8
+    library functions), and so does each state the search passes on its way
+    to the grid, the cells written by terms before term i fixed, under pool
+    i (on 24)."""
     paths = enumerate_paths(dim)
-    checked = 0
-    for e in generate_library(dim, 5, 8, seed):
+    checked = on_the_way = 0
+    for n, e in enumerate(generate_library(dim, 5, 24, seed)):
         r = map_function(e.function, dim, None, paths)
         assert r.status == SOLVED
         search = _Search(e.function, paths, None)
         codes = r.solution.assignment.codes
         nonzero = [c for c, v in enumerate(codes) if v != CONST_ZERO]
-        for k in range(1 << len(nonzero)):
+        for k in range(1 << len(nonzero) if n < 8 else 0):
             cells = {c: codes[c] for i, c in enumerate(nonzero) if k >> i & 1}
             assert _reaches(search, cells)[0], (e.function, cells)
             checked += 1
-    assert checked >= 1000
+        found, writer = _writers(e.function, paths)
+        assert found == codes
+        for i, pool in enumerate(search.pool):
+            cells = {c: codes[c] for c, ti in writer.items() if ti < i}
+            assert _reaches(search, cells, pool)[0], (e.function, i, cells)
+            on_the_way += pool > 0
+    assert checked >= 1000 and on_the_way >= 40
 
 
 def test_reach_bound_cuts_what_the_bounds_alone_keep():
@@ -642,6 +692,18 @@ def test_reach_bound_cuts_what_the_bounds_alone_keep():
     assert _reaches(search, state) == (False, True)
     search = _Search(f({0, 1}, {2, 3}), paths, None)
     assert _reaches(search, state) == (True, True)
+
+
+def test_reach_bound_counts_only_literals_later_terms_write():
+    """a over c across the top of 2x2, both lower cells unset: every
+    literal can still be written, and ab + cd passes.  With term 1 next,
+    b, which only term 0 holds, can no longer be written, so the left
+    column can end up inside no term and the state fails."""
+    paths = enumerate_paths(LatticeDim(2, 2))
+    search = _Search(f({0, 1}, {2, 3}), paths, None)
+    state = {0: 0, 1: 2}
+    assert _reaches(search, state, search.pool[0]) == (True, True)
+    assert _reaches(search, state, search.pool[1]) == (False, True)
 
 
 def test_library_functions_round_trip():

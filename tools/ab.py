@@ -11,7 +11,11 @@ sides must give the same status and grid codes, or the script stops.
 
 One line per group: the sum of REV's times, the sum of this checkout's,
 their ratio (this checkout over REV) and the median of the per-input
-ratios.  The groups:
+ratios.  A second line gives each side's search counts over the group,
+from one more untimed run of each input: the interior nodes opened (the
+nodes that are not leaves of the last term) and the leaves checked.  So a
+change shows whether it explores fewer nodes or handles each node faster.
+The groups:
 
 - ``negative``: the negatives of ``bench/data/pools.json`` whose reference
   time is at most 500 ms, mapped on 3x3;
@@ -114,6 +118,33 @@ def _inputs(latmap) -> list[tuple[str, str, object]]:
     return inputs
 
 
+def _count(latmap, inputs) -> dict[str, tuple[int, int]]:
+    """Interior nodes opened and leaves checked by each group's inputs on
+    ``latmap``, counted by wrapping its search's methods for one run of
+    each input; the methods are put back after it."""
+    search = latmap.mapper._Search
+    calls = {"_try_terms": 0, "_finish": 0}
+    methods = {name: getattr(search, name) for name in calls}
+    for name, method in methods.items():
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+        setattr(search, name, counted)
+    counts: dict[str, tuple[int, int]] = {}
+    try:
+        for group, _, call in inputs:
+            calls.update(_try_terms=0, _finish=0)
+            call()
+            nodes, leaves = counts.get(group, (0, 0))
+            # a leaf of the last term is a ``_try_terms`` call, too
+            counts[group] = (nodes + calls["_try_terms"] - calls["_finish"],
+                             leaves + calls["_finish"])
+    finally:
+        for name, method in methods.items():
+            setattr(search, name, method)
+    return counts
+
+
 def _time(call) -> tuple[float, object]:
     start = time.perf_counter()
     answer = call()
@@ -132,6 +163,7 @@ def main() -> None:
         base = _load(Path(tmp) / "src")
     change = _load(ROOT / "src")
     pairs = list(zip(_inputs(base), _inputs(change)))
+    counts = [_count(side, [pair[k] for pair in pairs]) for k, side in enumerate((base, change))]
     random.Random(ORDER_SEED).shuffle(pairs)
     times: dict[str, list[tuple[float, float]]] = {}
     for (group, input_id, call_base), (_, _, call_change) in pairs:
@@ -150,6 +182,9 @@ def main() -> None:
         median = statistics.median(tb / ta for ta, tb in rows)
         print(f"{group:<12} {len(rows):4d} inputs  {rev} {a:8.3f} s  this {b:8.3f} s"
               f"  ratio {b / a:.3f}  median per input {median:.3f}")
+        (nodes_a, leaves_a), (nodes_b, leaves_b) = (side[group] for side in counts)
+        print(f"{'':<12} interior nodes  {rev} {nodes_a}  this {nodes_b}"
+              f"  leaves checked  {rev} {leaves_a}  this {leaves_b}")
 
 
 if __name__ == "__main__":
