@@ -506,7 +506,7 @@ class _Search:
     # -- placements ------------------------------------------------------
 
     def _placements(
-        self, term_idx: int, path: tuple[int, ...]
+        self, term_idx: int, path: bytes
     ) -> Optional[tuple[list[int], tuple[int, int, int]]]:
         """The path's free cells and the key of the rank arrangements over
         them; None when fewer cells are free than literals needed."""

@@ -12,18 +12,22 @@ A bottom-row cell has one child among the cells, the cell above it, so a
 path reaches it only from there and it is never forbidden: on a cell of the
 next-to-last row the DFS records the path through the cell below with no
 test, and it never steps into a bottom-row cell.
+A path is ``bytes``, its cell numbers in order (``MAX_DIM`` keeps them below
+64), which iterate, index, hash and sort as tuples of the numbers would, in
+a fraction of the memory.
 The output is in canonical (length, cells) order with no global sort.  The
-DFS writes each path into the bucket of its length, and within one length
-its preorder, children in ascending order, is already the cell order.
+DFS walks with its path in a ``bytearray`` and appends each finished path
+to one ``bytearray`` per length, end to end, and within one length its
+preorder, children in ascending order, is already the cell order.
 The lattice graph is left-right symmetric, so the DFS starts only from the
-left half of the top row, the middle column of an odd width in buckets of
+left half of the top row, the middle column of an odd width in buffers of
 its own.  The right columns' paths are the left ones' images: per length
-one byte-string translation of all their cells, cut into tuples again, and
-only these images are sorted.  Per length the output is the left paths,
-then the middle ones, then the images.
+one ``bytes.translate`` of the left buffer, and only these images, cut into
+paths, are sorted.  Per length the output is the left paths, then the
+middle ones, then the images.
 The DFS recurses through a module-level function, not a closure that names
-itself, so no reference cycle keeps a finished enumeration's path tuples
-alive until a cyclic collection.
+itself, so no reference cycle keeps a finished enumeration's buffers alive
+until a cyclic collection.
 A brute-force variant (generate all simple paths, then delete supersets)
 serves as the oracle for small dimensions.
 
@@ -42,18 +46,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
 
 from .grid import MAX_DIM, SRC, LatticeDim, build_children
 
 
 @dataclass(frozen=True)
 class PathSet:
-    """Every irredundant path of ``dim``, each as its cells in order, and
-    the mapper's tables of them."""
+    """Every irredundant path of ``dim``, each as ``bytes`` holding its cell
+    numbers in order, and the mapper's tables of them."""
 
     dim: LatticeDim
-    paths: tuple[tuple[int, ...], ...]
+    paths: tuple[bytes, ...]
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -96,20 +99,22 @@ class PathSet:
 
 def _extend(
     node: int,
-    path: list[int],
+    path: bytearray,
     forbid: int,
     steps: tuple[tuple[tuple[int, int], ...], ...],
     near: tuple[int, ...],
     below: tuple[int | None, ...],
-    out: list[list[tuple[int, ...]]],
+    out: list[bytearray],
 ) -> None:
-    """Record every irredundant extension of ``path``, whose last cell is
-    ``node``, in ``out[k]`` for its length ``k + 1``; ``forbid`` has bit
+    """Append every irredundant extension of ``path``, whose last cell is
+    ``node``, to ``out[k]`` for its length ``k + 1``; ``forbid`` has bit
     ``y`` set for each cell on the path before ``node`` and for each child
     of one."""
     end = below[node]
     if end is not None:  # a child of ``node`` alone: never forbidden
-        out[len(path)].append((*path, end))
+        buf = out[len(path)]
+        buf += path
+        buf.append(end)
     inner = forbid | near[node]  # what a child of ``y`` must avoid
     for y, b in steps[node]:
         if not forbid & b:
@@ -146,26 +151,25 @@ def enumerate_paths(dim: LatticeDim) -> PathSet:
     steps, near, below = walk_tables(dim)
     n, cols = dim.cells, dim.cols
     top = (1 << cols) - 1  # the source's children
-    # left[k] and middle[k] hold the paths of length k + 1 from the left
-    # columns and from the middle column of an odd width
-    left: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    middle: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    # left[k] and middle[k] hold the cells of the paths of length k + 1 from
+    # the left columns and from the middle column of an odd width, end to end
+    left = [bytearray() for _ in range(n)]
+    middle = [bytearray() for _ in range(n)]
     for col in range((cols + 1) // 2):
         out = middle if 2 * col + 1 == cols else left
         if dim.rows == 1:
-            out[0].append((col,))
-        _extend(col, [col], top, steps, near, below, out)
+            out[0].append(col)
+        _extend(col, bytearray([col]), top, steps, near, below, out)
     # the lattice is left-right symmetric: the paths from the right columns
-    # are the images of the left ones, each length's made in one pass
+    # are the images of the left ones, each length's made in one translation
     flip = bytes(x - x % cols + cols - 1 - x % cols if x < n else x for x in range(256))
-    paths: list[tuple[int, ...]] = []
+    paths: list[bytes] = []
     for k in range(n):
-        cells = iter(bytes(chain.from_iterable(left[k])).translate(flip))
-        images = list(zip(*[cells] * (k + 1)))
-        images.sort()
-        paths += left[k]
-        paths += middle[k]
-        paths += images
+        size, ours = k + 1, bytes(left[k])
+        images = ours.translate(flip)
+        ours += middle[k]
+        paths += [ours[i : i + size] for i in range(0, len(ours), size)]
+        paths += sorted([images[i : i + size] for i in range(0, len(images), size)])
     return PathSet(dim, tuple(paths))
 
 
@@ -183,12 +187,12 @@ def _simple_paths(
     path: list[int],
     children: dict[int, tuple[int, ...]],
     dst: int,
-    out: list[tuple[int, ...]],
+    out: list[bytes],
 ) -> None:
     """Record every simple extension of ``path`` (last cell ``node``) to dst."""
     for y in children[node]:
         if y == dst:
-            out.append(tuple(path))
+            out.append(bytes(path))
             continue
         if y == SRC or y in path:
             continue
@@ -201,11 +205,11 @@ def brute_force_paths(dim: LatticeDim) -> PathSet:
     """Oracle: all simple paths first, supersets deleted afterwards."""
     if dim.cells > 20:
         raise ValueError("brute-force oracle is limited to 20 cells")
-    all_paths: list[tuple[int, ...]] = []
+    all_paths: list[bytes] = []
     _simple_paths(SRC, [], build_children(dim), dim.dst, all_paths)
 
     # equal cell sets: keep the lexicographically smallest sequence
-    by_set: dict[frozenset[int], tuple[int, ...]] = {}
+    by_set: dict[frozenset[int], bytes] = {}
     for p in all_paths:
         key = frozenset(p)
         if key not in by_set or p < by_set[key]:

@@ -4,7 +4,8 @@ import operator
 import random
 import sys
 import time
-from itertools import combinations, product
+from itertools import combinations, count, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -256,7 +257,11 @@ def test_deterministic():
     assert a.solution.order == b.solution.order
 
 
-def test_time_budget_yields_inconclusive():
+def test_time_budget_yields_inconclusive(monkeypatch):
+    """The mapper's clock moves 1 ms at every read, whatever the machine's
+    speed: HARD reads it about 2,000 times, so its 10 ms run out mid-search."""
+    clock = SimpleNamespace(monotonic=count(0.0, 0.001).__next__)
+    monkeypatch.setattr(mapper, "time", clock)
     r = map_function(HARD, DIM3, SearchBudget(time_limit=0.01))
     assert r.status == INCONCLUSIVE
 

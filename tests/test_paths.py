@@ -17,7 +17,7 @@ from lattice_goldens import PATH_COUNTS, PATH_DIGESTS, PATHS_3X3
 
 def test_3x3_paths_exact():
     ps = enumerate_paths(LatticeDim(3, 3))
-    assert list(ps.paths) == PATHS_3X3
+    assert list(ps.paths) == [bytes(p) for p in PATHS_3X3]
 
 
 @pytest.mark.parametrize("r", range(2, 8))
@@ -34,10 +34,13 @@ def _cell_sets(ps):
 
 @pytest.mark.parametrize("r,c", [(r, c) for r in range(1, 5) for c in range(1, 6)])
 def test_matches_brute_force(r, c):
-    """The same path tuples, cell order included, single rows and columns
-    too: the mapper reads a path's cells in order."""
+    """The same paths, cell order included, single rows and columns too:
+    the mapper reads a path's cells in order.  Both hold each path as
+    ``bytes``."""
     dim = LatticeDim(r, c)
-    assert enumerate_paths(dim).paths == brute_force_paths(dim).paths
+    fast, oracle = enumerate_paths(dim).paths, brute_force_paths(dim).paths
+    assert fast == oracle
+    assert all(type(p) is bytes for p in fast + oracle)
 
 
 def test_enumeration_pinned():
@@ -70,7 +73,7 @@ def test_canonical_order():
 
 
 def test_enumeration_leaves_no_garbage_cycles():
-    """A finished enumeration's path tuples are freed by reference counting,
+    """A finished enumeration's paths are freed by reference counting,
     not kept alive until a cyclic collection."""
     gc.collect()
     enumerate_paths(LatticeDim(4, 4))
@@ -82,7 +85,7 @@ def test_enumeration_leaves_no_garbage_cycles():
 def test_cell_masks_follow_path_order():
     """One mask per path, index by index."""
     ps = enumerate_paths(LatticeDim(2, 2))
-    assert ps.paths == ((0, 2), (1, 3))
+    assert ps.paths == (bytes((0, 2)), bytes((1, 3)))
     assert ps.cell_masks == (0b0101, 0b1010)
     big = enumerate_paths(LatticeDim(4, 5))
     assert big.cell_masks == tuple(sum(1 << c for c in p) for p in big.paths)
