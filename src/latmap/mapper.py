@@ -52,12 +52,14 @@ mirror image comes earlier and opens a node for each other; it returns at a
 solution.  A narrow pair, with at most ``WALK_FROM`` (100), is probed: each
 arrangement's option masks are ANDed into a copy of the node's path bounds,
 and it fails ``_passes`` when a path it completes is a live escape (a
-nonzero bound inside no term's mask), when the new bounds, ORed, no longer
-cover the function, or, unless its node is a leaf of the last term, where
-``_finish`` is exact, when the reach bound fails.  Which paths a placement
-completes depends only on the node and the path, so they are listed once for
-all its arrangements.  A wide pair is walked (below).  An opened node's
-cells are written to the grid and the copy becomes its bounds.  So a node's
+nonzero bound inside no term's mask) or when the reach bound (below) fails;
+for a leaf of the last term, where ``_finish`` is exact, the new bounds,
+ORed, must cover the function instead.  A share lies inside its path's
+bound, so where the shares cover the function so do the bounds: the reach
+bound holds that cover test, too.  Which paths a placement completes
+depends only on the node and the path, so they are listed once for all its
+arrangements.  A wide pair is walked (below).  An opened node's cells are
+written to the grid and the copy becomes its bounds.  So a node's
 placements always cover the function, and a deferral, which keeps its
 parent's state, needs no test of its own.  A node never writes its own
 bounds, so undo is putting them back and clearing the cells.
@@ -92,18 +94,17 @@ literals, only when it lies in b, since pool i holds c's literals.  So a
 prefix's test is still weaker than each arrangement's below it, the pair
 bound still holds every arrangement's shares, and above the last term the
 walk still yields exactly what the probes pass.  Pools are numbered once
-per search, equal pools alike (``pool``), and each has its own memo; the
-bare masks of every pool are listed at the search's first ``_share``, in
-one pass over the terms' literals.
+per search, from the literal sets of the term list's suffixes, equal pools
+alike (``pool``), and each has its own memo.
 
 A wide pair walks its arrangements one free cell at a time, depth first, in
 the same lexicographic order.  A prefix gets the probe's tests
 (``_passes``), in the probe's order, with the cells after it counted as
-unset: no path it completes is a live escape, the bounds, ORed, still cover
-the function, and the reach bound passes.  When a prefix fails, every
-arrangement below it is rejected unlisted.  Fixing a cell ANDs its option
-into the bounds of the paths through it; those paths, the ones the cell
-completes and the cells left unset after it are listed once per walk.  The
+unset: no path it completes is a live escape, and the reach bound passes.
+When a prefix fails, every arrangement below it is rejected unlisted.
+Fixing a cell ANDs its option into the bounds of the paths through it;
+those paths, the ones the cell completes and the cells left unset after it
+are listed once per walk.  The
 walk is sound because each test only gets harder down the walk: a completed
 path keeps its bound, bounds only shrink, and so does a share, since fixing
 d more cells of a path adds at most d literals to its bound and takes d
@@ -140,10 +141,11 @@ lies inside T exactly when T's literals lie in b's and c's).  With k = 0
 that is the share, so ``_share`` is the one bound on what a path can still
 add: one pass over every term, each listed with the literals it shares with
 the placed term (g = 0 for one that shares none) and its bare mask, in a
-table built per term and pool at first use.  A cube c of the placed term's
-literals adds no literal outside that term's pool, so the pool's test reads
-b alone.  It is memoized for the search, per pool, by (b, u) for a share
-and by (b, u', term, k) for a pair's bound.  On HARD (DECOMP_EVEN8 on 3x3,
+table that ``_linked`` builds per term and pool at first use.  A cube c of
+the placed term's literals adds no literal outside that term's pool, so the
+pool's test reads b alone.  It is memoized for the search, per pool, by
+(b, u) for a share and by (b, u', term, k) for a pair's bound, and callers
+ask ``_share`` for every share they need.  On HARD (DECOMP_EVEN8 on 3x3,
 in the tests) the search opens 887 interior nodes, the same as without the
 pair bound, checks 193 leaves and the deadline 1,987 times, and walks no
 pair.
@@ -173,16 +175,14 @@ An arrangement is a tuple of ranks into the term's options, its sorted
 literals and then constant 1.  The arrangements over a path's free cells
 depend only on the number of options, the number of free cells and the ranks
 still needed (bit r for rank r), so terms of equal length share them.
-``arrangements`` builds them from ``itertools`` in lexicographic order: a
-product when no rank is needed, the permutations of the needed ranks when
-every free cell is needed, and otherwise each first rank followed by the
-arrangements of the remaining cells.  Its lists are one table shared by
-every search of the process.  Only narrow pairs read it, and the key of a
-remaining-cells list has no more arrangements than the key that asked for
-it, so each list holds at most ``WALK_FROM`` arrangements; after every pool
-input of the benchmark and its pipeline calls the table holds 71 lists,
-about 0.05 MB.  That order is the one the search has always used, so answers
-are unchanged.
+``arrangements`` builds them in lexicographic order, each first rank
+followed by the arrangements of the remaining cells.  Its lists are one
+table shared by every search of the process.  Only narrow pairs read it,
+and the key of a remaining-cells list has no more arrangements than the key
+that asked for it, so each list holds at most ``WALK_FROM`` arrangements;
+after every pool input of the benchmark and its pipeline calls the table
+holds 132 lists, about 0.05 MB.  That order is the one the search has
+always used, so answers are unchanged.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ import functools
 import math
 import operator
 import time
-from itertools import accumulate, chain, permutations, product
+from itertools import accumulate, chain
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -305,7 +305,6 @@ class _Search:
         self.term_mask = term_masks(f, masks)
         self.term_outside = [self.full & ~m for m in self.term_mask]
         self.f_mask = functools.reduce(operator.or_, self.term_mask, 0)
-        self.f_outside = self.full & ~self.f_mask
         # an arrangement holds ranks into its term's options
         self.options = [tuple(sorted(t)) + (CONST_ONE,) for t in f]
         self.rank = [{code: r for r, code in enumerate(o)} for o in self.options]
@@ -324,22 +323,18 @@ class _Search:
         self.longest = max(map(len, f), default=0)
         # pool i, the literals of terms i.., holds every literal that
         # placements from term i on write; ``pool[i]`` numbers it, 0 for
-        # every literal, and ``last`` gives each literal's last term
-        self.last = {v: ti for ti, term in enumerate(f) for v in term}
-        ends = set(self.last.values())
-        self.pool = list(accumulate((ti in ends for ti in range(len(f))), initial=0))
+        # every literal, equal pools alike, and ``pools`` lists each
+        # number's literals
+        suffix = list(accumulate(reversed(f), operator.or_, initial=frozenset()))[::-1]
+        self.pool = list(accumulate(map(operator.ne, suffix, suffix[1:]), initial=0))
+        self.pools = list(dict.fromkeys(suffix))
         # what a path can still add to the function, one memo per pool, by
         # (bound, unset cells) and, once a term is placed over some of its
         # cells, by (bound, unset cells after, term, cells placed)
-        self.reach: list[dict[tuple[int, ...], int]] = [{} for _ in range(self.pool[-1] + 1)]
-        # by pool, each term's ``full & ~bare``, bare being the AND of the
-        # masks of its literals outside the pool; listed at the first
-        # ``_share``
-        self.bare_outside: Optional[list[list[int]]] = None
+        self.reach: list[dict[tuple[int, ...], int]] = [{} for _ in self.pools]
         # for each term, the mask of the literals it shares with the term
-        # placed, by the term placed; and (term mask, that mask, ``full &
-        # ~bare``) for each term, by the term placed and the pool; each
-        # listed at its first ``_share``
+        # placed, by the term placed; and ``_linked`` by the term placed and
+        # the pool; each listed at its first ``_share``
         self.shared: dict[int, list[int]] = {}
         self.linked: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
@@ -348,13 +343,10 @@ class _Search:
     def _escapes(self, bounds: list[int], done: list[int]) -> bool:
         """Whether a path of ``done``, each completed, is a live escape: its
         bound, now its product mask, is nonzero and inside no term's mask."""
-        f_outside = self.f_outside
         term_outside = self.term_outside
         for pj in done:
             ub = bounds[pj]
             if ub:
-                if ub & f_outside:
-                    return True
                 for outside in term_outside:
                     if not ub & outside:
                         break
@@ -365,17 +357,16 @@ class _Search:
     def _reaches(self, bounds: list[int], unset: int, pool: int) -> bool:
         """Whether the paths can still cover the function, with ``unset``
         left unset and written from ``pool``: the OR of each path's
-        ``_share``."""
+        ``_share`` covers it.  A share lies in its path's bound, so the
+        bounds, ORed, then cover it, too."""
         lost = self.f_mask
         longest = self.longest
-        memo = self.reach[pool]
         for b, cells in zip(bounds, self.cell_masks):
             if not b & lost:
                 continue  # it adds at most b
             u = (cells & unset).bit_count()
             if 0 < u < longest:
-                reach = memo.get((b, u))
-                b = self._share(b, u, pool) if reach is None else reach
+                b = self._share(b, u, pool)
             lost &= ~b
             if not lost:
                 return True
@@ -386,29 +377,30 @@ class _Search:
     ) -> bool:
         """The test of an arrangement or a walk prefix that gives the paths
         ``bounds`` and leaves ``unset`` unset: no path in ``done``, those it
-        completes, is a live escape, the bounds, ORed, cover the function,
-        and, unless ``pool`` is None, so does the reach bound under it."""
-        return (
-            not self._escapes(bounds, done)
-            and not self.f_mask & ~functools.reduce(operator.or_, bounds, 0)
-            and (pool is None or self._reaches(bounds, unset, pool))
-        )
+        completes, is a live escape, and the reach bound under ``pool``
+        passes, or, with ``pool`` None (a leaf of the last term), the cover
+        it implies: the bounds, ORed, cover the function."""
+        if self._escapes(bounds, done):
+            return False
+        if pool is None:
+            return not self.f_mask & ~functools.reduce(operator.or_, bounds, 0)
+        return self._reaches(bounds, unset, pool)
 
     def _share(self, b: int, u: int, pool: int, ti: int = 0, k: int = 0) -> int:
         """What a path with bound b and u unset cells, written from
         ``pool``, can still add once k of its cells hold options of term
         ``ti``: b & T for each term T whose literals outside the pool all
-        lie in b's (not ``b & ~bare[T]``), that b meets and that needs at
-        most u + min(k, g) literals beyond b's, where g counts the literals
-        of term ``ti`` that T holds and b lacks.  With k = 0 it is the
-        path's share, which callers take for 0 < u < ``longest`` and all of
-        b otherwise (a completed path is no live escape, or it houses a
-        term); with k > 0, u = 0 included, and the pool of term ``ti``, it
+        lie in b's (not ``b & O``, see ``_linked``), that b meets and that
+        needs at most u + min(k, g) literals beyond b's, where g counts the
+        literals of term ``ti`` that T holds and b lacks.  With k = 0 it is
+        the path's share, which callers take for 0 < u < ``longest`` and
+        all of b otherwise (a completed path is no live escape, or it houses
+        a term); with k > 0, u = 0 included, and the pool of term ``ti``, it
         holds the path's share under every arrangement that passes (see the
         module docstring).  Cube masks have power-of-two sizes, so the
         literals one cube lacks of a smaller one are the difference of their
         sizes' bit lengths.  Memoized per pool by (b, u) or (b, u, ti, k)
-        for the search."""
+        for the search; no other method reads or writes that memo."""
         memo = self.reach[pool]
         key = (b, u, ti, k) if k else (b, u)
         reach = memo.get(key)
@@ -443,7 +435,6 @@ class _Search:
         placed = self.unset & ~unset
         last = ti + 1 == len(self.f)
         pool, after = self.pool[ti], self.pool[ti + 1]
-        placed_memo, memo = self.reach[pool], self.reach[after]
         longest = self.longest
         for pj, (b, cells) in enumerate(zip(self.path_ub, self.cell_masks)):
             if not b & lost or pj == pi:
@@ -453,11 +444,9 @@ class _Search:
                 continue
             k = (cells & placed).bit_count()
             if k and u < longest:
-                reach = placed_memo.get((b, u, ti, k))
-                b = self._share(b, u, pool, ti, k) if reach is None else reach
+                b = self._share(b, u, pool, ti, k)
             elif 0 < u < longest:
-                reach = memo.get((b, u))
-                b = self._share(b, u, after) if reach is None else reach
+                b = self._share(b, u, after)
             lost &= ~b
             if not lost:
                 return True
@@ -465,43 +454,22 @@ class _Search:
 
     def _linked(self, ti: int, pool: int) -> list[tuple[int, int, int]]:
         """``(T, S, O)`` for each term T: S is the mask of the literals T
-        shares with term ``ti`` and O is ``full & ~bare[T]`` under pool
-        ``pool``."""
+        shares with term ``ti``, ``full`` when it shares none, and O is
+        ``full & ~bare``, bare being the AND of the masks of T's literals
+        outside pool ``pool``: the rows where one of them is false, 0 when
+        the pool holds them all.  S is listed once per term ``ti``."""
+        full, get = self.full, self.masks.__getitem__
         shared = self.shared.get(ti)
         if shared is None:
-            shared = self.shared[ti] = self._shared(ti)
-        if self.bare_outside is None:
-            self.bare_outside = self._bare_outside()
-        return list(zip(self.term_mask, shared, self.bare_outside[pool]))
-
-    def _shared(self, ti: int) -> list[int]:
-        """For each term, the mask of the literals it shares with term
-        ``ti``, ``full`` when it shares none."""
-        literals = set(self.f[ti])
-        get = self.masks.__getitem__
+            shared = self.shared[ti] = [
+                functools.reduce(operator.and_, map(get, self.f[ti] & t), full)
+                for t in self.f
+            ]
+        pooled = self.pools[pool]
         return [
-            functools.reduce(operator.and_, map(get, literals.intersection(t)), self.full)
-            for t in self.f
+            (t, s, full & ~functools.reduce(operator.and_, map(get, term - pooled), full))
+            for t, s, term in zip(self.term_mask, shared, self.f)
         ]
-
-    def _bare_outside(self) -> list[list[int]]:
-        """By pool, each term's ``full & ~bare``: the rows where one of its
-        literals outside the pool is false, 0 when the pool holds them all.
-        A literal is outside the pools after its last term's."""
-        pool, last, full, masks = self.pool, self.last, self.full, self.masks
-        # each term's literals, as (term, full & ~mask), by the first pool
-        # that lacks them
-        leaving: list[list[tuple[int, int]]] = [[] for _ in range(pool[-1] + 1)]
-        for j, term in enumerate(self.f):
-            for v in term:
-                leaving[pool[last[v] + 1]].append((j, full & ~masks[v]))
-        row = [0] * len(self.f)
-        table = []
-        for gone in leaving:
-            for j, out in gone:
-                row[j] |= out
-            table.append(row[:])
-        return table
 
     # -- placements ------------------------------------------------------
 
@@ -791,13 +759,10 @@ def arrangements(key: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
     arrangements of ``nfree - 1`` cells that hold the rest of ``need``, and
     none when too few cells remain for it."""
     noptions, nfree, need = key
-    k = need.bit_count()
-    if k > nfree:
+    if need.bit_count() > nfree:
         return ()
-    if not need:
-        return tuple(product(range(noptions), repeat=nfree))
-    if k == nfree:
-        return tuple(permutations(r for r in range(noptions) if need >> r & 1))
+    if not nfree:
+        return ((),)
     return tuple(chain.from_iterable(
         map((r,).__add__, arrangements((noptions, nfree - 1, need & ~(1 << r))))
         for r in range(noptions)

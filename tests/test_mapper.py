@@ -522,11 +522,18 @@ def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
     every cube.  For library functions of 2x2, 2x3, 3x2, 3x3 and 3x4, for
     HARD and for every subset ``decompose_two`` maps of DECOMP_UNEVEN8.
     The calls include pools that lack some literal, and those with k > 0
-    include completed paths (u = 0) and k at least the term's length."""
+    include completed paths (u = 0) and k at least the term's length.
+    Callers ask ``_share`` again for a memoized share, so each distinct
+    call, by function and arguments, is checked once."""
     seen = {"share": 0, "pooled": 0, "placed": 0, "completed": 0, "whole term": 0}
+    checked = set()
 
     def share(self, b, u, pool, ti=0, k=0, _method=_Search._share):
         got = _method(self, b, u, pool, ti, k)
+        call = (tuple(self.f), b, u, pool, ti, k)
+        if call in checked:
+            return got
+        checked.add(call)
         literals = _pool_literals(self, pool)
         seen["pooled"] += literals != _pool_literals(self, 0)
         if k:
@@ -549,6 +556,24 @@ def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
     assert map_function(HARD, DIM3).status == NO_SOLUTION
     decompose_two(DECOMP_UNEVEN8, DIM3)
     assert min(seen.values()) > 0, seen
+
+
+def test_hard_search_shape_is_pinned(monkeypatch):
+    """On HARD the search opens at most 887 interior nodes (nodes that are
+    not leaves of the last term), checks at most 193 leaves and reads the
+    clock at most 1,987 times, counted by wrapping ``_try_terms``,
+    ``_finish`` and ``_check_time``: a change that weakens a bound, with
+    every answer kept, opens more."""
+    calls = {"_try_terms": 0, "_finish": 0, "_check_time": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(_Search, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(_Search, name, counted)
+    assert map_function(HARD, DIM3).status == NO_SOLUTION
+    assert calls["_try_terms"] - calls["_finish"] <= 887, calls
+    assert calls["_finish"] <= 193, calls
+    assert calls["_check_time"] <= 1987, calls
 
 
 def test_search_sets_every_attribute_when_built():
@@ -633,7 +658,9 @@ def test_solution_escape_paths_are_neutralized():
 def _reaches(search, cells, pool=0):
     """Whether the search's reach bound passes the state that fixes
     ``cells`` (cell -> code) and no other, under pool ``pool``, and whether
-    the OR of its path bounds covers the function."""
+    the OR of its path bounds covers the function.  A pass implies that
+    cover, since a share lies in its path's bound; ``_passes`` relies on
+    that, and the helper asserts it."""
     masks = literal_masks(search.var_order)
     bounds = [search.full] * len(search.paths)
     unset = (1 << search.dim.cells) - 1
@@ -641,8 +668,10 @@ def _reaches(search, cells, pool=0):
         unset &= ~(1 << cell)
         for pj in search.through[cell]:
             bounds[pj] &= masks[code]
+    reach = search._reaches(bounds, unset, pool)
     covered = not search.f_mask & ~functools.reduce(operator.or_, bounds)
-    return search._reaches(bounds, unset, pool), covered
+    assert covered or not reach, (search.f, cells, pool)
+    return reach, covered
 
 
 def _writers(fn, paths):
@@ -684,6 +713,31 @@ def test_reach_bound_admits_every_state_on_the_way_to_a_found_grid(dim, seed):
             assert _reaches(search, cells, pool)[0], (e.function, i, cells)
             on_the_way += pool > 0
     assert checked >= 1000 and on_the_way >= 40
+
+
+@pytest.mark.parametrize("dim,seed", [(LatticeDim(2, 2), 2200), (LatticeDim(2, 3), 2201),
+                                      (LatticeDim(3, 2), 2202), (DIM3, 2203)])
+def test_reach_bound_implies_the_cover(dim, seed):
+    """Random partial states of library functions, each cell fixed to any
+    literal of the function's variables, 0 or 1 or left unset, tested under
+    every pool of the function by ``_reaches``, which asserts that a pass
+    means the path bounds, ORed, cover the function.  Some covered states
+    fail the reach bound, and some pass it under pools that lack a
+    literal."""
+    rng = random.Random(seed)
+    paths = enumerate_paths(dim)
+    seen = {"states": 0, "rejected though covered": 0, "passed in a smaller pool": 0}
+    for e in generate_library(dim, 4, 10, seed):
+        search = _Search(e.function, paths, None)
+        codes = sorted(literal_masks(search.var_order))
+        for _ in range(120):
+            cells = {c: rng.choice(codes) for c in range(dim.cells) if rng.random() < 0.5}
+            for pool in sorted(set(search.pool)):
+                reach, covered = _reaches(search, cells, pool)
+                seen["states"] += 1
+                seen["rejected though covered"] += covered and not reach
+                seen["passed in a smaller pool"] += reach and pool > 0
+    assert min(seen.values()) > 0, seen
 
 
 def test_reach_bound_cuts_what_the_bounds_alone_keep():

@@ -13,8 +13,11 @@ One line per group: the sum of REV's times, the sum of this checkout's,
 their ratio (this checkout over REV) and the median of the per-input
 ratios.  A second line gives each side's search counts over the group,
 from one more untimed run of each input: the interior nodes opened (the
-nodes that are not leaves of the last term) and the leaves checked.  So a
-change shows whether it explores fewer nodes or handles each node faster.
+nodes that are not leaves of the last term), the leaves checked and the
+share-memo entries (the sizes of each search's per-pool ``reach`` memos at
+its end, summed; REV must keep one memo per pool, as every revision since
+the literal pool does).  So a change shows whether it explores fewer nodes or
+handles each node faster, and what memo it keeps for that.
 The groups:
 
 - ``negative``: the negatives of ``bench/data/pools.json`` whose reference
@@ -118,27 +121,31 @@ def _inputs(latmap) -> list[tuple[str, str, object]]:
     return inputs
 
 
-def _count(latmap, inputs) -> dict[str, tuple[int, int]]:
-    """Interior nodes opened and leaves checked by each group's inputs on
-    ``latmap``, counted by wrapping its search's methods for one run of
-    each input; the methods are put back after it."""
+def _count(latmap, inputs) -> dict[str, tuple[int, int, int]]:
+    """Interior nodes opened, leaves checked and share-memo entries kept by
+    each group's inputs on ``latmap``, counted by wrapping its search's
+    methods for one run of each input; the methods are put back after it."""
     search = latmap.mapper._Search
     calls = {"_try_terms": 0, "_finish": 0}
+    searches = {}  # every search of the input, by id
     methods = {name: getattr(search, name) for name in calls}
     for name, method in methods.items():
         def counted(self, *args, _name=name, _method=method):
             calls[_name] += 1
+            searches[id(self)] = self
             return _method(self, *args)
         setattr(search, name, counted)
-    counts: dict[str, tuple[int, int]] = {}
+    counts: dict[str, tuple[int, int, int]] = {}
     try:
         for group, _, call in inputs:
             calls.update(_try_terms=0, _finish=0)
+            searches.clear()
             call()
-            nodes, leaves = counts.get(group, (0, 0))
+            nodes, leaves, memo = counts.get(group, (0, 0, 0))
             # a leaf of the last term is a ``_try_terms`` call, too
             counts[group] = (nodes + calls["_try_terms"] - calls["_finish"],
-                             leaves + calls["_finish"])
+                             leaves + calls["_finish"],
+                             memo + sum(len(m) for s in searches.values() for m in s.reach))
     finally:
         for name, method in methods.items():
             setattr(search, name, method)
@@ -182,9 +189,11 @@ def main() -> None:
         median = statistics.median(tb / ta for ta, tb in rows)
         print(f"{group:<12} {len(rows):4d} inputs  {rev} {a:8.3f} s  this {b:8.3f} s"
               f"  ratio {b / a:.3f}  median per input {median:.3f}")
-        (nodes_a, leaves_a), (nodes_b, leaves_b) = (side[group] for side in counts)
+        (nodes_a, leaves_a, memo_a), (nodes_b, leaves_b, memo_b) = (
+            side[group] for side in counts)
         print(f"{'':<12} interior nodes  {rev} {nodes_a}  this {nodes_b}"
-              f"  leaves checked  {rev} {leaves_a}  this {leaves_b}")
+              f"  leaves checked  {rev} {leaves_a}  this {leaves_b}"
+              f"  share memo  {rev} {memo_a}  this {memo_b}")
 
 
 if __name__ == "__main__":
