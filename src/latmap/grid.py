@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 SRC = -1
 
+# The path walk keys its pocket memo by a cell mask ORed with ``cell << 64``,
+# so it relies on this guard keeping every cell number below 64.
 MAX_DIM = 8
 
 

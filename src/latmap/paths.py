@@ -12,6 +12,26 @@ A bottom-row cell has one child among the cells, the cell above it, so a
 path reaches it only from there and it is never forbidden: on a cell of the
 next-to-last row the DFS records the path through the cell below with no
 test, and it never steps into a bottom-row cell.
+An upward step also skips dead pockets.  The walk steps up into a cell
+``y`` only if ``y`` can still reach the next-to-last row through cells
+outside the mask its descendants must avoid, which only grows along the
+path; every path recorded below ``y`` runs through such cells, so a
+skipped step loses no path.  The test is a bit-parallel flood fill from
+``y``, by shifts and ANDs with the first and last column masks stopping
+wrap-around.  It runs inside a window of ``y``'s rows: from two above it to
+one below it, clipped to the middle rows, the only rows with horizontal
+edges (the top row is always forbidden, and the walk never enters the
+bottom row).  The fill answers "closed" only when it stops without touching
+the window's lowest row, which is the next-to-last row or a cut, or its
+highest row where that is a cut (above row 1).  Then the cells ``y`` can
+reach all lie inside the window, away from the next-to-last row, so the
+prune is exact.  The verdicts are memoized in a dict keyed by the mask
+inside the window ORed with ``y << 64``, made afresh for each enumeration.
+Only upward steps are tested: on 7x8, 126,638 of the walk's 232,512 calls
+recorded no path, 123,198 of them below an upward step into a walled-off
+pocket, and the dead subtrees below side steps hold 3,440 calls.  The test
+cuts the calls from 67,671 to 30,275 on 7x7, from 232,512 to 114,178 on
+7x8 and from 1,905,362 to 1,115,056 on 8x8.
 A path is ``bytes``, its cell numbers in order (``MAX_DIM`` keeps them below
 64), which iterate, index, hash and sort as tuples of the numbers would, in
 a fraction of the memory.
@@ -34,7 +54,8 @@ serves as the oracle for small dimensions.
 The walk's tables (``steps``, ``near``, ``below``) are built once per
 dimension by ``walk_tables``, which also holds the ``MAX_DIM`` guard; the
 solver walks the same tables to list a grid's products without enumerating
-paths.
+paths, and without the pocket test, whose windows are cached per dimension
+beside them.
 A ``PathSet`` holds every irredundant path of its dimension and owns the
 tables derived from them, each built at its first use and then kept:
 ``cell_masks`` (each path as an int with bit ``c`` set for every cell ``c``
@@ -104,12 +125,14 @@ def _extend(
     steps: tuple[tuple[tuple[int, int], ...], ...],
     near: tuple[int, ...],
     below: tuple[int | None, ...],
+    reaches: _Pockets,
     out: list[bytearray],
 ) -> None:
     """Append every irredundant extension of ``path``, whose last cell is
     ``node``, to ``out[k]`` for its length ``k + 1``; ``forbid`` has bit
     ``y`` set for each cell on the path before ``node`` and for each child
-    of one."""
+    of one.  An upward step is taken only into a cell that ``reaches``
+    finds open."""
     end = below[node]
     if end is not None:  # a child of ``node`` alone: never forbidden
         buf = out[len(path)]
@@ -118,9 +141,39 @@ def _extend(
     inner = forbid | near[node]  # what a child of ``y`` must avoid
     for y, b in steps[node]:
         if not forbid & b:
+            # an upward step into a walled-off pocket: of the steps, only the
+            # cell above ``node`` numbers less than ``node - 1`` (a single
+            # column, never tested, has no pockets)
+            if y < node - 1 and not reaches[inner & reaches.window[y] | y << 64]:
+                continue
             path.append(y)
-            _extend(y, path, inner, steps, near, below, out)
+            _extend(y, path, inner, steps, near, below, reaches, out)
             path.pop()
+
+
+class _Pockets(dict):
+    """The pocket test's verdicts for one enumeration, filled on demand:
+    ``self[m | y << 64]``, where ``m`` is the mask cell ``y``'s descendants
+    must avoid, cut to ``y``'s window, is whether a flood fill from ``y``
+    through the window's other cells reaches a ``stop`` cell of ``y``."""
+
+    __slots__ = ("cols", "window", "stop", "not_first", "not_last")
+
+    def __init__(self, dim: LatticeDim) -> None:
+        super().__init__()
+        self.cols = dim.cols
+        self.window, self.stop, self.not_first, self.not_last = _pocket_geometry(dim)
+
+    def __missing__(self, key: int) -> bool:
+        y = key >> 64
+        free, stop, cols = self.window[y] & ~key, self.stop[y], self.cols
+        grow = 1 << y  # the cells first reached in the last round
+        while grow and not grow & stop:
+            grow = (grow << cols | grow >> cols | grow << 1 & self.not_first
+                    | grow >> 1 & self.not_last) & free
+            free ^= grow
+        self[key] = reached = grow != 0
+        return reached
 
 
 @cache
@@ -146,9 +199,31 @@ def walk_tables(dim: LatticeDim) -> tuple[
     return steps, near, below
 
 
+@cache
+def _pocket_geometry(dim: LatticeDim) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """``(window, stop, not_first, not_last)`` of the pocket test on
+    ``dim``, built once per dimension.  Per cell ``y`` that an upward step
+    can enter (0 elsewhere): the mask of the rows from two above ``y`` to
+    one below it, clipped to the middle rows, and of the window rows through
+    which a fill may leave it or reach the next-to-last row, the lowest
+    one and the highest unless that is row 1.  Then the masks of the cells
+    outside the first and outside the last column."""
+    rows, cols = dim.rows, dim.cols
+    row = [((1 << cols) - 1) << r * cols for r in range(rows)]
+    window, stop = [0] * dim.cells, [0] * dim.cells
+    for y in range(cols, (rows - 2) * cols):
+        r = y // cols
+        lo = max(1, r - 2)
+        window[y] = sum(row[lo : r + 2])
+        stop[y] = row[r + 1] | (row[lo] if lo > 1 else 0)
+    first = sum(1 << x for x in range(0, dim.cells, cols))
+    return tuple(window), tuple(stop), ~first, ~(first << cols - 1)
+
+
 def enumerate_paths(dim: LatticeDim) -> PathSet:
     """All irredundant paths, pruned during generation, in canonical order."""
     steps, near, below = walk_tables(dim)
+    reaches = _Pockets(dim)
     n, cols = dim.cells, dim.cols
     top = (1 << cols) - 1  # the source's children
     # left[k] and middle[k] hold the cells of the paths of length k + 1 from
@@ -159,7 +234,7 @@ def enumerate_paths(dim: LatticeDim) -> PathSet:
         out = middle if 2 * col + 1 == cols else left
         if dim.rows == 1:
             out[0].append(col)
-        _extend(col, bytearray([col]), top, steps, near, below, out)
+        _extend(col, bytearray([col]), top, steps, near, below, reaches, out)
     # the lattice is left-right symmetric: the paths from the right columns
     # are the images of the left ones, each length's made in one translation
     flip = bytes(x - x % cols + cols - 1 - x % cols if x < n else x for x in range(256))

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latmap import paths as paths_module
 from latmap.grid import LatticeDim
 from latmap.paths import (
     brute_force_paths,
@@ -32,11 +33,15 @@ def _cell_sets(ps):
     return {frozenset(p) for p in ps.paths}
 
 
-@pytest.mark.parametrize("r,c", [(r, c) for r in range(1, 5) for c in range(1, 6)])
+@pytest.mark.parametrize(
+    "r,c", [(r, c) for r in range(1, 9) for c in range(1, 9) if r * c <= 20]
+)
 def test_matches_brute_force(r, c):
-    """The same paths, cell order included, single rows and columns too:
-    the mapper reads a path's cells in order.  Both hold each path as
-    ``bytes``."""
+    """The same paths, cell order included, on every shape of at most 20
+    cells, single rows and columns too: the mapper reads a path's cells in
+    order.  Both hold each path as ``bytes``.  The walk's pocket test
+    skips steps on the shapes of four or more rows and three or more
+    columns, so these check it too."""
     dim = LatticeDim(r, c)
     fast, oracle = enumerate_paths(dim).paths, brute_force_paths(dim).paths
     assert fast == oracle
@@ -49,6 +54,24 @@ def test_enumeration_pinned():
         ps = enumerate_paths(LatticeDim(r, c))
         assert len(ps) == count, (r, c)
         assert hashlib.sha256(serialize_paths(ps).encode()).hexdigest() == digest, (r, c)
+
+
+def test_pocket_test_cuts_the_walk(monkeypatch):
+    """On 7x7 the path walk makes at most 30,275 calls, counted by wrapping
+    ``_extend`` (the walk recurses through the module's name): a change
+    that weakens the pocket test, with every path kept, makes more.  It
+    made 67,671 without the test."""
+    calls = 0
+    extend = paths_module._extend
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return extend(*args)
+
+    monkeypatch.setattr(paths_module, "_extend", counted)
+    assert len(enumerate_paths(LatticeDim(7, 7))) == 26317
+    assert calls <= 30275, calls
 
 
 def test_paths_form_an_antichain():

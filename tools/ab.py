@@ -7,7 +7,8 @@ Both latmap packages are loaded in one process: REV's first, whose
 ``sys.modules`` entries are then moved aside, and then this checkout's.
 Each input runs on both sides in turn, 5 times each, and its time on a side
 is the minimum of its runs; the inputs run in a seeded random order.  Both
-sides must give the same status and grid codes, or the script stops.
+sides must give the same status and grid codes, or for an enumeration the
+same tuple of paths, or the script stops.
 
 One line per group: the sum of REV's times, the sum of this checkout's,
 their ratio (this checkout over REV) and the median of the per-input
@@ -17,7 +18,9 @@ nodes that are not leaves of the last term), the leaves checked and the
 share-memo entries (the sizes of each search's per-pool ``reach`` memos at
 its end, summed; REV must keep one memo per pool, as every revision since
 the literal pool does).  So a change shows whether it explores fewer nodes or
-handles each node faster, and what memo it keeps for that.
+handles each node faster, and what memo it keeps for that.  For the
+``enumerate`` group the second line gives the calls of the path walk,
+``latmap.paths._extend``, instead.
 The groups:
 
 - ``negative``: the negatives of ``bench/data/pools.json`` whose reference
@@ -26,7 +29,10 @@ The groups:
   pool's dimension;
 - ``synth``: ``synthesize`` of SYNTH_EIGHT and SYNTH_Q on 3x3;
 - ``decompose``: ``decompose_two`` of DECOMP_UNEVEN8 and DECOMP_NOSPLIT8
-  on 3x3.
+  on 3x3;
+- ``enumerate``: ``enumerate_paths`` on 7x7 and 7x8, the sizes of the
+  benchmark's ``forward`` workload; REV must hold paths as ``bytes``, as
+  every revision since the one-buffer-per-length walk does.
 
 The script reads only under ``bench/`` and writes nothing to the checkout.
 """
@@ -94,6 +100,11 @@ def _inputs(latmap) -> list[tuple[str, str, object]]:
             return plan is not None, plan and [p.assignment.codes for p in plan.lattices]
         return call
 
+    def enumerate_(rows, cols):
+        def call():
+            return latmap.enumerate_paths(latmap.LatticeDim(rows, cols)).paths
+        return call
+
     def decompose(terms):
         def call():
             out = latmap.decompose_two(terms, latmap.LatticeDim(3, 3))
@@ -118,37 +129,48 @@ def _inputs(latmap) -> list[tuple[str, str, object]]:
         inputs.append(("synth", name, synth(getattr(goldens, name))))
     for name in ("DECOMP_UNEVEN8", "DECOMP_NOSPLIT8"):
         inputs.append(("decompose", name, decompose(getattr(goldens, name))))
+    for rows, cols in ((7, 7), (7, 8)):
+        inputs.append(("enumerate", f"{rows}x{cols}", enumerate_(rows, cols)))
     return inputs
 
 
-def _count(latmap, inputs) -> dict[str, tuple[int, int, int]]:
-    """Interior nodes opened, leaves checked and share-memo entries kept by
-    each group's inputs on ``latmap``, counted by wrapping its search's
-    methods for one run of each input; the methods are put back after it."""
-    search = latmap.mapper._Search
-    calls = {"_try_terms": 0, "_finish": 0}
+def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int]]:
+    """Interior nodes opened, leaves checked, share-memo entries kept and
+    path-walk calls made by each group's inputs on ``latmap``, counted by
+    wrapping its search's methods and ``paths._extend`` for one run of each
+    input; they are put back after it."""
+    search, paths = latmap.mapper._Search, latmap.paths
+    calls = {"_try_terms": 0, "_finish": 0, "_extend": 0}
     searches = {}  # every search of the input, by id
-    methods = {name: getattr(search, name) for name in calls}
+    methods = {name: getattr(search, name) for name in ("_try_terms", "_finish")}
     for name, method in methods.items():
         def counted(self, *args, _name=name, _method=method):
             calls[_name] += 1
             searches[id(self)] = self
             return _method(self, *args)
         setattr(search, name, counted)
-    counts: dict[str, tuple[int, int, int]] = {}
+    extend = paths._extend
+
+    def walked(*args):
+        calls["_extend"] += 1
+        return extend(*args)
+    paths._extend = walked  # the walk recurses through the module's name
+    counts: dict[str, tuple[int, int, int, int]] = {}
     try:
         for group, _, call in inputs:
-            calls.update(_try_terms=0, _finish=0)
+            calls.update(_try_terms=0, _finish=0, _extend=0)
             searches.clear()
             call()
-            nodes, leaves, memo = counts.get(group, (0, 0, 0))
+            nodes, leaves, memo, walks = counts.get(group, (0, 0, 0, 0))
             # a leaf of the last term is a ``_try_terms`` call, too
             counts[group] = (nodes + calls["_try_terms"] - calls["_finish"],
                              leaves + calls["_finish"],
-                             memo + sum(len(m) for s in searches.values() for m in s.reach))
+                             memo + sum(len(m) for s in searches.values() for m in s.reach),
+                             walks + calls["_extend"])
     finally:
         for name, method in methods.items():
             setattr(search, name, method)
+        paths._extend = extend
     return counts
 
 
@@ -189,8 +211,11 @@ def main() -> None:
         median = statistics.median(tb / ta for ta, tb in rows)
         print(f"{group:<12} {len(rows):4d} inputs  {rev} {a:8.3f} s  this {b:8.3f} s"
               f"  ratio {b / a:.3f}  median per input {median:.3f}")
-        (nodes_a, leaves_a, memo_a), (nodes_b, leaves_b, memo_b) = (
+        (nodes_a, leaves_a, memo_a, walks_a), (nodes_b, leaves_b, memo_b, walks_b) = (
             side[group] for side in counts)
+        if group == "enumerate":
+            print(f"{'':<12} walk calls  {rev} {walks_a}  this {walks_b}")
+            continue
         print(f"{'':<12} interior nodes  {rev} {nodes_a}  this {nodes_b}"
               f"  leaves checked  {rev} {leaves_a}  this {leaves_b}"
               f"  share memo  {rev} {memo_a}  this {memo_b}")
