@@ -12,26 +12,23 @@ A bottom-row cell has one child among the cells, the cell above it, so a
 path reaches it only from there and it is never forbidden: on a cell of the
 next-to-last row the DFS records the path through the cell below with no
 test, and it never steps into a bottom-row cell.
-An upward step also skips dead pockets.  The walk steps up into a cell
-``y`` only if ``y`` can still reach the next-to-last row through cells
-outside the mask its descendants must avoid, which only grows along the
-path; every path recorded below ``y`` runs through such cells, so a
-skipped step loses no path.  The test is a bit-parallel flood fill from
-``y``, by shifts and ANDs with the first and last column masks stopping
-wrap-around.  It runs inside a window of ``y``'s rows: from two above it to
-one below it, clipped to the middle rows, the only rows with horizontal
-edges (the top row is always forbidden, and the walk never enters the
-bottom row).  The fill answers "closed" only when it stops without touching
-the window's lowest row, which is the next-to-last row or a cut, or its
-highest row where that is a cut (above row 1).  Then the cells ``y`` can
-reach all lie inside the window, away from the next-to-last row, so the
-prune is exact.  The verdicts are memoized in a dict keyed by the mask
-inside the window ORed with ``y << 64``, made afresh for each enumeration.
+An upward step also skips dead pockets.  The walk steps up from row
+``r + 1`` into a cell ``y`` of row ``r`` only if a flood fill from ``y``
+through the cells of rows 1 to ``r + 1`` outside ``inner``, the mask its
+descendants must avoid, reaches row ``r + 1``.  The prune is exact: a path
+recorded below ``y`` avoids ``inner`` from its second cell on, never
+enters the always-forbidden top row, and starts in row ``r <= rows - 3``.
+So it reaches row ``r + 1`` first through free cells of rows 1 to ``r``,
+all of which have horizontal edges; the fill explores exactly those cells,
+so "closed" loses no path.  The fill is bit-parallel, by shifts and ANDs
+with the first and last column masks stopping wrap-around, and its
+verdicts are memoized in a dict keyed by ``inner`` cut to the rows 1 to
+``r + 1`` ORed with ``y << 64``, made afresh for each enumeration.
 Only upward steps are tested: on 7x8, 126,638 of the walk's 232,512 calls
-recorded no path, 123,198 of them below an upward step into a walled-off
-pocket, and the dead subtrees below side steps hold 3,440 calls.  The test
-cuts the calls from 67,671 to 30,275 on 7x7, from 232,512 to 114,178 on
-7x8 and from 1,905,362 to 1,115,056 on 8x8.
+recorded no path without the test, 123,198 of them below an upward step
+into a walled-off pocket, and the dead subtrees below side steps held
+3,440 calls.  The test cuts the calls from 67,671 to 28,808 on 7x7, from
+232,512 to 110,480 on 7x8 and from 1,905,362 to 812,301 on 8x8.
 A path is ``bytes``, its cell numbers in order (``MAX_DIM`` keeps them below
 64), which iterate, index, hash and sort as tuples of the numbers would, in
 a fraction of the memory.
@@ -154,21 +151,23 @@ def _extend(
 class _Pockets(dict):
     """The pocket test's verdicts for one enumeration, filled on demand:
     ``self[m | y << 64]``, where ``m`` is the mask cell ``y``'s descendants
-    must avoid, cut to ``y``'s window, is whether a flood fill from ``y``
-    through the window's other cells reaches a ``stop`` cell of ``y``."""
+    must avoid, cut to ``y``'s window (row 1 to the row below ``y``), is
+    whether a flood fill from ``y`` through the window's cells outside ``m``
+    reaches the row below ``y``."""
 
-    __slots__ = ("cols", "window", "stop", "not_first", "not_last")
+    __slots__ = ("cols", "window", "not_first", "not_last")
 
     def __init__(self, dim: LatticeDim) -> None:
         super().__init__()
         self.cols = dim.cols
-        self.window, self.stop, self.not_first, self.not_last = _pocket_geometry(dim)
+        self.window, self.not_first, self.not_last = _pocket_geometry(dim)
 
     def __missing__(self, key: int) -> bool:
-        y = key >> 64
-        free, stop, cols = self.window[y] & ~key, self.stop[y], self.cols
+        y, cols = key >> 64, self.cols
+        free = self.window[y] & ~key
+        low = (y // cols + 1) * cols  # the first cell of the row below ``y``
         grow = 1 << y  # the cells first reached in the last round
-        while grow and not grow & stop:
+        while grow and not grow >> low:
             grow = (grow << cols | grow >> cols | grow << 1 & self.not_first
                     | grow >> 1 & self.not_last) & free
             free ^= grow
@@ -200,24 +199,17 @@ def walk_tables(dim: LatticeDim) -> tuple[
 
 
 @cache
-def _pocket_geometry(dim: LatticeDim) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """``(window, stop, not_first, not_last)`` of the pocket test on
-    ``dim``, built once per dimension.  Per cell ``y`` that an upward step
-    can enter (0 elsewhere): the mask of the rows from two above ``y`` to
-    one below it, clipped to the middle rows, and of the window rows through
-    which a fill may leave it or reach the next-to-last row, the lowest
-    one and the highest unless that is row 1.  Then the masks of the cells
-    outside the first and outside the last column."""
-    rows, cols = dim.rows, dim.cols
-    row = [((1 << cols) - 1) << r * cols for r in range(rows)]
-    window, stop = [0] * dim.cells, [0] * dim.cells
-    for y in range(cols, (rows - 2) * cols):
-        r = y // cols
-        lo = max(1, r - 2)
-        window[y] = sum(row[lo : r + 2])
-        stop[y] = row[r + 1] | (row[lo] if lo > 1 else 0)
+def _pocket_geometry(dim: LatticeDim) -> tuple[tuple[int, ...], int, int]:
+    """``(window, not_first, not_last)`` of the pocket test on ``dim``,
+    built once per dimension: per cell ``y``, the mask of the rows from row
+    1 to the row below ``y`` (read only for the rows 1 to ``rows - 3``,
+    which upward steps enter), then the masks of the cells outside the
+    first and outside the last column."""
+    cols = dim.cols
+    top = (1 << cols) - 1
+    window = tuple((1 << (y // cols + 2) * cols) - 1 & ~top for y in range(dim.cells))
     first = sum(1 << x for x in range(0, dim.cells, cols))
-    return tuple(window), tuple(stop), ~first, ~(first << cols - 1)
+    return window, ~first, ~(first << cols - 1)
 
 
 def enumerate_paths(dim: LatticeDim) -> PathSet:
@@ -305,4 +297,4 @@ def longest_path_len(paths: PathSet) -> int:
 def serialize_paths(paths: PathSet) -> str:
     word = [str(c) for c in range(paths.dim.cells + 1)].__getitem__
     lines = [" ".join(map(word, (len(p), *p))) for p in paths.paths]
-    return f"{len(paths.paths)} {paths.dim.cells}\n" + "\n".join(lines) + "\n"
+    return "\n".join([f"{len(paths.paths)} {paths.dim.cells}", *lines, ""])

@@ -1,11 +1,13 @@
 import gc
 import hashlib
+import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latmap import paths as paths_module
-from latmap.grid import LatticeDim
+from latmap.grid import LatticeDim, build_children
 from latmap.paths import (
     brute_force_paths,
     enumerate_paths,
@@ -56,11 +58,14 @@ def test_enumeration_pinned():
         assert hashlib.sha256(serialize_paths(ps).encode()).hexdigest() == digest, (r, c)
 
 
-def test_pocket_test_cuts_the_walk(monkeypatch):
-    """On 7x7 the path walk makes at most 30,275 calls, counted by wrapping
+@pytest.mark.parametrize(
+    "r,c,count,most", [(7, 7, 26317, 28808), (8, 6, 25686, 24383)], ids=["7x7", "8x6"]
+)
+def test_pocket_test_cuts_the_walk(monkeypatch, r, c, count, most):
+    """The path walk makes at most ``most`` calls, counted by wrapping
     ``_extend`` (the walk recurses through the module's name): a change
-    that weakens the pocket test, with every path kept, makes more.  It
-    made 67,671 without the test."""
+    that weakens the pocket test, with every path kept, makes more.  On
+    7x7 the walk made 67,671 without the test."""
     calls = 0
     extend = paths_module._extend
 
@@ -70,8 +75,45 @@ def test_pocket_test_cuts_the_walk(monkeypatch):
         return extend(*args)
 
     monkeypatch.setattr(paths_module, "_extend", counted)
-    assert len(enumerate_paths(LatticeDim(7, 7))) == 26317
-    assert calls <= 30275, calls
+    assert len(enumerate_paths(LatticeDim(r, c))) == count
+    assert calls <= most, calls
+
+
+def _reaches_row_below(dim, children, inner, y):
+    """Whether a breadth-first search from ``y`` over ``children``, through
+    cells of rows 1 to the row below ``y`` outside ``inner``, reaches the
+    row below ``y``."""
+    cols = dim.cols
+    low = y // cols + 1
+    seen, todo = {y}, deque([y])
+    while todo:
+        x = todo.popleft()
+        if x // cols == low:
+            return True
+        for z in children[x]:
+            if 0 <= z < dim.cells and 1 <= z // cols <= low and not inner >> z & 1 and z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return False
+
+
+@pytest.mark.parametrize("r,c", [(8, 8), (7, 8), (5, 4)])
+def test_pocket_fill_matches_a_search(r, c):
+    """The pocket test's bit-parallel fill gives the verdict of a plain
+    breadth-first search over the lattice graph, for seeded random masks
+    and cells of rows 1 to ``rows - 3``, the ones upward steps enter; 8x8
+    and 7x8 check its column masks on grids too large for the brute-force
+    oracle."""
+    dim = LatticeDim(r, c)
+    children = build_children(dim)
+    reaches = paths_module._Pockets(dim)
+    rng = random.Random(r * 10 + c)
+    for _ in range(3000):
+        y = rng.randrange(c, (r - 2) * c)
+        density = rng.uniform(0.2, 0.8)
+        inner = sum(1 << x for x in range(dim.cells) if rng.random() < density) | 1 << y
+        want = _reaches_row_below(dim, children, inner, y)
+        assert reaches[inner & reaches.window[y] | y << 64] == want, (bin(inner), y)
 
 
 def test_paths_form_an_antichain():

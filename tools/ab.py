@@ -31,8 +31,10 @@ The groups:
 - ``decompose``: ``decompose_two`` of DECOMP_UNEVEN8 and DECOMP_NOSPLIT8
   on 3x3;
 - ``enumerate``: ``enumerate_paths`` on 7x7 and 7x8, the sizes of the
-  benchmark's ``forward`` workload; REV must hold paths as ``bytes``, as
-  every revision since the one-buffer-per-length walk does.
+  benchmark's ``forward`` workload, and on 8x6, an eight-row shape of
+  25,686 paths, where the pocket test's fills span up to six rows; REV
+  must hold paths as ``bytes``, as every revision since the
+  one-buffer-per-length walk does.
 
 The script reads only under ``bench/`` and writes nothing to the checkout.
 """
@@ -129,7 +131,7 @@ def _inputs(latmap) -> list[tuple[str, str, object]]:
         inputs.append(("synth", name, synth(getattr(goldens, name))))
     for name in ("DECOMP_UNEVEN8", "DECOMP_NOSPLIT8"):
         inputs.append(("decompose", name, decompose(getattr(goldens, name))))
-    for rows, cols in ((7, 7), (7, 8)):
+    for rows, cols in ((7, 7), (7, 8), (8, 6)):
         inputs.append(("enumerate", f"{rows}x{cols}", enumerate_(rows, cols)))
     return inputs
 
