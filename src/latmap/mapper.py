@@ -143,12 +143,20 @@ add: one pass over every term, each listed with the literals it shares with
 the placed term (g = 0 for one that shares none) and its bare mask, in a
 table that ``_linked`` builds per term and pool at first use.  A cube c of
 the placed term's literals adds no literal outside that term's pool, so the
-pool's test reads b alone.  It is memoized for the search, per pool, by
-(b, u) for a share and by (b, u', term, k) for a pair's bound, and callers
-ask ``_share`` for every share they need.  On HARD (DECOMP_EVEN8 on 3x3,
-in the tests) the search opens 887 interior nodes, the same as without the
-pair bound, checks 193 leaves and the deadline 1,987 times, and walks no
-pair.
+pool's test reads b alone.  A path with no cell fixed has b = ``full``,
+and there the test is a closed form over small counts: b & T is T, the
+literals T needs beyond b are all n of its own, the g it shares with the
+placed term are all ones b lacks, and the pool's test passes exactly when
+the pool holds T's literals, since no literal's mask is all rows.  So the
+share is the OR of T over the terms in the pool with n <= u + min(k, g) (a
+term with an xx' pair has mask 0), listed as (T, n, g) by ``_untouched``
+per term and pool from the literal sets alone; a search that fails at the
+root, where every bound is ``full``, builds no ``_linked`` table.  Either
+way the share is memoized for the search, per pool, by (b, u) for a share
+and by (b, u', term, k) for a pair's bound, and callers ask ``_share`` for
+every share they need.  On HARD (DECOMP_EVEN8 on 3x3, in the tests) the
+search opens 887 interior nodes, the same as without the pair bound, checks
+193 leaves and the deadline 1,987 times, and walks no pair.
 
 The cut-over trades the walk's cost per prefix (a copy of the bounds and
 the reach bound over every path) against the arrangements it cuts unlisted.
@@ -337,6 +345,9 @@ class _Search:
         # the pool; each listed at its first ``_share``
         self.shared: dict[int, list[int]] = {}
         self.linked: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        # ``_untouched`` by the term placed and the pool, for the shares of
+        # paths with no fixed cell
+        self.untouched: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
     # -- bounds ----------------------------------------------------------
 
@@ -399,24 +410,36 @@ class _Search:
         holds the path's share under every arrangement that passes (see the
         module docstring).  Cube masks have power-of-two sizes, so the
         literals one cube lacks of a smaller one are the difference of their
-        sizes' bit lengths.  Memoized per pool by (b, u) or (b, u, ti, k)
-        for the search; no other method reads or writes that memo."""
+        sizes' bit lengths.  For b = ``full`` (no cell fixed) that is the
+        closed form over ``_untouched``: T's n literals and the g it shares
+        with term ``ti`` are all ones b lacks, and only a pool that holds
+        T's literals passes, so T counts when n <= u + min(k, g).  Memoized
+        per pool by (b, u) or (b, u, ti, k) for the search; no other method
+        reads or writes that memo."""
         memo = self.reach[pool]
         key = (b, u, ti, k) if k else (b, u)
         reach = memo.get(key)
         if reach is None:
-            linked = self.linked.get((ti, pool))
-            if linked is None:
-                linked = self.linked[ti, pool] = self._linked(ti, pool)
-            size = b.bit_count().bit_length()
             reach = 0
-            for t, s, out in linked:
-                bt = b & t
-                # g, the placed literals T holds and b lacks, counts only when k > 0
-                if bt and size - bt.bit_count().bit_length() <= u + (
-                    k and min(k, size - (b & s).bit_count().bit_length())
-                ) and not b & out:
-                    reach |= bt
+            if b == self.full:  # no cell fixed: the closed form
+                untouched = self.untouched.get((ti, pool))
+                if untouched is None:
+                    untouched = self.untouched[ti, pool] = self._untouched(ti, pool)
+                for t, n, g in untouched:
+                    if n <= u + (k and min(k, g)):
+                        reach |= t
+            else:
+                linked = self.linked.get((ti, pool))
+                if linked is None:
+                    linked = self.linked[ti, pool] = self._linked(ti, pool)
+                size = b.bit_count().bit_length()
+                for t, s, out in linked:
+                    bt = b & t
+                    # g, the placed literals T holds and b lacks, counts only when k > 0
+                    if bt and size - bt.bit_count().bit_length() <= u + (
+                        k and min(k, size - (b & s).bit_count().bit_length())
+                    ) and not b & out:
+                        reach |= bt
             memo[key] = reach
         return reach
 
@@ -469,6 +492,18 @@ class _Search:
         return [
             (t, s, full & ~functools.reduce(operator.and_, map(get, term - pooled), full))
             for t, s, term in zip(self.term_mask, shared, self.f)
+        ]
+
+    def _untouched(self, ti: int, pool: int) -> list[tuple[int, int, int]]:
+        """``(T, n, g)`` for each term T whose literals pool ``pool`` holds,
+        those a path with no fixed cell can still end up in: n counts T's
+        literals and g those it shares with term ``ti``.  A term with an xx'
+        pair has mask 0 and adds nothing."""
+        pooled, placed = self.pools[pool], self.f[ti]
+        return [
+            (t, len(term), len(term & placed))
+            for t, term in zip(self.term_mask, self.f)
+            if term <= pooled
         ]
 
     # -- placements ------------------------------------------------------

@@ -525,7 +525,8 @@ def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
     include completed paths (u = 0) and k at least the term's length.
     Callers ask ``_share`` again for a memoized share, so each distinct
     call, by function and arguments, is checked once."""
-    seen = {"share": 0, "pooled": 0, "placed": 0, "completed": 0, "whole term": 0}
+    seen = {"share": 0, "pooled": 0, "placed": 0, "completed": 0, "whole term": 0,
+            "untouched": 0}
     checked = set()
 
     def share(self, b, u, pool, ti=0, k=0, _method=_Search._share):
@@ -536,6 +537,7 @@ def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
         checked.add(call)
         literals = _pool_literals(self, pool)
         seen["pooled"] += literals != _pool_literals(self, 0)
+        seen["untouched"] += b == self.full
         if k:
             assert got == _cube_or_most(self, ti, b, k, u, literals), (self.f, ti, b, k, u)
             seen["placed"] += 1
@@ -558,6 +560,51 @@ def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+def _generic_share(search, b, u, pool, ti, k):
+    """``_Search._share``'s loop over the ``_linked`` table, for any bound b."""
+    size = b.bit_count().bit_length()
+    reach = 0
+    for t, s, out in search._linked(ti, pool):
+        bt = b & t
+        if bt and size - bt.bit_count().bit_length() <= u + (
+            k and min(k, size - (b & s).bit_count().bit_length())
+        ) and not b & out:
+            reach |= bt
+    return reach
+
+
+def test_untouched_share_matches_the_generic_loop():
+    """The share of a path with no fixed cell (b = ``full``), which
+    ``_share`` takes in closed form without a ``_linked`` table, equals the
+    generic loop on seeded random functions of 1 to 5 variables: for every
+    pool, every term placed, k from 0 to one past that term's length and u
+    from 0 to the longest term's length, each on a fresh search.  Each
+    function also holds an xx' term and the empty term, which
+    ``map_function`` takes as given where ``parse_function`` would have
+    normalized them."""
+    rng = random.Random(2400)
+    paths = enumerate_paths(LatticeDim(2, 2))
+    checked = 0
+    for _ in range(30):
+        nv = rng.randint(1, 5)
+        literals = [*range(nv), *(COMPLEMENT_BASE - v for v in range(nv))]
+        x = rng.randrange(nv)
+        fn = [frozenset(rng.sample(literals, rng.randint(1, nv)))
+              for _ in range(rng.randint(1, 5))]
+        fn += [frozenset({x, COMPLEMENT_BASE - x}), frozenset()]
+        rng.shuffle(fn)
+        probe = _Search(fn, paths, None)
+        for pool, ti in product(range(len(probe.pools)), range(len(fn))):
+            for k, u in product(range(len(fn[ti]) + 2), range(probe.longest + 1)):
+                search = _Search(fn, paths, None)
+                got = search._share(search.full, u, pool, ti, k)
+                assert not search.linked, (fn, u, pool, ti, k)
+                want = _generic_share(search, search.full, u, pool, ti, k)
+                assert got == want, (fn, u, pool, ti, k)
+                checked += 1
+    assert checked > 1000, checked
+
+
 def test_hard_search_shape_is_pinned(monkeypatch):
     """On HARD the search opens at most 887 interior nodes (nodes that are
     not leaves of the last term), checks at most 193 leaves and reads the
@@ -574,6 +621,25 @@ def test_hard_search_shape_is_pinned(monkeypatch):
     assert calls["_try_terms"] - calls["_finish"] <= 887, calls
     assert calls["_finish"] <= 193, calls
     assert calls["_check_time"] <= 1987, calls
+
+
+def test_negatives_failing_at_the_root_build_no_linked_table(monkeypatch):
+    """Terms 2, 4, 6 and 8 of DECOMP_NOSPLIT8 (pool id DECOMP_NOSPLIT8/2468)
+    fail at the root on 3x3, where every path's bound is ``full``, so every
+    share is in closed form and no ``_linked`` table is built; HARD builds
+    at most 12.  Counted by wrapping ``_linked``."""
+    calls = []
+
+    def linked(self, *args, _method=_Search._linked):
+        calls.append(args)
+        return _method(self, *args)
+
+    monkeypatch.setattr(_Search, "_linked", linked)
+    fn = [DECOMP_NOSPLIT8[i - 1] for i in (2, 4, 6, 8)]
+    assert map_function(fn, DIM3).status == NO_SOLUTION
+    assert not calls, calls
+    assert map_function(HARD, DIM3).status == NO_SOLUTION
+    assert len(calls) <= 12, calls
 
 
 def test_search_sets_every_attribute_when_built():

@@ -16,11 +16,12 @@ ratios.  A second line gives each side's search counts over the group,
 from one more untimed run of each input: the interior nodes opened (the
 nodes that are not leaves of the last term), the leaves checked and the
 share-memo entries (the sizes of each search's per-pool ``reach`` memos at
-its end, summed; REV must keep one memo per pool, as every revision since
-the literal pool does).  So a change shows whether it explores fewer nodes or
-handles each node faster, and what memo it keeps for that.  For the
-``enumerate`` group the second line gives the calls of the path walk,
-``latmap.paths._extend``, instead.
+its end, summed; REV must keep one memo per pool, keyed first by the bound,
+as every revision since the literal pool does), split into those filled for
+a path with no fixed cell (bound ``full``) and the rest.  So a change shows
+whether it explores fewer nodes or handles each node faster, and what memo
+it keeps for that.  For the ``enumerate`` group the second line gives the
+calls of the path walk, ``latmap.paths._extend``, instead.
 The groups:
 
 - ``negative``: the negatives of ``bench/data/pools.json`` whose reference
@@ -136,11 +137,12 @@ def _inputs(latmap) -> list[tuple[str, str, object]]:
     return inputs
 
 
-def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int]]:
-    """Interior nodes opened, leaves checked, share-memo entries kept and
-    path-walk calls made by each group's inputs on ``latmap``, counted by
-    wrapping its search's methods and ``paths._extend`` for one run of each
-    input; they are put back after it."""
+def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int, int]]:
+    """Interior nodes opened, leaves checked, share-memo entries kept for
+    bound ``full`` and for other bounds, and path-walk calls made by each
+    group's inputs on ``latmap``, counted by wrapping its search's methods
+    and ``paths._extend`` for one run of each input; they are put back
+    after it."""
     search, paths = latmap.mapper._Search, latmap.paths
     calls = {"_try_terms": 0, "_finish": 0, "_extend": 0}
     searches = {}  # every search of the input, by id
@@ -157,17 +159,21 @@ def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int]]:
         calls["_extend"] += 1
         return extend(*args)
     paths._extend = walked  # the walk recurses through the module's name
-    counts: dict[str, tuple[int, int, int, int]] = {}
+    counts: dict[str, tuple[int, int, int, int, int]] = {}
     try:
         for group, _, call in inputs:
             calls.update(_try_terms=0, _finish=0, _extend=0)
             searches.clear()
             call()
-            nodes, leaves, memo, walks = counts.get(group, (0, 0, 0, 0))
+            nodes, leaves, untouched, rest, walks = counts.get(group, (0, 0, 0, 0, 0))
+            for s in searches.values():
+                for memo in s.reach:
+                    full = sum(key[0] == s.full for key in memo)
+                    untouched += full
+                    rest += len(memo) - full
             # a leaf of the last term is a ``_try_terms`` call, too
             counts[group] = (nodes + calls["_try_terms"] - calls["_finish"],
-                             leaves + calls["_finish"],
-                             memo + sum(len(m) for s in searches.values() for m in s.reach),
+                             leaves + calls["_finish"], untouched, rest,
                              walks + calls["_extend"])
     finally:
         for name, method in methods.items():
@@ -213,14 +219,15 @@ def main() -> None:
         median = statistics.median(tb / ta for ta, tb in rows)
         print(f"{group:<12} {len(rows):4d} inputs  {rev} {a:8.3f} s  this {b:8.3f} s"
               f"  ratio {b / a:.3f}  median per input {median:.3f}")
-        (nodes_a, leaves_a, memo_a, walks_a), (nodes_b, leaves_b, memo_b, walks_b) = (
-            side[group] for side in counts)
+        (nodes_a, leaves_a, full_a, rest_a, walks_a), (
+            nodes_b, leaves_b, full_b, rest_b, walks_b) = (side[group] for side in counts)
         if group == "enumerate":
             print(f"{'':<12} walk calls  {rev} {walks_a}  this {walks_b}")
             continue
         print(f"{'':<12} interior nodes  {rev} {nodes_a}  this {nodes_b}"
               f"  leaves checked  {rev} {leaves_a}  this {leaves_b}"
-              f"  share memo  {rev} {memo_a}  this {memo_b}")
+              f"  share memo (full + rest)  {rev} {full_a} + {rest_a}"
+              f"  this {full_b} + {rest_b}")
 
 
 if __name__ == "__main__":
