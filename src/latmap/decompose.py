@@ -36,7 +36,7 @@ from .mapper import (
 )
 from .paths import PathSet, paths_for
 
-Memo = dict[tuple[Term, ...], MapResult]
+Memo = dict[tuple[LatticeDim, tuple[Term, ...]], MapResult]
 
 
 def split_schedule(n: int) -> list[tuple[int, int]]:
@@ -48,7 +48,8 @@ def split_schedule(n: int) -> list[tuple[int, int]]:
 
 class Run:
     """One run's path set, deadline and memo of definite verdicts, keyed by
-    the ordered term tuple; callers may share the memo."""
+    the dimension and the ordered term tuple; callers may share the memo,
+    across dimensions too."""
 
     def __init__(self, dim: LatticeDim, budget: SearchBudget,
                  paths: PathSet | None = None, memo: Memo | None = None):
@@ -70,10 +71,10 @@ class Run:
     def solve(self, terms: Sop) -> Optional[MappingSolution]:
         """The lattice for ``terms``, None for no-solution, mapped at most
         once per memo; ``OutOfTime`` when the time runs out first."""
-        key = tuple(terms)
+        key = self.dim, tuple(terms)
         result = self.memo.get(key)
         if result is None:
-            result = map_function(list(key), self.dim, self.left(), self.paths)
+            result = map_function(list(key[1]), self.dim, self.left(), self.paths)
             if result.status == INCONCLUSIVE:
                 raise OutOfTime
             self.memo[key] = result
@@ -105,7 +106,8 @@ def decompose_two(
 
     NoSolution is claimed only when every subset of every stage got a
     definite negative; the first time cut ends the call as inconclusive.
-    ``memo`` is a ``Run``'s memo, which callers may share.
+    ``memo`` is a ``Run``'s memo, which callers may share, across
+    dimensions too.
     """
     n = len(f)
     if n < 2:

@@ -52,11 +52,13 @@ mirror image comes earlier and opens a node for each other; it returns at a
 solution.  A narrow pair, with at most ``WALK_FROM`` (100), is probed: each
 arrangement's option masks are ANDed into a copy of the node's path bounds,
 and it fails ``_passes`` when a path it completes is a live escape (a
-nonzero bound inside no term's mask) or when the reach bound (below) fails;
-for a leaf of the last term, where ``_finish`` is exact, the new bounds,
-ORed, must cover the function instead.  A share lies inside its path's
-bound, so where the shares cover the function so do the bounds: the reach
-bound holds that cover test, too.  Which paths a placement completes
+nonzero bound inside no term's mask) or when the reach bound (below) fails,
+at every term.  A share lies inside its path's bound, so where the shares
+cover the function so do the bounds: the reach bound holds that cover test,
+too.  At a leaf of the last term ``_finish``, the one exact test, zeroes
+every unset cell, so a path with unset cells adds 0 and a completed path
+its bound; the reach bound gives each at least that, so it rejects only
+leaves that ``_finish`` rejects.  Which paths a placement completes
 depends only on the node and the path, so they are listed once for all its
 arrangements.  A wide pair is walked (below).  An opened node's cells are
 written to the grid and the copy becomes its bounds.  So a node's
@@ -92,8 +94,8 @@ i + 1.  Each bound still dominates the one after it: a literal outside pool
 i is outside pool i + 1, and it lies in b & c, for c a cube of term i's
 literals, only when it lies in b, since pool i holds c's literals.  So a
 prefix's test is still weaker than each arrangement's below it, the pair
-bound still holds every arrangement's shares, and above the last term the
-walk still yields exactly what the probes pass.  Pools are numbered once
+bound still holds every arrangement's shares, and at every term the walk
+still yields exactly what the probes pass.  Pools are numbered once
 per search, from the literal sets of the term list's suffixes, equal pools
 alike (``pool``), and each has its own memo.
 
@@ -109,10 +111,8 @@ walk is sound because each test only gets harder down the walk: a completed
 path keeps its bound, bounds only shrink, and so does a share, since fixing
 d more cells of a path adds at most d literals to its bound and takes d
 cells off its u.  A whole arrangement gets the probe's tests with the
-probe's unset cells, so above the last term the walk yields exactly the
-arrangements the probes pass, in the same order.  At the last term it keeps
-the reach test, so its only extra rejections are leaves that ``_finish``
-would reject.
+probe's unset cells, so at every term the walk yields exactly the
+arrangements the probes pass, in the same order.
 
 The pair bound: before a pair lists any arrangement, ``_may_pass`` bounds
 them all at once, and the pair is skipped when the bound does not cover the
@@ -383,19 +383,12 @@ class _Search:
                 return True
         return False
 
-    def _passes(
-        self, bounds: list[int], done: list[int], unset: int, pool: Optional[int]
-    ) -> bool:
+    def _passes(self, bounds: list[int], done: list[int], unset: int, pool: int) -> bool:
         """The test of an arrangement or a walk prefix that gives the paths
         ``bounds`` and leaves ``unset`` unset: no path in ``done``, those it
         completes, is a live escape, and the reach bound under ``pool``
-        passes, or, with ``pool`` None (a leaf of the last term), the cover
-        it implies: the bounds, ORed, cover the function."""
-        if self._escapes(bounds, done):
-            return False
-        if pool is None:
-            return not self.f_mask & ~functools.reduce(operator.or_, bounds, 0)
-        return self._reaches(bounds, unset, pool)
+        passes."""
+        return not self._escapes(bounds, done) and self._reaches(bounds, unset, pool)
 
     def _share(self, b: int, u: int, pool: int, ti: int = 0, k: int = 0) -> int:
         """What a path with bound b and u unset cells, written from
@@ -533,8 +526,9 @@ class _Search:
         self, ti: int, pi: int, free: list[int], key: tuple[int, int, int], unset: int
     ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         """``(ranks, bounds)`` for each arrangement of
-        ``arrangements(key)`` that passes its probe, in order: ``bounds``
-        are the path bounds once each free cell holds its ranked option.  A
+        ``arrangements(key)`` that passes its probe, ``_passes`` under the
+        next term's pool, in order: ``bounds`` are the path bounds once each
+        free cell holds its ranked option.  A
         completed path must be neutralized: its product mask is 0 (a 0 cell
         or an xx' pair) or lies inside a term's mask, and nothing fixed
         later changes that, nor makes a bound larger.  The paths other than
@@ -549,8 +543,7 @@ class _Search:
         ]
         option_masks = self.option_masks[ti]
         through = self.through
-        # ``_finish`` checks a last-term child exactly
-        pool = self.pool[ti + 1] if ti + 1 < len(self.f) else None
+        pool = self.pool[ti + 1]
         for ranks in arrangements(key):
             self._check_time()
             bounds = path_ub[:]

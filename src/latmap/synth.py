@@ -8,10 +8,11 @@ they are halved.  Halving peels off the first half if it maps, else the
 larger part of its two-lattice decomposition (the smaller part rejoins the
 second half), else halves the first half in turn; the rest is covered
 anew.  All mapper calls of one run share one ``Run`` (see
-``latmap.decompose``): one memo of definite verdicts keyed by the ordered
-term tuple, so no term list is mapped twice, and one deadline, fixed when
-the run starts, so the time limit bounds the whole run.  Each call gets the
-time that remains, and the first time cut ends the run as inconclusive.
+``latmap.decompose``): one memo of definite verdicts keyed by the dimension
+and the ordered term tuple, so no term list is mapped twice, and one
+deadline, fixed when the run starts, so the time limit bounds the whole run.
+Each call gets the time that remains, and the first time cut ends the run as
+inconclusive.
 Terms go to more lattices only on a no-solution, which proves only that no
 grid houses them one per path, with constant-1 fillers, the other cells 0
 and no completed path outside them (see ``latmap.mapper``), not that no

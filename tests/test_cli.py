@@ -3,6 +3,8 @@
 import importlib
 import importlib.metadata
 import io
+import runpy
+import sys
 import time
 from pathlib import Path
 
@@ -30,6 +32,19 @@ def test_paths_to_stdout(capsys):
     assert code == 0
     assert out.splitlines()[0] == "9 9"
     assert "paths: 9" in err
+
+
+def test_module_entry_runs_main(capsys, monkeypatch):
+    """``python -m latmap.cli`` runs ``main`` on the command line and exits
+    with its code.  The module is taken out of ``sys.modules`` first, since
+    runpy warns when it runs a module that is already imported."""
+    want = run(capsys, "paths", "--dim", "2", "2")[1]
+    monkeypatch.setattr(sys, "argv", ["latmap", "paths", "--dim", "2", "2"])
+    monkeypatch.delitem(sys.modules, "latmap.cli")
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("latmap.cli", run_name="__main__")
+    assert exited.value.code == 0
+    assert capsys.readouterr().out == want
 
 
 def test_paths_to_file(tmp_path, capsys):

@@ -81,6 +81,17 @@ def test_four_variables_on_2x2_pair():
     assert equivalent(combined, fn)
 
 
+def test_memo_shared_across_dimensions_keeps_each_verdict():
+    """ab + cd + ef has no two-lattice split on 1x2 and one on 2x3; a memo
+    shared by both calls keeps the 1x2 no-solutions of its parts out of the
+    2x3 call."""
+    fn = f({0, 1}, {2, 3}, {4, 5})
+    memo = {}
+    assert decompose_two(fn, LatticeDim(1, 2), memo=memo).status == NO_SOLUTION
+    assert decompose_two(fn, LatticeDim(2, 3), memo=memo).status == SOLVED
+    assert decompose_two(fn, LatticeDim(2, 3)).status == SOLVED
+
+
 def test_memo_is_shared():
     memo = {}
     decompose_two(DECOMP_EVEN8, DIM3, memo=memo)
@@ -134,5 +145,5 @@ def test_map_once_with_no_time_left_is_inconclusive(monkeypatch):
             run.solve(f({0}))
     assert run.memo == {}
     known = map_function(f({1}), LatticeDim(2, 2))
-    run.memo[tuple(f({1}))] = known
+    run.memo[run.dim, tuple(f({1}))] = known
     assert run.solve(f({1})) is known.solution

@@ -383,11 +383,12 @@ def _mapped(monkeypatch, walk_from, fn, dim, paths):
                                       (LatticeDim(4, 4), 1802)])
 def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
     """Walking every pair (cut-over 0) and probing every arrangement (a
-    cut-over no pair reaches) give the same answers and open the same
-    interior nodes with the same placements, in the same order.  On 4x4,
-    where probing every pair would list millions of arrangements, cut-over
-    0 is compared with the default one, which walks pairs of a 7-term
-    library function and of terms 1, 2, 3, 4 and 8 of DECOMP_NOSPLIT8."""
+    cut-over no pair reaches) give the same answers, open the same interior
+    nodes with the same placements, in the same order, and check the same
+    number of leaves.  On 4x4, where probing every pair would list millions
+    of arrangements, cut-over 0 is compared with the default one, which
+    walks pairs of a 7-term library function and of terms 1, 2, 3, 4 and 8
+    of DECOMP_NOSPLIT8."""
     paths = enumerate_paths(dim)
     cases = [e.function for e in generate_library(dim, 5, 10, seed)]
     probe_from = 10**9
@@ -400,7 +401,7 @@ def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
     for fn in cases:
         walked = _mapped(monkeypatch, 0, fn, dim, paths)
         probed = _mapped(monkeypatch, probe_from, fn, dim, paths)
-        assert walked[:3] == probed[:3], fn
+        assert walked[:4] == probed[:4], fn
         walks += probed[4]
     if probe_from == mapper.WALK_FROM:
         assert walks > 0  # the default run walks some pairs, too
@@ -409,23 +410,15 @@ def test_walk_and_probe_loop_agree(monkeypatch, dim, seed):
 def test_walk_yields_what_the_probes_pass(monkeypatch):
     """On each pair the search lists arrangements for, on HARD, on terms 1,
     2 and 6 of DECOMP_EVEN8 and on library maps of 3x3 and 3x4, both the
-    walk and the probes run.  Above the last term they yield the same
-    ``(ranks, bounds)`` items in the same order; at the last term the walk's
-    items are a subsequence of the probes', since the walk keeps the reach
-    test there (and drops some on the DECOMP_EVEN8 terms)."""
-    seen = {"above": 0, "last": 0, "fewer": 0}
+    walk and the probes run, and at every term, the last included, they
+    yield the same ``(ranks, bounds)`` items in the same order."""
+    seen = {"above": 0, "last": 0}
 
     def both(self, ti, pi, free, key, unset, _walk=_Search._walk, _probes=_Search._probes):
         walked = list(_walk(self, ti, pi, free, key[2]))
         probed = list(_probes(self, ti, pi, free, key, unset))
-        if ti + 1 < len(self.f):
-            assert walked == probed, (self.f, ti, pi)
-            seen["above"] += bool(probed)
-        else:
-            rest = iter(probed)
-            assert all(item in rest for item in walked), (self.f, ti, pi)
-            seen["last"] += bool(walked)
-            seen["fewer"] += len(walked) < len(probed)
+        assert walked == probed, (self.f, ti, pi)
+        seen["last" if ti + 1 == len(self.f) else "above"] += bool(probed)
         return iter(probed)
 
     def walk(self, ti, pi, free, need):
@@ -443,6 +436,53 @@ def test_walk_yields_what_the_probes_pass(monkeypatch):
                 assert map_function(e.function, dim, None, paths).status == SOLVED
     finally:
         mapper.arrangements.cache_clear()
+    assert min(seen.values()) > 0, seen
+
+
+def test_last_term_reach_rejects_only_failing_leaves(monkeypatch):
+    """At the last term a probe takes the reach test, and it rejects only
+    leaves that fail exactly.  A leaf passes exactly when no path it
+    completes is a live escape and the bounds of the paths with no unset
+    cell, ORed, equal the function, since ``_finish`` zeroes the others.
+    Each arrangement of each narrow last-term pair the search lists is
+    checked, on library functions of 2x2, 2x3, 3x3 and 3x4, on HARD, on
+    terms 1, 2 and 6 and terms 1, 2, 3, 4 and 8 of DECOMP_NOSPLIT8 and on
+    terms 2, 3, 4 and 5 of DECOMP_EVEN8 on 3x3.  A rejection counts when no
+    completed path is a live escape, so the reach test made it; the last
+    input gives some."""
+    seen = {"passing": 0, "rejected": 0}
+
+    def probes(self, ti, pi, free, key, unset, _method=_Search._probes):
+        if ti + 1 == len(self.f):
+            placed = self.unset & ~unset
+            done = [pj for pj, cells in enumerate(self.cell_masks)
+                    if cells & placed and not cells & unset and pj != pi]
+            complete = [pj for pj, cells in enumerate(self.cell_masks) if not cells & unset]
+            for ranks in arrangements(key):
+                bounds = self.path_ub[:]
+                for cell, rank in zip(free, ranks):
+                    for pj in self.through[cell]:
+                        bounds[pj] &= self.option_masks[ti][rank]
+                escape = any(bounds[pj] and all(bounds[pj] & ~t for t in self.term_mask)
+                             for pj in done)
+                cover = functools.reduce(operator.or_, map(bounds.__getitem__, complete), 0)
+                exact = not escape and cover == self.f_mask
+                passes = self._passes(bounds, done, unset, self.pool[ti + 1])
+                assert passes or not exact, (self.f, pi, ranks)
+                seen["passing"] += exact
+                seen["rejected"] += not passes and not escape
+        return _method(self, ti, pi, free, key, unset)
+
+    monkeypatch.setattr(_Search, "_probes", probes)
+    for dim, seed in ((LatticeDim(2, 2), 2500), (LatticeDim(2, 3), 2501),
+                      (DIM3, 2502), (LatticeDim(3, 4), 2503)):
+        paths = enumerate_paths(dim)
+        for e in generate_library(dim, 4, 8, seed):
+            assert map_function(e.function, dim, None, paths).status == SOLVED
+    assert map_function(HARD, DIM3).status == NO_SOLUTION
+    for fn, terms in ((DECOMP_NOSPLIT8, (1, 2, 6)), (DECOMP_NOSPLIT8, (1, 2, 3, 4, 8)),
+                      (DECOMP_EVEN8, (2, 3, 4, 5))):
+        map_function([fn[i - 1] for i in terms], DIM3)
     assert min(seen.values()) > 0, seen
 
 
