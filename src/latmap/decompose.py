@@ -9,8 +9,8 @@ constant-1 fillers, the other cells 0 and no completed path outside the part
 (see ``latmap.mapper``), not that no lattice does.  So a workable larger
 pair, or any pair at all, can be missed where this answers NO SOLUTION.
 
-A run fixes one deadline when it starts, and each mapper call gets the time
-that remains.  Its first time cut, a call with no time left or an
+A run fixes one deadline when it starts, before it builds its path set,
+and each mapper call gets the time that remains.  Its first time cut, a call with no time left or an
 inconclusive answer, raises ``OutOfTime`` and ends the run at every layer;
 the memo keeps only definite verdicts.
 """
@@ -47,22 +47,23 @@ def split_schedule(n: int) -> list[tuple[int, int]]:
 
 
 class Run:
-    """One run's path set, deadline and memo of definite verdicts, keyed by
+    """One run's deadline, path set and memo of definite verdicts, keyed by
     the dimension and the ordered term tuple; callers may share the memo,
-    across dimensions too."""
+    across dimensions too.  The deadline is fixed before the path set is
+    enumerated, so the enumeration counts against the time limit, though
+    it is not cut short."""
 
     def __init__(self, dim: LatticeDim, budget: SearchBudget,
                  paths: PathSet | None = None, memo: Memo | None = None):
         self.dim = dim
-        self.budget = budget
-        self.paths = paths_for(dim, paths)
         self.deadline = budget.deadline()
+        self.paths = paths_for(dim, paths)
         self.memo = {} if memo is None else memo
 
     def left(self) -> SearchBudget:
         """The time that remains; ``OutOfTime`` when none does."""
         if self.deadline is None:
-            return self.budget
+            return SearchBudget()
         left = self.deadline - time.monotonic()
         if left <= 0:
             raise OutOfTime

@@ -6,10 +6,12 @@ literals to the path cells with constant-1 fillers, or deferred when no
 housing works (it may still be present as a combination of other paths).
 Dangling cells are zeroed at the end and the candidate grid is accepted only
 if its solve is truth-table equivalent to the target.  The search backtracks
-over path choices, placements and deferrals.  No other examination order
-is tried.  The check that finds the deadline passed, at a node, a probe or
-a walk step, raises ``OutOfTime``: no placement is listed, no node opened
-and no leaf checked after it, and ``map_function`` answers inconclusive.
+over path choices, placements and deferrals; it recurses once per housed
+term and loops over deferred ones, so its depth is the number of housed
+terms.  No other examination order is tried.  The check that finds the
+deadline passed, at a node, a probe or a walk step, raises ``OutOfTime``:
+no placement is listed, no node opened and no leaf checked after it, and
+``map_function`` answers inconclusive.
 
 A search that runs to the end reports no-solution.  That covers only the
 grids this search builds: the given terms housed on paths of their own
@@ -173,10 +175,11 @@ DECOMP_UNEVEN8 on 4x4 (10-12 to 13-15 s); see the README.
 Only subtrees without a solution are cut, so the answers and the first
 solution, its grid and its points of interest stay the same.
 
-``map_function`` sets the deadline before the search reads the path set's
-tables (``cell_masks``, ``through``, ``mirrors``), which a ``PathSet``
-builds at its first mapping.  The time limit does not bound that work (the
-README gives its cost on large grids); it counts against the limit, so a
+``map_function`` sets the deadline before it enumerates the path set, when
+it is given none, and before the search reads the set's tables
+(``cell_masks``, ``through``, ``mirrors``), which a ``PathSet`` builds at
+its first mapping.  The time limit does not cut that work short (the README
+gives its cost on large grids), but it counts against the limit, so a
 shorter limit ends the search at its first check.
 
 An arrangement is a tuple of ranks into the term's options, its sorted
@@ -607,12 +610,22 @@ class _Search:
             raise OutOfTime
 
     def _try_terms(self, ti: int, stab: Sequence[Mirror]) -> Optional[MappingSolution]:
-        """Search below the current node; ``stab`` holds the mirrors that map
-        its grid and used paths onto themselves.  The node's placements cover
-        the function: the parent tested that before opening it."""
+        """Search below the current node from term ``ti`` on; ``stab`` holds
+        the mirrors that map its grid and used paths onto themselves, and
+        the parent tested that its placements cover the function.  Each
+        term is housed below its ``_node`` or deferred (it may be hiding),
+        then the leaf is checked; only ``_open`` recurses."""
+        for tj in range(ti, len(self.f)):
+            sol = self._node(tj, stab)
+            if sol is not None:
+                return sol
         self._check_time()
-        if ti == len(self.f):
-            return self._finish()
+        return self._finish()
+
+    def _node(self, ti: int, stab: Sequence[Mirror]) -> Optional[MappingSolution]:
+        """Each placement of term ``ti`` that passes, searched below in
+        order; None when no housing works down this branch."""
+        self._check_time()
         term = self.f[ti]
         term_mask = self.term_mask[ti]
         path_ub = self.path_ub
@@ -647,8 +660,7 @@ class _Search:
                 sol = self._open(ti, pi, free, ranks, bounds, unset, child)
                 if sol is not None:
                     return sol
-        # no housing works down this branch: defer, the term may be hiding
-        return self._try_terms(ti + 1, stab)
+        return None
 
     def _open(
         self,
@@ -815,11 +827,9 @@ def map_function(
     """STEP 1-10 mapping: one backtracking search over paths and placements;
     ValueError for ``paths`` of another dimension, and past
     ``ORACLE_MAX_VARS`` variables before any truth table."""
-    if budget is None:
-        budget = SearchBudget()
+    deadline = (budget or SearchBudget()).deadline()
     paths = paths_for(dim, paths)
-
-    search = _Search(f, paths, budget.deadline())
+    search = _Search(f, paths, deadline)
     if support_size(search.f_mask, len(search.var_order)) > dim.cells:
         # a grid of rc cells holds at most rc distinct literals
         return MapResult(NO_SOLUTION)

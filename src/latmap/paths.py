@@ -39,9 +39,10 @@ preorder, children in ascending order, is already the cell order.
 The lattice graph is left-right symmetric, so the DFS starts only from the
 left half of the top row, the middle column of an odd width in buffers of
 its own.  The right columns' paths are the left ones' images: per length
-one ``bytes.translate`` of the left buffer, and only these images, cut into
-paths, are sorted.  Per length the output is the left paths, then the
-middle ones, then the images.
+one ``bytes.translate`` of the left buffer by ``mirror_tables``'s
+left-right table, and only these images, cut into paths, are sorted.  Per
+length the output is the left paths, then the middle ones, then the
+images.
 The DFS recurses through a module-level function, not a closure that names
 itself, so no reference cycle keeps a finished enumeration's buffers alive
 until a cyclic collection.
@@ -56,8 +57,8 @@ beside them.
 A ``PathSet`` holds every irredundant path of its dimension and owns the
 tables derived from them, each built at its first use and then kept:
 ``cell_masks`` (each path as an int with bit ``c`` set for every cell ``c``
-on it), ``through`` (the paths on each cell) and ``mirrors``.  The mapper
-reads them; the solver reads no path set.
+on it), ``through`` (the paths on each cell) and ``mirrors`` (read off the
+path bytes).  The mapper reads them; the solver reads no path set.
 """
 
 from __future__ import annotations
@@ -98,21 +99,17 @@ class PathSet:
     @cached_property
     def mirrors(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """A (cell map, path map) pair per mirror of the grid: left-right,
-        top-bottom and both.  Each maps the path set onto itself, the path
-        map sending a path to the one whose cell mask is its image, so both
-        maps are involutions."""
-        rows, cols = range(self.dim.rows), range(self.dim.cols)
-        index = {m: i for i, m in enumerate(self.cell_masks)}
-        out = []
-        for rs, cs in ((rows, cols[::-1]), (rows[::-1], cols)):
-            cell_map = tuple(r * len(cols) + c for r in rs for c in cs)
-            bits = [1 << c for c in cell_map]
-            image = [sum(map(bits.__getitem__, p)) for p in self.paths]
-            out.append((cell_map, tuple(map(index.__getitem__, image))))
-        (_, lr), (_, tb) = out
+        top-bottom and both, each an involution of the path set.  A path's
+        image is its bytes translated by ``mirror_tables``, reversed for
+        top-bottom, since a path's one top-row cell fixes its order."""
+        lr, tb = mirror_tables(self.dim)
+        index = {p: i for i, p in enumerate(self.paths)}.__getitem__
+        lr_map = tuple([index(p.translate(lr)) for p in self.paths])
+        tb_map = tuple([index(p.translate(tb)[::-1]) for p in self.paths])
+        n = self.dim.cells
         # both mirrors reverse the cell order; their path map is the composition
-        out.append((tuple(range(self.dim.cells))[::-1], tuple(map(tb.__getitem__, lr))))
-        return tuple(out)
+        return ((tuple(lr[:n]), lr_map), (tuple(tb[:n]), tb_map),
+                (tuple(range(n))[::-1], tuple(map(tb_map.__getitem__, lr_map))))
 
 
 def _extend(
@@ -199,6 +196,17 @@ def walk_tables(dim: LatticeDim) -> tuple[
 
 
 @cache
+def mirror_tables(dim: LatticeDim) -> tuple[bytes, bytes]:
+    """The left-right and top-bottom mirrors of ``dim`` as
+    ``bytes.translate`` tables: a cell's byte goes to its image's, every
+    other byte to itself."""
+    rows, cols, cells = dim.rows, dim.cols, range(dim.cells)
+    rest = bytes(range(dim.cells, 256))
+    return (bytes(x - x % cols + cols - 1 - x % cols for x in cells) + rest,
+            bytes((rows - 1 - x // cols) * cols + x % cols for x in cells) + rest)
+
+
+@cache
 def _pocket_geometry(dim: LatticeDim) -> tuple[tuple[int, ...], int, int]:
     """``(window, not_first, not_last)`` of the pocket test on ``dim``,
     built once per dimension: per cell ``y``, the mask of the rows from row
@@ -229,7 +237,7 @@ def enumerate_paths(dim: LatticeDim) -> PathSet:
         _extend(col, bytearray([col]), top, steps, near, below, reaches, out)
     # the lattice is left-right symmetric: the paths from the right columns
     # are the images of the left ones, each length's made in one translation
-    flip = bytes(x - x % cols + cols - 1 - x % cols if x < n else x for x in range(256))
+    flip = mirror_tables(dim)[0]
     paths: list[bytes] = []
     for k in range(n):
         size, ours = k + 1, bytes(left[k])
@@ -288,10 +296,6 @@ def brute_force_paths(dim: LatticeDim) -> PathSet:
     ]
     survivors.sort(key=lambda p: (len(p), p))
     return PathSet(dim, tuple(survivors))
-
-
-def longest_path_len(paths: PathSet) -> int:
-    return max(len(p) for p in paths.paths)
 
 
 def serialize_paths(paths: PathSet) -> str:

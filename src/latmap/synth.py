@@ -8,11 +8,12 @@ they are halved.  Halving peels off the first half if it maps, else the
 larger part of its two-lattice decomposition (the smaller part rejoins the
 second half), else halves the first half in turn; the rest is covered
 anew.  All mapper calls of one run share one ``Run`` (see
-``latmap.decompose``): one memo of definite verdicts keyed by the dimension
-and the ordered term tuple, so no term list is mapped twice, and one
-deadline, fixed when the run starts, so the time limit bounds the whole run.
-Each call gets the time that remains, and the first time cut ends the run as
-inconclusive.
+``latmap.decompose``): one path set, whose longest path bounds the term
+length, one memo of definite verdicts keyed by the dimension and the
+ordered term tuple, so no term list is mapped twice, and one deadline,
+fixed when the run starts, before the path set is built, so the time limit
+bounds the whole run.  Each call gets the time that remains, and the first
+time cut ends the run as inconclusive.
 Terms go to more lattices only on a no-solution, which proves only that no
 grid houses them one per path, with constant-1 fillers, the other cells 0
 and no completed path outside them (see ``latmap.mapper``), not that no
@@ -43,7 +44,6 @@ from .grid import LatticeDim
 from .mapper import INCONCLUSIVE, MappingSolution, OutOfTime, SearchBudget
 from .mapper import map_function  # noqa: F401  bench/tests checks the tracer rebinds it here
 from .decompose import DecompositionResult, Run, decompose_two
-from .paths import enumerate_paths, longest_path_len
 from .solver import LatticeAssignment, lattice_table
 
 
@@ -154,10 +154,9 @@ def synthesize(
     """Full plan for f on lattices of one dimension; None when inconclusive.
 
     The time limit bounds the whole run, not each mapper call."""
-    paths = enumerate_paths(dim)
-    lb = longest_path_len(paths)
-    working, aux_defs = split_long_terms(f, lb)
-    run = Run(dim, budget or SearchBudget(), paths)
+    run = Run(dim, budget or SearchBudget())
+    # canonical order puts a longest path last
+    working, aux_defs = split_long_terms(f, len(run.paths.paths[-1]))
     lattices: list[PlanLattice] = []
     try:
         for aux in aux_defs:

@@ -18,6 +18,7 @@ from latmap.grid import LatticeDim
 from latmap.mapper import SearchBudget
 
 from lattice_goldens import DECOMP_EVEN8, SYNTH_Q
+from test_mapper import DEFERRED
 from test_synth import zeroed_aux_lattices
 
 
@@ -45,6 +46,15 @@ def test_module_entry_runs_main(capsys, monkeypatch):
         runpy.run_module("latmap.cli", run_name="__main__")
     assert exited.value.code == 0
     assert capsys.readouterr().out == want
+
+
+def test_map_deferring_every_term_is_no_solution(tmp_path, capsys):
+    """1,000 terms, each too long for any 3x3 path: ``map`` ends NO
+    SOLUTION with exit 1, not a traceback."""
+    fn = tmp_path / "long.fn"
+    fn.write_text(serialize_function(DEFERRED))
+    code, out, err = run(capsys, "map", str(fn), "--dim", "3", "3")
+    assert (code, out.strip(), err) == (1, "NO SOLUTION", "")
 
 
 def test_paths_to_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import latmap.decompose
+import latmap.paths
 
 from latmap.codes import equivalent
 from latmap.decompose import Run, decompose_two, split_schedule
@@ -18,6 +19,7 @@ from latmap.mapper import (
 )
 from latmap.paths import enumerate_paths
 from latmap.solver import solve_lattice
+from latmap.synth import synthesize
 
 from lattice_goldens import DECOMP_EVEN8, DECOMP_UNEVEN8, f
 
@@ -131,6 +133,24 @@ def test_first_time_cut_ends_the_schedule():
     assert out.status == INCONCLUSIVE
     assert len(memo) < 1000
     assert all(r.status != INCONCLUSIVE for r in memo.values())
+
+
+def test_enumeration_counts_against_the_time_limit(monkeypatch):
+    """A run's clock starts before its path set is enumerated: with an
+    enumeration that outlasts the 0.05 s limit, a + b on 2x2 is
+    inconclusive in ``map_function``, ``decompose_two`` and
+    ``synthesize``."""
+    enumerate_paths = latmap.paths.enumerate_paths
+
+    def slow(dim):
+        time.sleep(0.2)
+        return enumerate_paths(dim)
+
+    monkeypatch.setattr(latmap.paths, "enumerate_paths", slow)
+    fn, dim, budget = f({0}, {1}), LatticeDim(2, 2), SearchBudget(time_limit=0.05)
+    assert map_function(fn, dim, budget).status == INCONCLUSIVE
+    assert decompose_two(fn, dim, budget).status == INCONCLUSIVE
+    assert synthesize(fn, dim, budget) is None
 
 
 def test_map_once_with_no_time_left_is_inconclusive(monkeypatch):

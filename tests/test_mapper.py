@@ -54,9 +54,16 @@ from lattice_goldens import (
 DIM3 = LatticeDim(3, 3)
 
 # An 8-term function (DECOMP_EVEN8) whose exhaustive 3x3 search is a
-# no-solution that takes about a second.
+# no-solution of 887 interior nodes, about 0.02 s.
 HARD = f({998, 996, 1, 1000}, {3, 1, 4}, {3, 996, 999}, {998, 996, 999},
          {3, 1, 1000}, {3, 0, 4}, {3, 0, 999}, {998, 3})
+
+# 1,000 six-literal terms over 9 variables, each longer than the longest
+# 3x3 path (5 cells), so a 3x3 search defers every one of them.
+DEFERRED = [
+    frozenset(v if s else COMPLEMENT_BASE - v for v, s in zip(vs, signs))
+    for vs in combinations(range(9), 6) for signs in product((0, 1), repeat=6)
+][:1000]
 
 
 @pytest.mark.parametrize("fn", [MAP_EX1, MAP_EX2, MAP_EX3, MAP_EX4])
@@ -295,6 +302,14 @@ def test_time_limit_respected_when_reporting_on_7x8():
         assert r.status == INCONCLUSIVE
 
 
+def test_deferring_a_thousand_terms_does_not_recurse():
+    """The search loops over deferred terms, so a term list longer than
+    the interpreter's recursion limit, every term deferred, still ends
+    no-solution."""
+    assert len(DEFERRED) >= sys.getrecursionlimit()
+    assert map_function(DEFERRED, DIM3).status == NO_SOLUTION
+
+
 def test_deadline_past_on_entering_the_root_is_inconclusive(monkeypatch):
     """A search whose deadline has passed when it starts opens no node."""
     monkeypatch.setattr(SearchBudget, "deadline", lambda self: time.monotonic() - 1)
@@ -344,18 +359,18 @@ def test_time_cut_ends_the_search_at_once(monkeypatch):
             clock.update(checks=0, k=k, cut=False)
             r = map_function(fn, DIM3, SearchBudget(time_limit=60))
             assert (r.status, r.solution, clock["after"]) == (INCONCLUSIVE, None, 0), k
-    assert cut_in == {"_try_terms", "_probes", "_walk"}
+    assert cut_in == {"_try_terms", "_node", "_probes", "_walk"}
 
 
 def _mapped(monkeypatch, walk_from, fn, dim, paths):
     """The answer of one mapping with the given cut-over, the number of
-    interior nodes it opens (nodes that are not leaves of the last term),
-    the placements that open them in order, as (term, path, ranks), the
-    number of leaves it checks and the number of pairs it walks.  The
-    patches are undone and the shared arrangement table is emptied after
-    it, since a raised cut-over fills it with wide lists."""
+    interior nodes it opens (``_node`` calls: nodes that are not leaves of
+    the last term), the placements that open them in order, as (term, path,
+    ranks), the number of leaves it checks and the number of pairs it
+    walks.  The patches are undone and the shared arrangement table is
+    emptied after it, since a raised cut-over fills it with wide lists."""
     monkeypatch.setattr(mapper, "WALK_FROM", walk_from)
-    calls = {"_try_terms": 0, "_finish": 0, "_walk": 0}
+    calls = {"_node": 0, "_finish": 0, "_walk": 0}
     for name in calls:
         def counted(self, *args, _name=name, _method=getattr(_Search, name)):
             calls[_name] += 1
@@ -375,8 +390,7 @@ def _mapped(monkeypatch, walk_from, fn, dim, paths):
     sol = r.solution
     answer = (r.status, None) if sol is None else (
         r.status, sol.assignment.codes, sol.order, sol.poi)
-    return (answer, calls["_try_terms"] - calls["_finish"], placed, calls["_finish"],
-            calls["_walk"])
+    return answer, calls["_node"], placed, calls["_finish"], calls["_walk"]
 
 
 @pytest.mark.parametrize("dim,seed", [(DIM3, 1800), (LatticeDim(3, 4), 1801),
@@ -648,17 +662,17 @@ def test_untouched_share_matches_the_generic_loop():
 def test_hard_search_shape_is_pinned(monkeypatch):
     """On HARD the search opens at most 887 interior nodes (nodes that are
     not leaves of the last term), checks at most 193 leaves and reads the
-    clock at most 1,987 times, counted by wrapping ``_try_terms``,
-    ``_finish`` and ``_check_time``: a change that weakens a bound, with
-    every answer kept, opens more."""
-    calls = {"_try_terms": 0, "_finish": 0, "_check_time": 0}
+    clock at most 1,987 times, counted by wrapping ``_node``, ``_finish``
+    and ``_check_time``: a change that weakens a bound, with every answer
+    kept, opens more."""
+    calls = {"_node": 0, "_finish": 0, "_check_time": 0}
     for name in calls:
         def counted(self, *args, _name=name, _method=getattr(_Search, name)):
             calls[_name] += 1
             return _method(self, *args)
         monkeypatch.setattr(_Search, name, counted)
     assert map_function(HARD, DIM3).status == NO_SOLUTION
-    assert calls["_try_terms"] - calls["_finish"] <= 887, calls
+    assert calls["_node"] <= 887, calls
     assert calls["_finish"] <= 193, calls
     assert calls["_check_time"] <= 1987, calls
 

@@ -11,7 +11,6 @@ from latmap.grid import LatticeDim, build_children
 from latmap.paths import (
     brute_force_paths,
     enumerate_paths,
-    longest_path_len,
     serialize_paths,
 )
 
@@ -157,8 +156,11 @@ def test_cell_masks_follow_path_order():
 
 
 def test_longest_path_len():
-    assert longest_path_len(enumerate_paths(LatticeDim(3, 3))) == 5
-    assert longest_path_len(enumerate_paths(LatticeDim(2, 2))) == 2
+    """Canonical order puts a longest path last, which is how ``synthesize``
+    reads the term-length bound."""
+    for dim, longest in ((LatticeDim(2, 2), 2), (LatticeDim(3, 3), 5)):
+        paths = enumerate_paths(dim).paths
+        assert len(paths[-1]) == max(map(len, paths)) == longest
 
 
 def test_dimension_guard():
@@ -239,11 +241,14 @@ def reference_mirrors(ps):
 
 
 def _table_cases():
-    yield from (enumerate_paths(LatticeDim(r, c)) for r in range(1, 7) for c in range(1, 7))
+    """Every shape up to 6x6, and those with 7 or 8 rows or columns and at
+    most 40 cells, where the top-bottom mirror reverses longer paths."""
+    yield from (enumerate_paths(LatticeDim(r, c)) for r in range(1, 9) for c in range(1, 9)
+                if max(r, c) <= 6 or r * c <= 40)
 
 
 def test_mirrors_match_cell_set_reference():
-    """Enumerated sets up to 6x6."""
+    """The shapes of ``_table_cases``."""
     for ps in _table_cases():
         assert ps.mirrors == reference_mirrors(ps), ps.dim
 

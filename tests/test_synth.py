@@ -8,7 +8,7 @@ import latmap.synth
 from latmap.grid import LatticeDim
 from latmap.decompose import Run
 from latmap.mapper import OutOfTime, SearchBudget
-from latmap.paths import enumerate_paths, longest_path_len
+from latmap.paths import enumerate_paths
 from latmap.solver import LatticeAssignment
 from latmap.synth import (
     AuxDefinition,
@@ -165,7 +165,7 @@ def test_synthesize_trivial_single_lattice():
 def test_synthesize_long_term_uses_aux():
     plan = synthesize(SYNTH_Q, DIM3)
     assert plan is not None
-    _, defs = split_long_terms(SYNTH_Q, longest_path_len(enumerate_paths(DIM3)))
+    _, defs = split_long_terms(SYNTH_Q, len(enumerate_paths(DIM3).paths[-1]))
     assert len(defs) == 1
     aux = [(pl.aux_code, pl.terms) for pl in _aux_lattices(plan)]
     assert aux == [(defs[0].code, (defs[0].product,))]

@@ -144,9 +144,12 @@ def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int, int]]:
     and ``paths._extend`` for one run of each input; they are put back
     after it."""
     search, paths = latmap.mapper._Search, latmap.paths
-    calls = {"_try_terms": 0, "_finish": 0, "_extend": 0}
+    # an interior node is a ``_node`` call; a revision without ``_node``
+    # opens each in a ``_try_terms`` call, and each leaf of the last term too
+    node = "_node" if hasattr(search, "_node") else "_try_terms"
+    calls = dict.fromkeys((node, "_finish", "_extend"), 0)
     searches = {}  # every search of the input, by id
-    methods = {name: getattr(search, name) for name in ("_try_terms", "_finish")}
+    methods = {name: getattr(search, name) for name in (node, "_finish")}
     for name, method in methods.items():
         def counted(self, *args, _name=name, _method=method):
             calls[_name] += 1
@@ -162,7 +165,7 @@ def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int, int]]:
     counts: dict[str, tuple[int, int, int, int, int]] = {}
     try:
         for group, _, call in inputs:
-            calls.update(_try_terms=0, _finish=0, _extend=0)
+            calls.update(dict.fromkeys(calls, 0))
             searches.clear()
             call()
             nodes, leaves, untouched, rest, walks = counts.get(group, (0, 0, 0, 0, 0))
@@ -171,9 +174,8 @@ def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int, int]]:
                     full = sum(key[0] == s.full for key in memo)
                     untouched += full
                     rest += len(memo) - full
-            # a leaf of the last term is a ``_try_terms`` call, too
-            counts[group] = (nodes + calls["_try_terms"] - calls["_finish"],
-                             leaves + calls["_finish"], untouched, rest,
+            interior = calls[node] - calls["_finish"] if node == "_try_terms" else calls[node]
+            counts[group] = (nodes + interior, leaves + calls["_finish"], untouched, rest,
                              walks + calls["_extend"])
     finally:
         for name, method in methods.items():
