@@ -41,12 +41,17 @@ def is_complement_code(code: int) -> bool:
     return COMPLEMENT_BASE - LETTER_MAX <= code <= COMPLEMENT_BASE
 
 
+# every valid code: the positive ones, the complements and both constants
+VALID_CODES = frozenset([
+    *range(AUX_MAX + 1),
+    *range(COMPLEMENT_BASE - LETTER_MAX, COMPLEMENT_BASE + 1),
+    CONST_ZERO,
+    CONST_ONE,
+])
+
+
 def is_valid_code(code: int) -> bool:
-    return (
-        is_positive_code(code)
-        or is_complement_code(code)
-        or code in (CONST_ZERO, CONST_ONE)
-    )
+    return code in VALID_CODES
 
 
 def check_code(code: int) -> int:

@@ -25,16 +25,22 @@ while the same functions written as ac' + bc', ab + c and a'c map
 The search breaks the grid's mirror symmetry (lex-leader symmetry breaking,
 Crawford et al., KR 1996).  Connectivity and every check of the search are
 invariant under the three mirrors: left-right, top-bottom and both
-(``PathSet.mirrors``).  Each node carries its stabilizer: the mirrors that
-map its grid and used paths onto themselves, all of them at the root.  A
-term is not housed on a path that one of them maps to an earlier path, and
-on a path that one of them maps onto itself, an arrangement is skipped when
-its mirror image comes earlier in the arrangement order.  A child keeps the
-mirrors that fix its arrangement, a deferral keeps them all, so the rule
-applies wherever the grid is still symmetric (say, a term on the centre
-column of 3x3) and costs nothing once it is not.  Answers do not change:
-were the first solution under a skipped path or arrangement, its mirror
-would lie under an earlier sibling, whose subtree is searched in full first.
+(``PathSet.mirrors``).  Each node carries its stabilizer, a mask with bit j
+for ``mirrors[j]``: the mirrors that map its grid and used paths onto
+themselves, all of them (``ALL_MIRRORS``) at the root.  A term is not
+housed on a path that one of them maps to an earlier path, and on a path
+that one of them maps onto itself, an arrangement is skipped when its
+mirror image comes earlier in the arrangement order.  Both facts depend
+only on the path set and the mask, so the node reads them from the path
+set's tables: it loops over ``canonical[stab]``, the paths that no mirror
+of the mask maps to an earlier path (4 of the 9 on 3x3 at the root), and
+``stab & fixes[pi]`` names the mirrors that map path ``pi`` onto itself.
+A child keeps the mirrors that fix its arrangement, a deferral keeps them
+all, so the rule applies wherever the grid is still symmetric (say, a term
+on the centre column of 3x3) and costs nothing once it is not: mask 0
+loops over every path.  Answers do not change: were the first solution
+under a skipped path or arrangement, its mirror would lie under an earlier
+sibling, whose subtree is searched in full first.
 
 A node keeps the grid, the set of unset cells, each path's bound (the AND
 of its fixed cells' truth-table masks) and the term housed on each path, if
@@ -176,11 +182,13 @@ Only subtrees without a solution are cut, so the answers and the first
 solution, its grid and its points of interest stay the same.
 
 ``map_function`` sets the deadline before it enumerates the path set, when
-it is given none, and before the search reads the set's tables
-(``cell_masks``, ``through``, ``mirrors``), which a ``PathSet`` builds at
-its first mapping.  The time limit does not cut that work short (the README
-gives its cost on large grids), but it counts against the limit, so a
-shorter limit ends the search at its first check.
+it is given none, and before the search reads the set's tables, which a
+``PathSet`` builds at their first use: ``cell_masks`` and ``through`` when
+the search is made, and the mirror tables (``mirrors``, ``fixes`` and each
+mask's ``canonical`` paths) at the first node that reads them, after its
+check of the deadline.  The time limit does not cut that work short (the
+README gives its cost on large grids), but it counts against the limit, so
+a shorter limit ends the search at its next check.
 
 An arrangement is a tuple of ranks into the term's options, its sorted
 literals and then constant 1.  The arrangements over a path's free cells
@@ -204,7 +212,7 @@ import operator
 import time
 from itertools import accumulate, chain
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .codes import (
     CONST_ONE,
@@ -217,11 +225,8 @@ from .codes import (
     term_masks,
 )
 from .grid import LatticeDim
-from .paths import PathSet, paths_for
+from .paths import ALL_MIRRORS, PathSet, paths_for
 from .solver import LatticeAssignment
-
-# a grid mirror as (cell map, path map), see ``PathSet.mirrors``
-Mirror = tuple[tuple[int, ...], tuple[int, ...]]
 
 # a (term, path) pair with more arrangements than this is walked one cell at
 # a time; the others are probed one arrangement at a time
@@ -307,6 +312,8 @@ class _Search:
         self.dim = paths.dim
         self.paths = paths.paths  # canonical = shortest first
         self.through = paths.through
+        # its mirror tables are read at the first node that needs them
+        self.path_set = paths
         self.deadline = deadline
 
         self.var_order = table_variables(f)
@@ -609,12 +616,12 @@ class _Search:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise OutOfTime
 
-    def _try_terms(self, ti: int, stab: Sequence[Mirror]) -> Optional[MappingSolution]:
-        """Search below the current node from term ``ti`` on; ``stab`` holds
-        the mirrors that map its grid and used paths onto themselves, and
-        the parent tested that its placements cover the function.  Each
-        term is housed below its ``_node`` or deferred (it may be hiding),
-        then the leaf is checked; only ``_open`` recurses."""
+    def _try_terms(self, ti: int, stab: int) -> Optional[MappingSolution]:
+        """Search below the current node from term ``ti`` on; ``stab`` is
+        the mask of the mirrors that map its grid and used paths onto
+        themselves, and the parent tested that its placements cover the
+        function.  Each term is housed below its ``_node`` or deferred (it
+        may be hiding), then the leaf is checked; only ``_open`` recurses."""
         for tj in range(ti, len(self.f)):
             sol = self._node(tj, stab)
             if sol is not None:
@@ -622,20 +629,20 @@ class _Search:
         self._check_time()
         return self._finish()
 
-    def _node(self, ti: int, stab: Sequence[Mirror]) -> Optional[MappingSolution]:
+    def _node(self, ti: int, stab: int) -> Optional[MappingSolution]:
         """Each placement of term ``ti`` that passes, searched below in
-        order; None when no housing works down this branch."""
+        order; None when no housing works down this branch.  Only the paths
+        that no mirror of ``stab`` maps to an earlier path are tried."""
         self._check_time()
         term = self.f[ti]
         term_mask = self.term_mask[ti]
         path_ub = self.path_ub
-        for pi in range(len(self.paths)):
+        fixes = self.path_set.fixes
+        for pi in self.path_set.canonical[stab]:
             if self.matched[pi] is not None:
                 continue
             if term_mask & ~path_ub[pi]:
                 continue  # a fixed cell holds a literal the term lacks
-            if stab and any(pmap[pi] < pi for _, pmap in stab):
-                continue  # a mirror image of this path comes earlier
             path = self.paths[pi]
             if len(term) > len(path):
                 continue
@@ -646,13 +653,14 @@ class _Search:
             if housing is None:
                 continue
             free, key = housing
-            fixing = self._fixing(pi, free, stab) if stab else ()
+            fix = stab & fixes[pi]  # the node's mirrors that map the path onto itself
+            fixing = self._fixing(free, fix) if fix else []
             if arrangement_count(key) > WALK_FROM:
                 passing = self._walk(ti, pi, free, key[2])
             else:
                 passing = self._probes(ti, pi, free, key, unset)
             for ranks, bounds in passing:
-                child: Sequence[Mirror] = ()
+                child = 0
                 if fixing:
                     child = self._arrangement_stab(ranks, fixing)
                     if child is None:
@@ -670,7 +678,7 @@ class _Search:
         ranks: tuple[int, ...],
         bounds: list[int],
         unset: int,
-        stab: Sequence[Mirror],
+        stab: int,
     ) -> Optional[MappingSolution]:
         """Place term ``ti`` on path ``pi`` as arranged and search below.
         The node's own lists are never written, so putting them back undoes
@@ -690,33 +698,30 @@ class _Search:
                 grid[cell] = None
         return sol
 
-    @staticmethod
-    def _fixing(
-        pi: int, free: list[int], stab: Sequence[Mirror]
-    ) -> list[tuple[tuple[int, ...], Mirror]]:
-        """The mirrors that map path ``pi`` onto itself, each with the
-        permutation of ``free`` it makes: the position among ``free`` of
-        each free cell's image.  They map the node's grid onto itself, so
-        free cells onto free cells."""
-        fixing = [m for m in stab if m[1][pi] == pi]
-        if not fixing:
-            return []
+    def _fixing(self, free: list[int], fix: int) -> list[tuple[tuple[int, ...], int]]:
+        """Each mirror of the mask ``fix``, those of the node's that map the
+        path onto itself, as the permutation of ``free`` it makes (the
+        position among ``free`` of each free cell's image) and its bit.
+        They map the node's grid onto itself, so free cells onto free
+        cells."""
         position = {cell: k for k, cell in enumerate(free)}.__getitem__
-        return [(tuple(map(position, map(m[0].__getitem__, free))), m) for m in fixing]
+        return [(tuple(map(position, map(cells.__getitem__, free))), 1 << j)
+                for j, (cells, _) in enumerate(self.path_set.mirrors) if fix >> j & 1]
 
     @staticmethod
     def _arrangement_stab(
-        ranks: tuple[int, ...], fixing: list[tuple[tuple[int, ...], Mirror]]
-    ) -> Optional[list[Mirror]]:
+        ranks: tuple[int, ...], fixing: list[tuple[tuple[int, ...], int]]
+    ) -> Optional[int]:
         """None when a mirror image of the arrangement comes earlier in the
-        arrangement order; otherwise the mirrors that leave it unchanged."""
-        child = []
-        for perm, mirror in fixing:
+        arrangement order; otherwise the mask of the mirrors that leave it
+        unchanged."""
+        child = 0
+        for perm, bit in fixing:
             image = tuple(map(ranks.__getitem__, perm))
             if image < ranks:
                 return None
             if image == ranks:
-                child.append(mirror)
+                child |= bit
         return child
 
     def _finish(self) -> Optional[MappingSolution]:
@@ -746,15 +751,11 @@ class _Search:
         write 0, so the 0 cells are the zeroed ones, still ``unset``.  A
         literal cell was written by the first term, in order, whose path
         holds it: terms are placed in order, and a cell is written only
-        while it is free."""
-        owner: dict[int, int] = {}
-        housed = sorted((ti, pi) for pi, ti in enumerate(self.matched) if ti is not None)
-        for ti, pi in housed:
-            for cell in self.paths[pi]:
-                owner.setdefault(cell, ti)
+        while it is free.  Those writers are listed only when a path holds
+        an xx' pair."""
         absorbed_count: dict[int, int] = {}
         xxprime_paths: list[int] = []
-        xxprime_terms: set[int] = set()
+        xxprime_cells: set[int] = set()
         for pi, path in enumerate(self.paths):
             if self.matched[pi] is not None:
                 continue
@@ -771,7 +772,15 @@ class _Search:
             xxprime_paths.append(pi)
             for cell in path:
                 if COMPLEMENT_BASE - self.grid[cell] in codes:
-                    xxprime_terms.add(owner[cell])
+                    xxprime_cells.add(cell)
+        xxprime_terms: set[int] = set()
+        if xxprime_cells:
+            owner: dict[int, int] = {}
+            housed = sorted((ti, pi) for pi, ti in enumerate(self.matched) if ti is not None)
+            for ti, pi in housed:
+                for cell in self.paths[pi]:
+                    owner.setdefault(cell, ti)
+            xxprime_terms = {owner[cell] for cell in xxprime_cells}
         events: list[PoiEvent] = []
         for t_idx in sorted(absorbed_count):
             kind = POI_SAVED_ESCAPE if absorbed_count[t_idx] == 1 else POI_MULTI_OPTION
@@ -834,7 +843,7 @@ def map_function(
         # a grid of rc cells holds at most rc distinct literals
         return MapResult(NO_SOLUTION)
     try:
-        sol = search._try_terms(0, paths.mirrors)
+        sol = search._try_terms(0, ALL_MIRRORS)
     except OutOfTime:
         return MapResult(INCONCLUSIVE)
     if sol is not None:

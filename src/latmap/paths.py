@@ -57,16 +57,26 @@ beside them.
 A ``PathSet`` holds every irredundant path of its dimension and owns the
 tables derived from them, each built at its first use and then kept:
 ``cell_masks`` (each path as an int with bit ``c`` set for every cell ``c``
-on it), ``through`` (the paths on each cell) and ``mirrors`` (read off the
-path bytes).  The mapper reads them; the solver reads no path set.
+on it), ``through`` (the paths on each cell), ``mirrors`` (read off the
+path bytes), and two tables read off the mirrors' path maps, over masks of
+mirrors (bit ``j`` for ``mirrors[j]``): ``fixes`` (per path, the mask of the
+mirrors that map it onto itself) and ``canonical`` (per mask, filled at the
+first lookup of that mask, the paths that no mirror in it maps to an
+earlier path).  The mapper reads them; the solver reads no path set.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import compress
+from typing import Sequence
 
 from .grid import MAX_DIM, SRC, LatticeDim, build_children
+
+# the mask of all three mirrors of ``PathSet.mirrors``, bit j for mirror j
+ALL_MIRRORS = 0b111
 
 
 @dataclass(frozen=True)
@@ -110,6 +120,41 @@ class PathSet:
         # both mirrors reverse the cell order; their path map is the composition
         return ((tuple(lr[:n]), lr_map), (tuple(tb[:n]), tb_map),
                 (tuple(range(n))[::-1], tuple(map(tb_map.__getitem__, lr_map))))
+
+    @cached_property
+    def fixes(self) -> bytes:
+        """Per path, the mask of the mirrors that map it onto itself."""
+        (_, lr), (_, tb), (_, both) = self.mirrors
+        return bytes([(a == pi) | (b == pi) << 1 | (c == pi) << 2
+                      for pi, a, b, c in zip(range(len(self.paths)), lr, tb, both)])
+
+    @cached_property
+    def canonical(self) -> _Canonical:
+        """Per mask of mirrors, the ascending indices of the paths that no
+        mirror in the mask maps to an earlier path; each mask's list is
+        built at its first lookup."""
+        return _Canonical([pmap for _, pmap in self.mirrors])
+
+
+class _Canonical(dict):
+    """``self[mask]``, filled on demand in one pass over the path maps of
+    the mask's mirrors: the paths whose image under each of them is the
+    path itself or a later one, every path (a ``range``) for mask 0.  It
+    keeps the path maps, not the path set, so that no reference cycle
+    holds a path set."""
+
+    __slots__ = ("maps",)
+
+    def __init__(self, maps: list[tuple[int, ...]]) -> None:
+        super().__init__()
+        self.maps = maps
+
+    def __missing__(self, mask: int) -> Sequence[int]:
+        order = range(len(self.maps[0]))
+        later = [map(operator.ge, pmap, order)
+                 for j, pmap in enumerate(self.maps) if mask >> j & 1]
+        self[mask] = table = tuple(compress(order, map(all, zip(*later)))) if later else order
+        return table
 
 
 def _extend(

