@@ -173,10 +173,13 @@ arrangements, these lie above 100: none of the 1,489 pairs of the
 benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,155 on 3x4,
 0.4 % with 13 % of 18,123 over the pool negatives on 3x3, and none of the
 235 when synthesizing SYNTH_EIGHT on 3x3.  Neither source alone
-does as well: walking every pair slows the solved maps on 3x3 (0.08-0.13
-to 0.15-0.18 s) and the pool negatives (2.5-2.7 to 3.4-4.7 s), and
-probing every pair slows DECOMP_EVEN8 on 6x6 (0.29-0.39 to 3.1-3.8 s) and
-DECOMP_UNEVEN8 on 4x4 (10-12 to 13-15 s); see the README.
+does as well: walking every pair slows each group of ``tools/ab.py``
+1.10-1.38 times (the solved maps on 3x3 from 0.09-0.11 to 0.12-0.15 s, the
+pool negatives from 0.24-0.31 to 0.29-0.37 s), and probing every pair
+leaves those groups within 1 % but slows DECOMP_EVEN8 on 6x6 20 times
+(0.18 to 3.5-3.9 s, ``tools/bigmaps.py``) and its 4x4 and 4x5 cases
+1.2-2.0 times.  Its six 7x7 and 7x8 cases, though, probe 1.5-3.1 times
+faster than the cut-over runs them; see the README.
 
 Only subtrees without a solution are cut, so the answers and the first
 solution, its grid and its points of interest stay the same.
@@ -243,6 +246,15 @@ POI_PATH_XXPRIME = "path-saved-by-xxprime"
 POI_ZERO_ON_VAR = "zero-on-lattice-var"
 POI_TERM_HIDING = "term-hiding"
 POI_PLACED_XXPRIME = "placed-by-xxprime"
+# each kind's line, of the subject numbered from 1, or from 0 for a cell
+POI_TEXT = {
+    POI_SAVED_ESCAPE: "term {} saved escape path",
+    POI_MULTI_OPTION: "term {} covered escape path by picking multi options",
+    POI_PATH_XXPRIME: "path {} saved by xx'",
+    POI_ZERO_ON_VAR: "zero on lattice var {}",
+    POI_TERM_HIDING: "term {} was present but hiding",
+    POI_PLACED_XXPRIME: "term {} was placed by xx'",
+}
 
 
 class OutOfTime(Exception):
@@ -274,19 +286,10 @@ class PoiEvent:
     subject: int
 
     def text(self) -> str:
-        if self.kind == POI_SAVED_ESCAPE:
-            return f"term {self.subject + 1} saved escape path"
-        if self.kind == POI_MULTI_OPTION:
-            return f"term {self.subject + 1} covered escape path by picking multi options"
-        if self.kind == POI_PATH_XXPRIME:
-            return f"path {self.subject + 1} saved by xx'"
-        if self.kind == POI_ZERO_ON_VAR:
-            return f"zero on lattice var {self.subject}"
-        if self.kind == POI_TERM_HIDING:
-            return f"term {self.subject + 1} was present but hiding"
-        if self.kind == POI_PLACED_XXPRIME:
-            return f"term {self.subject + 1} was placed by xx'"
-        raise ValueError(f"unknown POI kind {self.kind}")
+        form = POI_TEXT.get(self.kind)
+        if form is None:
+            raise ValueError(f"unknown POI kind {self.kind}")
+        return form.format(self.subject + (self.kind != POI_ZERO_ON_VAR))
 
 
 @dataclass(frozen=True)
@@ -725,15 +728,16 @@ class _Search:
         return child
 
     def _finish(self) -> Optional[MappingSolution]:
-        zeroed = [cell for cell, v in enumerate(self.grid) if v is None]
-        path_ub = self.path_ub[:]
-        for cell in zeroed:
-            for pi in self.through[cell]:
-                path_ub[pi] = 0  # cancelled, so never a live escape
-        # every path is fixed now: path_ub is its product mask, 0 if cancelled
+        """The leaf's grid with every unset cell zeroed, when its paths'
+        products, ORed, are the function: a path through an unset cell is
+        cancelled, so never a live escape, and every other path's bound is
+        its product mask.  The 0 cells are listed only then."""
+        unset = self.unset
+        path_ub = [0 if cells & unset else b for b, cells in zip(self.path_ub, self.cell_masks)]
         if functools.reduce(operator.or_, path_ub, 0) != self.f_mask:
             return None
         # a solution ends the search, so its state need not be undone
+        zeroed = [cell for cell, v in enumerate(self.grid) if v is None]
         for cell in zeroed:
             self.grid[cell] = CONST_ZERO
         self.path_ub = path_ub

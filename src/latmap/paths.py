@@ -52,8 +52,8 @@ serves as the oracle for small dimensions.
 The walk's tables (``steps``, ``near``, ``below``) are built once per
 dimension by ``walk_tables``, which also holds the ``MAX_DIM`` guard; the
 solver walks the same tables to list a grid's products without enumerating
-paths, and without the pocket test, whose windows are cached per dimension
-beside them.
+paths, and without the pocket test, whose windows each enumeration's
+``_Pockets`` builds for itself.
 A ``PathSet`` holds every irredundant path of its dimension and owns the
 tables derived from them, each built at its first use and then kept:
 ``cell_masks`` (each path as an int with bit ``c`` set for every cell ``c``
@@ -195,14 +195,20 @@ class _Pockets(dict):
     ``self[m | y << 64]``, where ``m`` is the mask cell ``y``'s descendants
     must avoid, cut to ``y``'s window (row 1 to the row below ``y``), is
     whether a flood fill from ``y`` through the window's cells outside ``m``
-    reaches the row below ``y``."""
+    reaches the row below ``y``.  Per cell ``y``, ``window`` masks the rows
+    from row 1 to the row below ``y`` (read only for the rows 1 to
+    ``rows - 3``, which upward steps enter); ``not_first`` and ``not_last``
+    mask the cells outside the first and outside the last column."""
 
     __slots__ = ("cols", "window", "not_first", "not_last")
 
     def __init__(self, dim: LatticeDim) -> None:
         super().__init__()
-        self.cols = dim.cols
-        self.window, self.not_first, self.not_last = _pocket_geometry(dim)
+        self.cols = cols = dim.cols
+        top = (1 << cols) - 1
+        self.window = [(1 << (y // cols + 2) * cols) - 1 & ~top for y in range(dim.cells)]
+        first = sum(1 << x for x in range(0, dim.cells, cols))
+        self.not_first, self.not_last = ~first, ~(first << cols - 1)
 
     def __missing__(self, key: int) -> bool:
         y, cols = key >> 64, self.cols
@@ -249,20 +255,6 @@ def mirror_tables(dim: LatticeDim) -> tuple[bytes, bytes]:
     rest = bytes(range(dim.cells, 256))
     return (bytes(x - x % cols + cols - 1 - x % cols for x in cells) + rest,
             bytes((rows - 1 - x // cols) * cols + x % cols for x in cells) + rest)
-
-
-@cache
-def _pocket_geometry(dim: LatticeDim) -> tuple[tuple[int, ...], int, int]:
-    """``(window, not_first, not_last)`` of the pocket test on ``dim``,
-    built once per dimension: per cell ``y``, the mask of the rows from row
-    1 to the row below ``y`` (read only for the rows 1 to ``rows - 3``,
-    which upward steps enter), then the masks of the cells outside the
-    first and outside the last column."""
-    cols = dim.cols
-    top = (1 << cols) - 1
-    window = tuple((1 << (y // cols + 2) * cols) - 1 & ~top for y in range(dim.cells))
-    first = sum(1 << x for x in range(0, dim.cells, cols))
-    return window, ~first, ~(first << cols - 1)
 
 
 def enumerate_paths(dim: LatticeDim) -> PathSet:

@@ -5,7 +5,10 @@ per criterion.  Published reference data that the flood-fill oracle below
 refutes is kept verbatim in ``lattice_goldens.py``, and the tests check the
 refutation together with the true, oracle-verified facts.  Criteria 07 and
 10 stay red while the mapper answers ``no-solution`` for functions that a
-grid does realize.
+grid does realize.  Two oracle tests follow the criteria: the planar dual
+of the flood fill checks the solver's tables and listings, and every 2x2
+and 2x3 grid over three variables checks that the mapper maps each
+listing.
 """
 
 import itertools
@@ -18,6 +21,7 @@ from latmap.codes import (
     absorb,
     equivalent,
     function_mask,
+    literal_masks,
     normalize_term,
 )
 from latmap.decompose import decompose_two
@@ -27,6 +31,7 @@ from latmap.paths import brute_force_paths, enumerate_paths
 from latmap.solver import (
     LatticeAssignment,
     generate_library,
+    lattice_table,
     literal_range,
     solve_lattice,
     verify_witness,
@@ -85,6 +90,36 @@ def flood_conducts(rows, on):
                 changed = True
     out = 0
     for x in reach[-cols:]:
+        out |= x
+    return out
+
+
+def crossing_rows(rows, off):
+    """Where an 8-neighbour chain of the cells that are off joins the left
+    column to the right one: the planar dual of ``flood_conducts``, since a
+    lattice conducts top to bottom exactly where no such chain crosses it.
+
+    ``off`` holds one truth table per cell in row-major order, bit k set
+    where the cell is off on assignment k; the result is a truth table.
+    """
+    cols = len(off) // rows
+    near = []
+    for i in range(len(off)):
+        r, c = divmod(i, cols)
+        near.append([j * cols + k for j in range(max(r - 1, 0), min(r + 2, rows))
+                     for k in range(max(c - 1, 0), min(c + 2, cols)) if (j, k) != (r, c)])
+    reach = [x if i % cols == 0 else 0 for i, x in enumerate(off)]
+    grown = {i for i, x in enumerate(reach) if x}
+    while grown:
+        last, grown = grown, set()
+        for i in last:
+            for j in near[i]:
+                new = reach[i] & off[j] & ~reach[j]
+                if new:
+                    reach[j] |= new
+                    grown.add(j)
+    out = 0
+    for x in reach[cols - 1 :: cols]:
         out |= x
     return out
 
@@ -325,3 +360,61 @@ def test_criterion_10_small_scale_mapper_completeness():
             if (verdict == SOLVED) != oracle:
                 mismatches.append((fn, verdict, oracle))
     assert not mismatches, mismatches
+
+
+# -- oracle tests beyond the criteria ----------------------------------------
+
+
+def _minterms(table, variables):
+    """The SOP of one full-length term per row of ``table``."""
+    return [
+        frozenset(v if k >> i & 1 else 1000 - v for i, v in enumerate(variables))
+        for k in range(1 << len(variables))
+        if table >> k & 1
+    ]
+
+
+def test_planar_dual_oracle_agrees_with_the_solver():
+    """On seeded grids from 1x1 to 5x5 over 1 to 4 variables, the rows where
+    no off-cell chain crosses the grid are ``lattice_table``'s rows and the
+    truth table of ``solve_lattice``'s listing; ``verify_witness`` accepts
+    the dual's own table as minterms and rejects it with one row flipped."""
+    rng = random.Random(2014)
+    for rows in range(1, 6):
+        for cols in range(1, 6):
+            dim = LatticeDim(rows, cols)
+            for nvars in range(1, 5):
+                variables, lits = list(range(nvars)), literal_range(nvars)
+                values = _code_values(variables)
+                full = values[101]
+                masks = literal_masks(variables)
+                for _ in range(30):
+                    codes = tuple(rng.choice(lits) for _ in range(dim.cells))
+                    lat = LatticeAssignment(dim, codes)
+                    table = full & ~crossing_rows(rows, [full & ~values[c] for c in codes])
+                    assert lattice_table(lat, masks) == table, codes
+                    assert function_mask(solve_lattice(lat), variables) == table, codes
+                    assert verify_witness(lat, _minterms(table, variables)), codes
+                    flipped = table ^ 1 << rng.randrange(1 << nvars)
+                    assert not verify_witness(lat, _minterms(flipped, variables)), codes
+
+
+@pytest.mark.parametrize("rows,cols,listings", [(2, 2, 149), (2, 3, 629)])
+def test_every_small_grid_listing_maps_on_its_shape(rows, cols, listings):
+    """Every grid of the shape over ``literal_range(3)`` is solved; each
+    distinct listing must map ``solved`` on the shape, with a witness that
+    the flood-fill oracle accepts.  A failure is a completeness bug of the
+    mapper."""
+    dim = LatticeDim(rows, cols)
+    found = {
+        tuple(solve_lattice(LatticeAssignment(dim, codes)))
+        for codes in itertools.product(literal_range(3), repeat=dim.cells)
+    }
+    assert len(found) == listings
+    paths = enumerate_paths(dim)
+    failures = []
+    for fn in found:
+        r = map_function(list(fn), dim, None, paths)
+        if r.status != SOLVED or not _realizes(rows, r.solution.assignment.codes, fn):
+            failures.append((fn, r.status))
+    assert not failures, failures

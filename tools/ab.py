@@ -7,14 +7,16 @@ Both latmap packages are loaded in one process: REV's first, whose
 ``sys.modules`` entries are then moved aside, and then this checkout's.
 Each input runs on both sides in turn, 5 times each, and its time on a side
 is the minimum of its runs; the inputs run in a seeded random order.  Both
-sides must give the same status and grid codes, or for an enumeration the
-same tuple of paths, or the script stops.
+sides must give the same status, grid codes and points of interest (each
+event's kind and subject; a synthesis plan's lattices carry none), or for
+an enumeration the same tuple of paths, or the script stops.
 
 One line per group: the sum of REV's times, the sum of this checkout's,
 their ratio (this checkout over REV) and the median of the per-input
 ratios.  A second line gives each side's search counts over the group,
-from one more untimed run of each input: the interior nodes opened (the
-nodes that are not leaves of the last term), the leaves checked and the
+from one more untimed run of each input: the interior nodes opened
+(``_node`` calls; REV must have ``_node``, as every revision since
+1d89859 does), the leaves checked (``_finish`` calls) and the
 share-memo entries (the sizes of each search's per-pool ``reach`` memos at
 its end, summed; REV must keep one memo per pool, keyed first by the bound,
 as every revision since the literal pool does), split into those filled for
@@ -77,13 +79,17 @@ def _load(src: Path):
     return latmap
 
 
-def _codes(sol) -> tuple | None:
-    return None if sol is None else sol.assignment.codes
+def _solution(sol) -> tuple | None:
+    """A mapping solution's grid codes and points of interest."""
+    if sol is None:
+        return None
+    return sol.assignment.codes, tuple((ev.kind, ev.subject) for ev in sol.poi)
 
 
 def _inputs(latmap) -> list[tuple[str, str, object]]:
     """``(group, id, call)`` for each input, where ``call()`` runs it on
-    this side's latmap and returns its status and grid codes."""
+    this side's latmap and returns its answer: status, grid codes and
+    points of interest."""
     paths = {}
 
     def mapped(terms, rows, cols):
@@ -94,7 +100,7 @@ def _inputs(latmap) -> list[tuple[str, str, object]]:
 
         def call():
             r = latmap.map_function(terms, dim, None, ps)
-            return r.status, _codes(r.solution)
+            return r.status, _solution(r.solution)
         return call
 
     def synth(terms):
@@ -112,7 +118,8 @@ def _inputs(latmap) -> list[tuple[str, str, object]]:
         def call():
             out = latmap.decompose_two(terms, latmap.LatticeDim(3, 3))
             r = out.result
-            return out.status, r and (r.indices_a, _codes(r.solution_a), _codes(r.solution_b))
+            parts = r and (r.indices_a, _solution(r.solution_a), _solution(r.solution_b))
+            return out.status, parts
         return call
 
     pools = workloads.load_pools()
@@ -144,12 +151,9 @@ def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int, int]]:
     and ``paths._extend`` for one run of each input; they are put back
     after it."""
     search, paths = latmap.mapper._Search, latmap.paths
-    # an interior node is a ``_node`` call; a revision without ``_node``
-    # opens each in a ``_try_terms`` call, and each leaf of the last term too
-    node = "_node" if hasattr(search, "_node") else "_try_terms"
-    calls = dict.fromkeys((node, "_finish", "_extend"), 0)
+    calls = dict.fromkeys(("_node", "_finish", "_extend"), 0)
     searches = {}  # every search of the input, by id
-    methods = {name: getattr(search, name) for name in (node, "_finish")}
+    methods = {name: getattr(search, name) for name in ("_node", "_finish")}
     for name, method in methods.items():
         def counted(self, *args, _name=name, _method=method):
             calls[_name] += 1
@@ -174,8 +178,7 @@ def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int, int]]:
                     full = sum(key[0] == s.full for key in memo)
                     untouched += full
                     rest += len(memo) - full
-            interior = calls[node] - calls["_finish"] if node == "_try_terms" else calls[node]
-            counts[group] = (nodes + interior, leaves + calls["_finish"], untouched, rest,
+            counts[group] = (nodes + calls["_node"], leaves + calls["_finish"], untouched, rest,
                              walks + calls["_extend"])
     finally:
         for name, method in methods.items():
