@@ -81,9 +81,11 @@ the literals that later fill its u unset cells.  b and each term T are
 cubes, so the product can lie in T only when b meets T and T needs at most u
 literals that b lacks: ``popcount(b & T) << u >= popcount(b)``.  A path's
 share (``_share`` with k = 0) is b & T for each such T, and all of b when u
-is 0 (a completed path lies inside a term already) or at least the longest
-term's length.  Where the shares no longer cover the function no solution
-lies below.
+is 0 (a completed path lies inside a term already).  Every path with unset
+cells takes its share: when u is at least the longest term's length, that
+is b & T over every term T that b meets and that passes the pool's test
+(below), which still lies in b and holds the path's final product.  Where
+the shares no longer cover the function no solution lies below.
 
 The literal pool: cells are written only by placements, in term order, and
 a placement of term i writes only its own literals and 1.  So pool i, the
@@ -103,9 +105,10 @@ i is outside pool i + 1, and it lies in b & c, for c a cube of term i's
 literals, only when it lies in b, since pool i holds c's literals.  So a
 prefix's test is still weaker than each arrangement's below it, the pair
 bound still holds every arrangement's shares, and at every term the walk
-still yields exactly what the probes pass.  Pools are numbered once
-per search, from the literal sets of the term list's suffixes, equal pools
-alike (``pool``), and each has its own memo.
+still yields exactly what the probes pass.  Each pool is numbered by the
+term it starts at, pool n (after the last of n terms) is empty, and each
+has its own memo and tables.  A term placed over k > 0 cells of a path is
+the first term of its pool, so ``_share`` reads that term off the pool.
 
 A wide pair walks its arrangements one free cell at a time, depth first, in
 the same lexicographic order.  A prefix gets the probe's tests
@@ -148,8 +151,8 @@ that need at most u' + min(k, g) literals beyond b's (for u' = 0, b & c
 lies inside T exactly when T's literals lie in b's and c's).  With k = 0
 that is the share, so ``_share`` is the one bound on what a path can still
 add: one pass over every term, each listed with the literals it shares with
-the placed term (g = 0 for one that shares none) and its bare mask, in a
-table that ``_linked`` builds per term and pool at first use.  A cube c of
+the placed term, the pool's first (g = 0 for one that shares none), and its
+bare mask, in a table that ``_linked`` builds per pool at first use.  A cube c of
 the placed term's literals adds no literal outside that term's pool, so the
 pool's test reads b alone.  A path with no cell fixed has b = ``full``,
 and there the test is a closed form over small counts: b & T is T, the
@@ -158,20 +161,21 @@ placed term are all ones b lacks, and the pool's test passes exactly when
 the pool holds T's literals, since no literal's mask is all rows.  So the
 share is the OR of T over the terms in the pool with n <= u + min(k, g) (a
 term with an xx' pair has mask 0), listed as (T, n, g) by ``_untouched``
-per term and pool from the literal sets alone; a search that fails at the
-root, where every bound is ``full``, builds no ``_linked`` table.  Either
-way the share is memoized for the search, per pool, by (b, u) for a share
-and by (b, u', term, k) for a pair's bound, and callers ask ``_share`` for
-every share they need.  On HARD (DECOMP_EVEN8 on 3x3, in the tests) the
-search opens 887 interior nodes, the same as without the pair bound, checks
-193 leaves and the deadline 1,987 times, and walks no pair.
+per pool from the literal sets alone; a search that fails at the root,
+where every bound is ``full``, builds no ``_linked`` table.  Either way the
+share is memoized for the search, per pool, by (b, u, k), k = 0 for a
+share and u = u' for a pair's bound, and callers ask ``_share`` for every
+share they need.  On HARD (DECOMP_EVEN8 on 3x3, in the tests) the search
+opens 861 interior nodes, the same as without the pair bound, checks 182
+leaves and the deadline 1,914 times, builds 7 ``_linked`` tables and walks
+no pair.
 
 The cut-over trades the walk's cost per prefix (a copy of the bounds and
 the reach bound over every path) against the arrangements it cuts unlisted.
 Of the pairs that pass the pair bound, with the share of their
-arrangements, these lie above 100: none of the 1,489 pairs of the
-benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,155 on 3x4,
-0.4 % with 13 % of 18,123 over the pool negatives on 3x3, and none of the
+arrangements, these lie above 100: none of the 1,450 pairs of the
+benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,076 on 3x4,
+0.6 % with 17 % of 11,629 over the pool negatives on 3x3, and none of the
 235 when synthesizing SYNTH_EIGHT on 3x3.  Neither source alone
 does as well: walking every pair slows each group of ``tools/ab.py``
 1.10-1.38 times (the solved maps on 3x3 from 0.09-0.11 to 0.12-0.15 s, the
@@ -340,27 +344,18 @@ class _Search:
         self.path_ub = [self.full] * len(self.paths)
         # the term housed on each path, None for an unused path
         self.matched: list[Optional[int]] = [None] * len(self.paths)
-        # a path with this many unset cells may still end up in any term
-        self.longest = max(map(len, f), default=0)
         # pool i, the literals of terms i.., holds every literal that
-        # placements from term i on write; ``pool[i]`` numbers it, 0 for
-        # every literal, equal pools alike, and ``pools`` lists each
-        # number's literals
-        suffix = list(accumulate(reversed(f), operator.or_, initial=frozenset()))[::-1]
-        self.pool = list(accumulate(map(operator.ne, suffix, suffix[1:]), initial=0))
-        self.pools = list(dict.fromkeys(suffix))
+        # placements from term i on write; pool n, after the last term, is
+        # empty
+        self.pools = list(accumulate(reversed(f), operator.or_, initial=frozenset()))[::-1]
         # what a path can still add to the function, one memo per pool, by
-        # (bound, unset cells) and, once a term is placed over some of its
-        # cells, by (bound, unset cells after, term, cells placed)
-        self.reach: list[dict[tuple[int, ...], int]] = [{} for _ in self.pools]
-        # for each term, the mask of the literals it shares with the term
-        # placed, by the term placed; and ``_linked`` by the term placed and
-        # the pool; each listed at its first ``_share``
-        self.shared: dict[int, list[int]] = {}
-        self.linked: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        # ``_untouched`` by the term placed and the pool, for the shares of
-        # paths with no fixed cell
-        self.untouched: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        # (bound, unset cells, cells placed); k > 0 cells placed hold
+        # options of the pool's first term
+        self.reach: list[dict[tuple[int, int, int], int]] = [{} for _ in self.pools]
+        # each pool's ``_linked`` and ``_untouched``, listed at its first
+        # ``_share`` that needs it
+        self.linked: list[Optional[list[tuple[int, int, int]]]] = [None] * len(self.pools)
+        self.untouched: list[Optional[list[tuple[int, int, int]]]] = [None] * len(self.pools)
 
     # -- bounds ----------------------------------------------------------
 
@@ -384,12 +379,11 @@ class _Search:
         ``_share`` covers it.  A share lies in its path's bound, so the
         bounds, ORed, then cover it, too."""
         lost = self.f_mask
-        longest = self.longest
         for b, cells in zip(bounds, self.cell_masks):
             if not b & lost:
                 continue  # it adds at most b
             u = (cells & unset).bit_count()
-            if 0 < u < longest:
+            if u:
                 b = self._share(b, u, pool)
             lost &= ~b
             if not lost:
@@ -403,41 +397,41 @@ class _Search:
         passes."""
         return not self._escapes(bounds, done) and self._reaches(bounds, unset, pool)
 
-    def _share(self, b: int, u: int, pool: int, ti: int = 0, k: int = 0) -> int:
+    def _share(self, b: int, u: int, pool: int, k: int = 0) -> int:
         """What a path with bound b and u unset cells, written from
-        ``pool``, can still add once k of its cells hold options of term
-        ``ti``: b & T for each term T whose literals outside the pool all
-        lie in b's (not ``b & O``, see ``_linked``), that b meets and that
-        needs at most u + min(k, g) literals beyond b's, where g counts the
-        literals of term ``ti`` that T holds and b lacks.  With k = 0 it is
-        the path's share, which callers take for 0 < u < ``longest`` and
-        all of b otherwise (a completed path is no live escape, or it houses
-        a term); with k > 0, u = 0 included, and the pool of term ``ti``, it
+        ``pool``, can still add once k of its cells hold options of the
+        pool's first term, term ``pool``: b & T for each term T whose
+        literals outside the pool all lie in b's (not ``b & O``, see
+        ``_linked``), that b meets and that needs at most u + min(k, g)
+        literals beyond b's, where g counts the literals of term ``pool``
+        that T holds and b lacks.  With k = 0 it is the path's share, which
+        callers take for u > 0 and all of b for a completed path (it is no
+        live escape, or it houses a term); with k > 0, u = 0 included, it
         holds the path's share under every arrangement that passes (see the
         module docstring).  Cube masks have power-of-two sizes, so the
         literals one cube lacks of a smaller one are the difference of their
         sizes' bit lengths.  For b = ``full`` (no cell fixed) that is the
         closed form over ``_untouched``: T's n literals and the g it shares
-        with term ``ti`` are all ones b lacks, and only a pool that holds
+        with term ``pool`` are all ones b lacks, and only a pool that holds
         T's literals passes, so T counts when n <= u + min(k, g).  Memoized
-        per pool by (b, u) or (b, u, ti, k) for the search; no other method
-        reads or writes that memo."""
+        per pool by (b, u, k) for the search; no other method reads or
+        writes that memo."""
         memo = self.reach[pool]
-        key = (b, u, ti, k) if k else (b, u)
+        key = (b, u, k)
         reach = memo.get(key)
         if reach is None:
             reach = 0
             if b == self.full:  # no cell fixed: the closed form
-                untouched = self.untouched.get((ti, pool))
+                untouched = self.untouched[pool]
                 if untouched is None:
-                    untouched = self.untouched[ti, pool] = self._untouched(ti, pool)
+                    untouched = self.untouched[pool] = self._untouched(pool)
                 for t, n, g in untouched:
                     if n <= u + (k and min(k, g)):
                         reach |= t
             else:
-                linked = self.linked.get((ti, pool))
+                linked = self.linked[pool]
                 if linked is None:
-                    linked = self.linked[ti, pool] = self._linked(ti, pool)
+                    linked = self.linked[pool] = self._linked(pool)
                 size = b.bit_count().bit_length()
                 for t, s, out in linked:
                     bt = b & t
@@ -463,8 +457,6 @@ class _Search:
             return True
         placed = self.unset & ~unset
         last = ti + 1 == len(self.f)
-        pool, after = self.pool[ti], self.pool[ti + 1]
-        longest = self.longest
         for pj, (b, cells) in enumerate(zip(self.path_ub, self.cell_masks)):
             if not b & lost or pj == pi:
                 continue  # it adds at most b
@@ -472,40 +464,40 @@ class _Search:
             if u and last:
                 continue
             k = (cells & placed).bit_count()
-            if k and u < longest:
-                b = self._share(b, u, pool, ti, k)
-            elif 0 < u < longest:
-                b = self._share(b, u, after)
+            if k:
+                b = self._share(b, u, ti, k)
+            elif u:
+                b = self._share(b, u, ti + 1)
             lost &= ~b
             if not lost:
                 return True
         return False
 
-    def _linked(self, ti: int, pool: int) -> list[tuple[int, int, int]]:
+    def _first(self, pool: int) -> frozenset[int]:
+        """The literals of the pool's first term; none for the empty pool
+        after the last term, whose shares all have k = 0."""
+        return self.f[pool] if pool < len(self.f) else frozenset()
+
+    def _linked(self, pool: int) -> list[tuple[int, int, int]]:
         """``(T, S, O)`` for each term T: S is the mask of the literals T
-        shares with term ``ti``, ``full`` when it shares none, and O is
-        ``full & ~bare``, bare being the AND of the masks of T's literals
-        outside pool ``pool``: the rows where one of them is false, 0 when
-        the pool holds them all.  S is listed once per term ``ti``."""
+        shares with the pool's first term, ``full`` when it shares none, and
+        O is ``full & ~bare``, bare being the AND of the masks of T's
+        literals outside pool ``pool``: the rows where one of them is false,
+        0 when the pool holds them all."""
         full, get = self.full, self.masks.__getitem__
-        shared = self.shared.get(ti)
-        if shared is None:
-            shared = self.shared[ti] = [
-                functools.reduce(operator.and_, map(get, self.f[ti] & t), full)
-                for t in self.f
-            ]
-        pooled = self.pools[pool]
+        pooled, placed = self.pools[pool], self._first(pool)
         return [
-            (t, s, full & ~functools.reduce(operator.and_, map(get, term - pooled), full))
-            for t, s, term in zip(self.term_mask, shared, self.f)
+            (t, functools.reduce(operator.and_, map(get, term & placed), full),
+             full & ~functools.reduce(operator.and_, map(get, term - pooled), full))
+            for t, term in zip(self.term_mask, self.f)
         ]
 
-    def _untouched(self, ti: int, pool: int) -> list[tuple[int, int, int]]:
+    def _untouched(self, pool: int) -> list[tuple[int, int, int]]:
         """``(T, n, g)`` for each term T whose literals pool ``pool`` holds,
         those a path with no fixed cell can still end up in: n counts T's
-        literals and g those it shares with term ``ti``.  A term with an xx'
-        pair has mask 0 and adds nothing."""
-        pooled, placed = self.pools[pool], self.f[ti]
+        literals and g those it shares with the pool's first term.  A term
+        with an xx' pair has mask 0 and adds nothing."""
+        pooled, placed = self.pools[pool], self._first(pool)
         return [
             (t, len(term), len(term & placed))
             for t, term in zip(self.term_mask, self.f)
@@ -556,7 +548,6 @@ class _Search:
         ]
         option_masks = self.option_masks[ti]
         through = self.through
-        pool = self.pool[ti + 1]
         for ranks in arrangements(key):
             self._check_time()
             bounds = path_ub[:]
@@ -564,7 +555,7 @@ class _Search:
                 m = option_masks[rank]
                 for pj in through[cell]:
                     bounds[pj] &= m
-            if self._passes(bounds, done, unset, pool):
+            if self._passes(bounds, done, unset, ti + 1):
                 yield ranks, bounds
 
     def _walk(
@@ -584,7 +575,7 @@ class _Search:
         through = self.through
         cell_masks = self.cell_masks
         unset = self.unset
-        pools = [self.pool[ti]] * (len(free) - 1) + [self.pool[ti + 1]]
+        pools = [ti] * (len(free) - 1) + [ti + 1]
         steps = []
         for cell, pool in zip(free, pools):
             unset &= ~(1 << cell)

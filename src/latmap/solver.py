@@ -184,7 +184,6 @@ class LibraryEntry:
     lattice: LatticeAssignment
     function: Sop
     trial: int
-    seed: int
 
 
 def generate_library(
@@ -203,7 +202,7 @@ def generate_library(
         rng = random.Random(seed + trial)
         codes = tuple(rng.choice(choices) for _ in range(dim.cells))
         lat = LatticeAssignment(dim, codes)
-        out.append(LibraryEntry(lat, solve_lattice(lat), trial, seed + trial))
+        out.append(LibraryEntry(lat, solve_lattice(lat), trial))
     return out
 
 

@@ -54,7 +54,7 @@ from lattice_goldens import (
 DIM3 = LatticeDim(3, 3)
 
 # An 8-term function (DECOMP_EVEN8) whose exhaustive 3x3 search is a
-# no-solution of 887 interior nodes, about 0.02 s.
+# no-solution of 861 interior nodes, about 0.02 s.
 HARD = f({998, 996, 1, 1000}, {3, 1, 4}, {3, 996, 999}, {998, 996, 999},
          {3, 1, 1000}, {3, 0, 4}, {3, 0, 999}, {998, 3})
 
@@ -482,7 +482,7 @@ def test_last_term_reach_rejects_only_failing_leaves(monkeypatch):
                              for pj in done)
                 cover = functools.reduce(operator.or_, map(bounds.__getitem__, complete), 0)
                 exact = not escape and cover == self.f_mask
-                passes = self._passes(bounds, done, unset, self.pool[ti + 1])
+                passes = self._passes(bounds, done, unset, ti + 1)
                 assert passes or not exact, (self.f, pi, ranks)
                 seen["passing"] += exact
                 seen["rejected"] += not passes and not escape
@@ -531,14 +531,13 @@ def test_pair_bound_opens_the_same_interior_nodes(monkeypatch):
 
 
 def _pool_literals(search, pool):
-    """The literals of pool ``pool``: those of the terms from the first
-    whose pool it numbers on.  Equal pools, and only those, share a number,
-    and pool 0 holds every literal."""
-    sets = [frozenset().union(*search.f[i:]) for i in range(len(search.f) + 1)]
-    assert all((search.pool[i] == search.pool[j]) == (sets[i] == sets[j])
-               for i in range(len(sets)) for j in range(len(sets)))
-    assert search.pool[0] == 0
-    return sets[search.pool.index(pool)]
+    """The literals of pool ``pool``: those of the terms from term ``pool``
+    on, so pool 0 holds every literal and the pool after the last term
+    none."""
+    assert len(search.pools) == len(search.f) + 1
+    assert all(search.pools[i] == frozenset().union(*search.f[i:])
+               for i in range(len(search.pools)))
+    return search.pools[pool]
 
 
 def _popcount_share(search, b, u, pool):
@@ -556,9 +555,9 @@ def _popcount_share(search, b, u, pool):
 
 def _cube_or_most(search, ti, b, k, u, pool):
     """``_Search._share`` for k > 0 by its definition: the OR, over each cube
-    c of at most k of term ``ti``'s literals, of the share of b & c under
-    the literal set ``pool``, or of b & c when u is 0 and b & c is no live
-    escape."""
+    c of at most k of term ``ti``'s literals (the first term of its pool), of
+    the share of b & c under the literal set ``pool``, or of b & c when u is
+    0 and b & c is no live escape."""
     literals = search.option_masks[ti][:-1]
     most = 0
     for n in range(min(k, len(literals)) + 1):
@@ -576,28 +575,30 @@ def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
     calls: the popcount and pool test for k = 0, and for k > 0 the OR over
     every cube.  For library functions of 2x2, 2x3, 3x2, 3x3 and 3x4, for
     HARD and for every subset ``decompose_two`` maps of DECOMP_UNEVEN8.
-    The calls include pools that lack some literal, and those with k > 0
-    include completed paths (u = 0) and k at least the term's length.
+    The calls include pools that lack some literal and paths with at least
+    as many unset cells as the longest term has literals, and those with
+    k > 0 include completed paths (u = 0) and k at least the term's length.
     Callers ask ``_share`` again for a memoized share, so each distinct
     call, by function and arguments, is checked once."""
     seen = {"share": 0, "pooled": 0, "placed": 0, "completed": 0, "whole term": 0,
-            "untouched": 0}
+            "untouched": 0, "past the longest term": 0}
     checked = set()
 
-    def share(self, b, u, pool, ti=0, k=0, _method=_Search._share):
-        got = _method(self, b, u, pool, ti, k)
-        call = (tuple(self.f), b, u, pool, ti, k)
+    def share(self, b, u, pool, k=0, _method=_Search._share):
+        got = _method(self, b, u, pool, k)
+        call = (tuple(self.f), b, u, pool, k)
         if call in checked:
             return got
         checked.add(call)
         literals = _pool_literals(self, pool)
         seen["pooled"] += literals != _pool_literals(self, 0)
         seen["untouched"] += b == self.full
+        seen["past the longest term"] += u >= max(map(len, self.f))
         if k:
-            assert got == _cube_or_most(self, ti, b, k, u, literals), (self.f, ti, b, k, u)
+            assert got == _cube_or_most(self, pool, b, k, u, literals), (self.f, pool, b, k, u)
             seen["placed"] += 1
             seen["completed"] += not u
-            seen["whole term"] += k >= len(self.f[ti])
+            seen["whole term"] += k >= len(self.f[pool])
         else:
             assert got == _popcount_share(self, b, u, literals), (self.f, b, u, pool)
             seen["share"] += 1
@@ -615,11 +616,11 @@ def test_most_in_closed_form_is_the_or_over_cubes(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
-def _generic_share(search, b, u, pool, ti, k):
+def _generic_share(search, b, u, pool, k):
     """``_Search._share``'s loop over the ``_linked`` table, for any bound b."""
     size = b.bit_count().bit_length()
     reach = 0
-    for t, s, out in search._linked(ti, pool):
+    for t, s, out in search._linked(pool):
         bt = b & t
         if bt and size - bt.bit_count().bit_length() <= u + (
             k and min(k, size - (b & s).bit_count().bit_length())
@@ -632,8 +633,9 @@ def test_untouched_share_matches_the_generic_loop():
     """The share of a path with no fixed cell (b = ``full``), which
     ``_share`` takes in closed form without a ``_linked`` table, equals the
     generic loop on seeded random functions of 1 to 5 variables: for every
-    pool, every term placed, k from 0 to one past that term's length and u
-    from 0 to the longest term's length, each on a fresh search.  Each
+    pool, its first term placed, k from 0 to one past that term's length
+    and u from 0 to two past the longest term's length, each on a fresh
+    search.  Each
     function also holds an xx' term and the empty term, which
     ``map_function`` takes as given where ``parse_function`` would have
     normalized them."""
@@ -649,21 +651,22 @@ def test_untouched_share_matches_the_generic_loop():
         fn += [frozenset({x, COMPLEMENT_BASE - x}), frozenset()]
         rng.shuffle(fn)
         probe = _Search(fn, paths, None)
-        for pool, ti in product(range(len(probe.pools)), range(len(fn))):
-            for k, u in product(range(len(fn[ti]) + 2), range(probe.longest + 1)):
+        for pool in range(len(probe.pools)):
+            placed = len(probe._first(pool))
+            for k, u in product(range(placed + 2), range(max(map(len, fn)) + 3)):
                 search = _Search(fn, paths, None)
-                got = search._share(search.full, u, pool, ti, k)
-                assert not search.linked, (fn, u, pool, ti, k)
-                want = _generic_share(search, search.full, u, pool, ti, k)
-                assert got == want, (fn, u, pool, ti, k)
+                got = search._share(search.full, u, pool, k)
+                assert not any(search.linked), (fn, u, pool, k)
+                want = _generic_share(search, search.full, u, pool, k)
+                assert got == want, (fn, u, pool, k)
                 checked += 1
     assert checked > 1000, checked
 
 
 def test_hard_search_shape_is_pinned(monkeypatch):
-    """On HARD the search opens at most 887 interior nodes (nodes that are
-    not leaves of the last term), checks at most 193 leaves and reads the
-    clock at most 1,987 times, counted by wrapping ``_node``, ``_finish``
+    """On HARD the search opens at most 861 interior nodes (nodes that are
+    not leaves of the last term), checks at most 182 leaves and reads the
+    clock at most 1,914 times, counted by wrapping ``_node``, ``_finish``
     and ``_check_time``: a change that weakens a bound, with every answer
     kept, opens more."""
     calls = {"_node": 0, "_finish": 0, "_check_time": 0}
@@ -673,16 +676,16 @@ def test_hard_search_shape_is_pinned(monkeypatch):
             return _method(self, *args)
         monkeypatch.setattr(_Search, name, counted)
     assert map_function(HARD, DIM3).status == NO_SOLUTION
-    assert calls["_node"] <= 887, calls
-    assert calls["_finish"] <= 193, calls
-    assert calls["_check_time"] <= 1987, calls
+    assert calls["_node"] <= 861, calls
+    assert calls["_finish"] <= 182, calls
+    assert calls["_check_time"] <= 1914, calls
 
 
 def test_negatives_failing_at_the_root_build_no_linked_table(monkeypatch):
     """Terms 2, 4, 6 and 8 of DECOMP_NOSPLIT8 (pool id DECOMP_NOSPLIT8/2468)
     fail at the root on 3x3, where every path's bound is ``full``, so every
     share is in closed form and no ``_linked`` table is built; HARD builds
-    at most 12.  Counted by wrapping ``_linked``."""
+    at most 7.  Counted by wrapping ``_linked``."""
     calls = []
 
     def linked(self, *args, _method=_Search._linked):
@@ -694,7 +697,7 @@ def test_negatives_failing_at_the_root_build_no_linked_table(monkeypatch):
     assert map_function(fn, DIM3).status == NO_SOLUTION
     assert not calls, calls
     assert map_function(HARD, DIM3).status == NO_SOLUTION
-    assert len(calls) <= 12, calls
+    assert len(calls) <= 7, calls
 
 
 def test_search_sets_every_attribute_when_built():
@@ -829,10 +832,10 @@ def test_reach_bound_admits_every_state_on_the_way_to_a_found_grid(dim, seed):
             checked += 1
         found, writer = _writers(e.function, paths)
         assert found == codes
-        for i, pool in enumerate(search.pool):
+        for i, pooled in enumerate(search.pools):
             cells = {c: codes[c] for c, ti in writer.items() if ti < i}
-            assert _reaches(search, cells, pool)[0], (e.function, i, cells)
-            on_the_way += pool > 0
+            assert _reaches(search, cells, i)[0], (e.function, i, cells)
+            on_the_way += pooled != search.pools[0]
     assert checked >= 1000 and on_the_way >= 40
 
 
@@ -853,11 +856,11 @@ def test_reach_bound_implies_the_cover(dim, seed):
         codes = sorted(literal_masks(search.var_order))
         for _ in range(120):
             cells = {c: rng.choice(codes) for c in range(dim.cells) if rng.random() < 0.5}
-            for pool in sorted(set(search.pool)):
+            for pool, pooled in enumerate(search.pools):
                 reach, covered = _reaches(search, cells, pool)
                 seen["states"] += 1
                 seen["rejected though covered"] += covered and not reach
-                seen["passed in a smaller pool"] += reach and pool > 0
+                seen["passed in a smaller pool"] += reach and pooled != search.pools[0]
     assert min(seen.values()) > 0, seen
 
 
@@ -882,8 +885,8 @@ def test_reach_bound_counts_only_literals_later_terms_write():
     paths = enumerate_paths(LatticeDim(2, 2))
     search = _Search(f({0, 1}, {2, 3}), paths, None)
     state = {0: 0, 1: 2}
-    assert _reaches(search, state, search.pool[0]) == (True, True)
-    assert _reaches(search, state, search.pool[1]) == (False, True)
+    assert _reaches(search, state, 0) == (True, True)
+    assert _reaches(search, state, 1) == (False, True)
 
 
 def test_library_functions_round_trip():

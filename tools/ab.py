@@ -20,10 +20,14 @@ from one more untimed run of each input: the interior nodes opened
 share-memo entries (the sizes of each search's per-pool ``reach`` memos at
 its end, summed; REV must keep one memo per pool, keyed first by the bound,
 as every revision since the literal pool does), split into those filled for
-a path with no fixed cell (bound ``full``) and the rest.  So a change shows
-whether it explores fewer nodes or handles each node faster, and what memo
-it keeps for that.  For the ``enumerate`` group the second line gives the
-calls of the path walk, ``latmap.paths._extend``, instead.
+a path with no fixed cell (bound ``full``) and the rest, and the share
+tables each search built (the filled slots of its ``linked`` and
+``untouched`` tables at its end, summed; a side may key them in a dict by
+(term, pool), as revisions up to 87da623 do, or index them in a list by
+pool).  So a change shows whether it explores fewer nodes or handles each
+node faster, and what memo and tables it keeps for that.  For the
+``enumerate`` group the second line gives the calls of the path walk,
+``latmap.paths._extend``, instead.
 The groups:
 
 - ``negative``: the negatives of ``bench/data/pools.json`` whose reference
@@ -144,12 +148,18 @@ def _inputs(latmap) -> list[tuple[str, str, object]]:
     return inputs
 
 
-def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int, int]]:
+def _filled(table) -> int:
+    """The filled slots of a share table: a dict's entries, or a list's
+    slots that are not None."""
+    return sum(v is not None for v in (table.values() if isinstance(table, dict) else table))
+
+
+def _count(latmap, inputs) -> dict[str, tuple[int, ...]]:
     """Interior nodes opened, leaves checked, share-memo entries kept for
-    bound ``full`` and for other bounds, and path-walk calls made by each
-    group's inputs on ``latmap``, counted by wrapping its search's methods
-    and ``paths._extend`` for one run of each input; they are put back
-    after it."""
+    bound ``full`` and for other bounds, ``linked`` and ``untouched`` tables
+    built, and path-walk calls made by each group's inputs on ``latmap``,
+    counted by wrapping its search's methods and ``paths._extend`` for one
+    run of each input; they are put back after it."""
     search, paths = latmap.mapper._Search, latmap.paths
     calls = dict.fromkeys(("_node", "_finish", "_extend"), 0)
     searches = {}  # every search of the input, by id
@@ -166,20 +176,22 @@ def _count(latmap, inputs) -> dict[str, tuple[int, int, int, int, int]]:
         calls["_extend"] += 1
         return extend(*args)
     paths._extend = walked  # the walk recurses through the module's name
-    counts: dict[str, tuple[int, int, int, int, int]] = {}
+    counts: dict[str, tuple[int, ...]] = {}
     try:
         for group, _, call in inputs:
             calls.update(dict.fromkeys(calls, 0))
             searches.clear()
             call()
-            nodes, leaves, untouched, rest, walks = counts.get(group, (0, 0, 0, 0, 0))
+            nodes, leaves, untouched, rest, linked, bare, walks = counts.get(group, (0,) * 7)
             for s in searches.values():
                 for memo in s.reach:
                     full = sum(key[0] == s.full for key in memo)
                     untouched += full
                     rest += len(memo) - full
+                linked += _filled(s.linked)
+                bare += _filled(s.untouched)
             counts[group] = (nodes + calls["_node"], leaves + calls["_finish"], untouched, rest,
-                             walks + calls["_extend"])
+                             linked, bare, walks + calls["_extend"])
     finally:
         for name, method in methods.items():
             setattr(search, name, method)
@@ -224,15 +236,18 @@ def main() -> None:
         median = statistics.median(tb / ta for ta, tb in rows)
         print(f"{group:<12} {len(rows):4d} inputs  {rev} {a:8.3f} s  this {b:8.3f} s"
               f"  ratio {b / a:.3f}  median per input {median:.3f}")
-        (nodes_a, leaves_a, full_a, rest_a, walks_a), (
-            nodes_b, leaves_b, full_b, rest_b, walks_b) = (side[group] for side in counts)
+        (nodes_a, leaves_a, full_a, rest_a, linked_a, bare_a, walks_a), (
+            nodes_b, leaves_b, full_b, rest_b, linked_b, bare_b, walks_b) = (
+            side[group] for side in counts)
         if group == "enumerate":
             print(f"{'':<12} walk calls  {rev} {walks_a}  this {walks_b}")
             continue
         print(f"{'':<12} interior nodes  {rev} {nodes_a}  this {nodes_b}"
               f"  leaves checked  {rev} {leaves_a}  this {leaves_b}"
               f"  share memo (full + rest)  {rev} {full_a} + {rest_a}"
-              f"  this {full_b} + {rest_b}")
+              f"  this {full_b} + {rest_b}"
+              f"  tables (linked + untouched)  {rev} {linked_a} + {bare_a}"
+              f"  this {linked_b} + {bare_b}")
 
 
 if __name__ == "__main__":
