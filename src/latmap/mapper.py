@@ -110,20 +110,20 @@ term it starts at, pool n (after the last of n terms) is empty, and each
 has its own memo and tables.  A term placed over k > 0 cells of a path is
 the first term of its pool, so ``_share`` reads that term off the pool.
 
-A wide pair walks its arrangements one free cell at a time, depth first, in
-the same lexicographic order.  A prefix gets the probe's tests
-(``_passes``), in the probe's order, with the cells after it counted as
-unset: no path it completes is a live escape, and the reach bound passes.
-When a prefix fails, every arrangement below it is rejected unlisted.
-Fixing a cell ANDs its option into the bounds of the paths through it;
-those paths, the ones the cell completes and the cells left unset after it
-are listed once per walk.  The
-walk is sound because each test only gets harder down the walk: a completed
-path keeps its bound, bounds only shrink, and so does a share, since fixing
-d more cells of a path adds at most d literals to its bound and takes d
-cells off its u.  A whole arrangement gets the probe's tests with the
-probe's unset cells, so at every term the walk yields exactly the
-arrangements the probes pass, in the same order.
+A wide pair walks its arrangements one free cell at a time, by plain
+recursion, in the same lexicographic order.  A prefix gets the probe's
+tests (``_passes``), in the probe's order, with the cells after it counted
+as unset: no path it completes is a live escape, and the reach bound
+passes.  When a prefix fails, every arrangement below it is rejected
+unlisted.  An option of a cell is tested only when the walk reaches it,
+after the walk below the option before it, so one bounds list is live per
+depth, and the recursion is at most one path long, which ``grid.MAX_DIM``
+bounds.  The walk is sound because each test only gets harder down the
+walk: a completed path keeps its bound, bounds only shrink, and so does a
+share, since fixing d more cells of a path adds at most d literals to its
+bound and takes d cells off its u.  A whole arrangement gets the probe's
+tests with the probe's unset cells, so at every term the walk yields
+exactly the arrangements the probes pass, in the same order.
 
 The pair bound: before a pair lists any arrangement, ``_may_pass`` bounds
 them all at once, and the pair is skipped when the bound does not cover the
@@ -178,11 +178,11 @@ benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,076 on 3x4,
 0.6 % with 17 % of 11,629 over the pool negatives on 3x3, and none of the
 235 when synthesizing SYNTH_EIGHT on 3x3.  Neither source alone
 does as well: walking every pair slows each group of ``tools/ab.py``
-1.10-1.38 times (the solved maps on 3x3 from 0.09-0.11 to 0.12-0.15 s, the
-pool negatives from 0.24-0.31 to 0.29-0.37 s), and probing every pair
-leaves those groups within 1 % but slows DECOMP_EVEN8 on 6x6 20 times
-(0.18 to 3.5-3.9 s, ``tools/bigmaps.py``) and its 4x4 and 4x5 cases
-1.2-2.0 times.  Its six 7x7 and 7x8 cases, though, probe 1.5-3.1 times
+1.08-1.26 times (the solved maps on 3x3 from 0.057-0.059 to 0.072-0.074 s,
+the pool negatives from 0.149-0.153 to 0.170-0.174 s), and probing every
+pair leaves those groups within 2 % but slows DECOMP_EVEN8 on 6x6 15 times
+(0.16 to 2.4-2.6 s, ``tools/bigmaps.py``) and its 4x4 and 4x5 cases
+1.1-1.5 times.  Its six 7x7 and 7x8 cases, though, probe 1.05-1.5 times
 faster than the cut-over runs them; see the README.
 
 Only subtrees without a solution are cut, so the answers and the first
@@ -563,46 +563,46 @@ class _Search:
     ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         """``(ranks, bounds)`` for each arrangement that holds the ranks in
         ``need`` (bit r for rank r) and passes, in lexicographic order, one
-        free cell at a time.  A prefix gets the probe's tests, with the cells
-        after it unset, and when it fails so does every arrangement below
-        it; past the deadline it raises.
-
-        A step lists, for a free cell, the paths through it, those other
-        than ``pi`` it completes, the cells left unset once it and the
-        cells before it are fixed, and the pool they are written from: the
-        term's own before the last cell, whose later cells still take its
-        options, and the next term's at the last."""
+        free cell at a time (``_walk_below``).  A step lists, for a free
+        cell, the paths through it, those other than ``pi`` it completes and
+        the cells left unset once it and the cells before it are fixed."""
         through = self.through
         cell_masks = self.cell_masks
         unset = self.unset
-        pools = [ti] * (len(free) - 1) + [ti + 1]
         steps = []
-        for cell, pool in zip(free, pools):
+        for cell in free:
             unset &= ~(1 << cell)
             done = [pj for pj in through[cell] if not cell_masks[pj] & unset and pj != pi]
-            steps.append((through[cell], done, unset, pool))
-        option_masks = self.option_masks[ti]
-        ncells = len(steps)
-        stack = [((), need, self.path_ub)]
-        while stack:
-            prefix, need, bounds = stack.pop()
-            if len(prefix) == ncells:
-                yield prefix, bounds
+            steps.append((through[cell], done, unset))
+        return self._walk_below(ti, steps, (), need, self.path_ub)
+
+    def _walk_below(
+        self, ti: int, steps: list[tuple[list[int], list[int], int]],
+        prefix: tuple[int, ...], need: int, bounds: list[int],
+    ) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """The arrangements that start with ``prefix``, whose paths then
+        have ``bounds``, and hold the ranks in ``need``: each option of the
+        next free cell, in rank order, ANDed into a copy of the bounds and
+        walked below when it passes the probe's tests with the cells after
+        it unset, under pool ``ti``, whose first term they still take, and
+        under the next term's at the last cell.  Past the deadline it raises."""
+        depth = len(prefix)
+        if depth == len(steps):
+            yield prefix, bounds
+            return
+        self._check_time()
+        crossing, done, unset = steps[depth]
+        left = len(steps) - depth - 1  # cells after this one
+        pool = ti if left else ti + 1
+        for r, m in enumerate(self.option_masks[ti]):
+            rest = need & ~(1 << r)
+            if rest.bit_count() > left:
                 continue
-            self._check_time()
-            crossing, done, unset, pool = steps[len(prefix)]
-            left = ncells - len(prefix) - 1  # cells after this one
-            children = []
-            for r, m in enumerate(option_masks):
-                rest = need & ~(1 << r)
-                if rest.bit_count() > left:
-                    continue
-                nb = bounds[:]
-                for pj in crossing:
-                    nb[pj] &= m
-                if self._passes(nb, done, unset, pool):
-                    children.append((prefix + (r,), rest, nb))
-            stack += reversed(children)
+            nb = bounds[:]
+            for pj in crossing:
+                nb[pj] &= m
+            if self._passes(nb, done, unset, pool):
+                yield from self._walk_below(ti, steps, prefix + (r,), rest, nb)
 
     # -- search ----------------------------------------------------------
 

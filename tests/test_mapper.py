@@ -360,7 +360,7 @@ def test_time_cut_ends_the_search_at_once(monkeypatch):
             clock.update(checks=0, k=k, cut=False)
             r = map_function(fn, DIM3, SearchBudget(time_limit=60))
             assert (r.status, r.solution, clock["after"]) == (INCONCLUSIVE, None, 0), k
-    assert cut_in == {"_try_terms", "_node", "_probes", "_walk"}
+    assert cut_in == {"_try_terms", "_node", "_probes", "_walk_below"}
 
 
 def _mapped(monkeypatch, walk_from, fn, dim, paths):
@@ -452,6 +452,23 @@ def test_walk_yields_what_the_probes_pass(monkeypatch):
     finally:
         mapper.arrangements.cache_clear()
     assert min(seen.values()) > 0, seen
+
+
+def test_walk_tests_an_option_only_when_it_reaches_it(monkeypatch):
+    """ab + c on 5x5 solves below its first pair, which is walked: a 5-cell
+    column with 180 arrangements.  The walk tests the options of a cell only
+    once the walk below the option before them is done, so it stops after
+    at most 6 reach tests, counted by wrapping ``_reaches``; testing every
+    option of a cell before walking below the first makes 14."""
+    calls = {"_reaches": 0, "_walk": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _method=getattr(_Search, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(_Search, name, counted)
+    assert map_function(f({0, 1}, {2}), LatticeDim(5, 5)).status == SOLVED
+    assert calls["_walk"] >= 1, calls
+    assert calls["_reaches"] <= 6, calls
 
 
 def test_last_term_reach_rejects_only_failing_leaves(monkeypatch):

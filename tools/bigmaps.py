@@ -5,17 +5,20 @@
 Each case runs in a fresh worker process, so that its peak RSS is its own.
 The worker enumerates the paths and builds the path set's tables first,
 then times ``map_function`` alone: the minimum of 3 runs when the first takes
-under 2 s, else that one run.  A line holds the case, its answer, the
-search time and the worker's peak RSS.  The whole run takes about a
-minute on a 2-core VM (Python 3.11).
+under 2 s, else that one run.  A line holds the case, its answer, a
+digest of the answer (the first 12 hex digits of the sha256 of its status,
+grid codes and points of interest, each as (kind, subject)), the search
+time and the worker's peak RSS.  The whole run takes about a minute on a
+2-core VM (Python 3.11).
 
 The script takes no options, reads only under ``bench/`` and imports latmap
-from ``src/`` of its own checkout, so two checkouts can be compared case by
-case.
+from ``src/`` of its own checkout, so two checkouts' answers and times can
+be compared case by case.
 """
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import resource
 import sys
@@ -72,13 +75,18 @@ def _search(fn, rows: int, cols: int, limit) -> str:
     times = []
     while len(times) < 3:
         start = time.perf_counter()
-        status = map_function(fn, dim, SearchBudget(limit), paths).status
+        result = map_function(fn, dim, SearchBudget(limit), paths)
         times.append(time.perf_counter() - start)
         if times[0] >= REPEAT_BELOW_S:
             break
     runs = "min of 3" if len(times) > 1 else "1 run"
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return f"{status:<13} search {min(times):8.3f} s, {runs:<8}  peak RSS {rss:7.1f} MB"
+    sol = result.solution
+    answer = (result.status,) if sol is None else (
+        result.status, sol.assignment.codes, tuple((e.kind, e.subject) for e in sol.poi))
+    digest = hashlib.sha256(repr(answer).encode()).hexdigest()[:12]
+    return (f"{result.status:<13} {digest}  search {min(times):8.3f} s, {runs:<8}"
+            f"  peak RSS {rss:7.1f} MB")
 
 
 def main() -> None:
