@@ -70,9 +70,9 @@ leaves that ``_finish`` rejects.  Which paths a placement completes
 depends only on the node and the path, so they are listed once for all its
 arrangements.  A wide pair is walked (below).  An opened node's cells are
 written to the grid and the copy becomes its bounds.  So a node's
-placements always cover the function, and a deferral, which keeps its
-parent's state, needs no test of its own.  A node never writes its own
-bounds, so undo is putting them back and clearing the cells.
+placements always cover the function.  A deferral keeps its parent's state
+and tests the reach bound under the next term's pool (below).  A node never
+writes its own bounds, so undo is putting them back and clearing the cells.
 
 The reach bound: at an accepted leaf every nonzero path product lies inside
 one term's mask (live escapes are rejected, and ``_finish`` sets the paths
@@ -109,6 +109,21 @@ still yields exactly what the probes pass.  Each pool is numbered by the
 term it starts at, pool n (after the last of n terms) is empty, and each
 has its own memo and tables.  A term placed over k > 0 cells of a path is
 the first term of its pool, so ``_share`` reads that term off the pool.
+
+Once term j is deferred, placements write only the literals of pool j + 1
+or 1, and ``_finish`` only 0s, so the reach bound under pool j + 1 holds at
+every leaf below, by the argument that lets a probe test pool i + 1: a
+deferral that fails it ends its branch.  Pools nest, so a pool j + 1 with
+as many literals as pool j is pool j, whose test the node passed below the
+root (in the parent's probe or walk, or at the previous deferral), and the
+test is skipped there; it is skipped at the last term, too, where
+``_finish``, the exact test, follows at once.  The test reads no clock:
+it is one reach bound, after a ``_node`` that read it.  A failed test cuts
+only a run of deferrals ending at a leaf that ``_finish`` rejects: every
+pair below it fails the pair bound, since a path's share with k cells
+placed lies in its share before them, and a smaller pool's share in a
+larger one's, so the pairs the search lists, probes and walks are the same
+with the test and without it.
 
 A wide pair walks its arrangements one free cell at a time, by plain
 recursion, in the same lexicographic order.  A prefix gets the probe's
@@ -166,8 +181,8 @@ where every bound is ``full``, builds no ``_linked`` table.  Either way the
 share is memoized for the search, per pool, by (b, u, k), k = 0 for a
 share and u = u' for a pair's bound, and callers ask ``_share`` for every
 share they need.  On HARD (DECOMP_EVEN8 on 3x3, in the tests) the search
-opens 861 interior nodes, the same as without the pair bound, checks 182
-leaves and the deadline 1,914 times, builds 7 ``_linked`` tables and walks
+opens 291 interior nodes, the same as without the pair bound, checks no
+leaf, reads the clock 1,162 times, builds 6 ``_linked`` tables and walks
 no pair.
 
 The cut-over trades the walk's cost per prefix (a copy of the bounds and
@@ -176,14 +191,15 @@ Of the pairs that pass the pair bound, with the share of their
 arrangements, these lie above 100: none of the 1,450 pairs of the
 benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,076 on 3x4,
 0.6 % with 17 % of 11,629 over the pool negatives on 3x3, and none of the
-235 when synthesizing SYNTH_EIGHT on 3x3.  Neither source alone
-does as well: walking every pair slows each group of ``tools/ab.py``
-1.08-1.26 times (the solved maps on 3x3 from 0.057-0.059 to 0.072-0.074 s,
-the pool negatives from 0.149-0.153 to 0.170-0.174 s), and probing every
-pair leaves those groups within 2 % but slows DECOMP_EVEN8 on 6x6 15 times
-(0.16 to 2.4-2.6 s, ``tools/bigmaps.py``) and its 4x4 and 4x5 cases
-1.1-1.5 times.  Its six 7x7 and 7x8 cases, though, probe 1.05-1.5 times
-faster than the cut-over runs them; see the README.
+235 when synthesizing SYNTH_EIGHT on 3x3.  Neither source alone does as
+well (two runs each of ``tools/ab.py`` and ``tools/bigmaps.py``, with
+``WALK_FROM`` at 0 and at 10**9): walking every pair slows each group of
+``tools/ab.py`` 1.11-1.28 times (the solved maps on 3x3 from 0.055 to
+0.070 s, the pool negatives from 0.123-0.128 to 0.143-0.148 s), and
+probing every pair leaves those groups within 2.2 % but slows DECOMP_EVEN8
+on 6x6 17-19 times (0.14 to 2.4-2.6 s, ``tools/bigmaps.py``) and the other
+4x4 to 6x6 cases 1.4-2.5 times.  Its six 7x7 and 7x8 cases, though, probe
+0.95-1.38 times as fast as the cut-over runs them; see the README.
 
 Only subtrees without a solution are cut, so the answers and the first
 solution, its grid and its points of interest stay the same.
@@ -615,11 +631,22 @@ class _Search:
         the mask of the mirrors that map its grid and used paths onto
         themselves, and the parent tested that its placements cover the
         function.  Each term is housed below its ``_node`` or deferred (it
-        may be hiding), then the leaf is checked; only ``_open`` recurses."""
-        for tj in range(ti, len(self.f)):
+        may be hiding), then the leaf is checked; only ``_open`` recurses.
+        A deferral of term ``tj`` ends the branch when the reach bound under
+        pool ``tj + 1`` fails.  The test is skipped where that pool has as
+        many literals as pool ``tj``, so is pool ``tj``, which below the
+        root the parent's probe or walk or the previous deferral tested, and
+        at the last term, where ``_finish``, the exact test, follows."""
+        pools = self.pools
+        last = len(self.f) - 1
+        for tj in range(ti, last + 1):
             sol = self._node(tj, stab)
             if sol is not None:
                 return sol
+            if tj < last and len(pools[tj + 1]) < len(pools[tj]) and not self._reaches(
+                self.path_ub, self.unset, tj + 1
+            ):
+                return None
         self._check_time()
         return self._finish()
 

@@ -6,7 +6,9 @@ import io
 import runpy
 import sys
 import time
+from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -150,7 +152,11 @@ def test_map_no_solution_exit_code(tmp_path, capsys):
     assert out.strip() == "NO SOLUTION"
 
 
-def test_map_inconclusive_exit_code(tmp_path, capsys):
+def test_map_inconclusive_exit_code(tmp_path, capsys, monkeypatch):
+    """The mapper's clock moves 1 ms at every read, so HARD's search, which
+    reads it about 1,200 times, runs out of its 10 ms on any machine."""
+    clock = SimpleNamespace(monotonic=count(0.0, 0.001).__next__)
+    monkeypatch.setattr(latmap.mapper, "time", clock)
     fn = tmp_path / "f.fn"
     fn.write_text(
         "8\n4 998 996 1 1000\n3 3 1 4\n3 3 996 999\n3 998 996 999\n"

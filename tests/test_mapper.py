@@ -54,7 +54,7 @@ from lattice_goldens import (
 DIM3 = LatticeDim(3, 3)
 
 # An 8-term function (DECOMP_EVEN8) whose exhaustive 3x3 search is a
-# no-solution of 861 interior nodes, about 0.02 s.
+# no-solution of 291 interior nodes, about 0.01 s.
 HARD = f({998, 996, 1, 1000}, {3, 1, 4}, {3, 996, 999}, {998, 996, 999},
          {3, 1, 1000}, {3, 0, 4}, {3, 0, 999}, {998, 3})
 
@@ -267,7 +267,7 @@ def test_deterministic():
 
 def test_time_budget_yields_inconclusive(monkeypatch):
     """The mapper's clock moves 1 ms at every read, whatever the machine's
-    speed: HARD reads it about 2,000 times, so its 10 ms run out mid-search."""
+    speed: HARD reads it about 1,200 times, so its 10 ms run out mid-search."""
     clock = SimpleNamespace(monotonic=count(0.0, 0.001).__next__)
     monkeypatch.setattr(mapper, "time", clock)
     r = map_function(HARD, DIM3, SearchBudget(time_limit=0.01))
@@ -320,12 +320,13 @@ def test_deadline_past_on_entering_the_root_is_inconclusive(monkeypatch):
 
 def test_time_cut_ends_the_search_at_once(monkeypatch):
     """A clock that runs out at its k-th check: on HARD for k every 26
-    checks from the first, and on terms 1-4 of DECOMP_EVEN8, whose search
-    walks a wide pair, at every one of its checks; each input's checks are
-    counted on an uncut run.  Cuts land at node entries, in probe loops of
-    narrow pairs and inside walks of wide ones.  Each answers inconclusive,
-    and after the cut no placement is listed, no node opened and no leaf
-    checked."""
+    checks from the first, and at every one of its checks on terms 1, 5, 7
+    and 8 of DECOMP_UNEVEN8 (pool id DECOMP_UNEVEN8/1578), whose search
+    checks leaves, and on terms 1-4 of DECOMP_EVEN8, whose search walks a
+    wide pair; each input's checks are counted on an uncut run.  Cuts land at
+    node entries, in probe loops of narrow pairs, inside walks of wide ones
+    and before leaves.  Each answers inconclusive, and after the cut no
+    placement is listed, no node opened and no leaf checked."""
     clock = {"checks": 0, "k": math.inf, "cut": False, "after": 0, "walks": 0}
     cut_in = set()
 
@@ -350,11 +351,12 @@ def test_time_cut_ends_the_search_at_once(monkeypatch):
 
     monkeypatch.setattr(_Search, "_walk", walk)
     cases = []
-    for fn, step in ((HARD, 26), (DECOMP_EVEN8[:4], 1)):
+    uneven = [DECOMP_UNEVEN8[i - 1] for i in (1, 5, 7, 8)]
+    for fn, step in ((HARD, 26), (uneven, 1), (DECOMP_EVEN8[:4], 1)):
         clock.update(checks=0, walks=0)
         assert map_function(fn, DIM3, SearchBudget(time_limit=60)).status == NO_SOLUTION
         cases.append((fn, range(1, clock["checks"] + 1, step)))
-    assert clock["walks"] > 0  # the second input walks a pair
+    assert clock["walks"] > 0  # the last input walks a pair
     for fn, ks in cases:
         for k in ks:
             clock.update(checks=0, k=k, cut=False)
@@ -681,11 +683,11 @@ def test_untouched_share_matches_the_generic_loop():
 
 
 def test_hard_search_shape_is_pinned(monkeypatch):
-    """On HARD the search opens at most 861 interior nodes (nodes that are
-    not leaves of the last term), checks at most 182 leaves and reads the
-    clock at most 1,914 times, counted by wrapping ``_node``, ``_finish``
-    and ``_check_time``: a change that weakens a bound, with every answer
-    kept, opens more."""
+    """On HARD the search opens at most 291 interior nodes (nodes that are
+    not leaves of the last term), checks no leaf and reads the clock at
+    most 1,162 times, counted by wrapping ``_node``, ``_finish`` and
+    ``_check_time``: a change that weakens a bound, with every answer kept,
+    opens more."""
     calls = {"_node": 0, "_finish": 0, "_check_time": 0}
     for name in calls:
         def counted(self, *args, _name=name, _method=getattr(_Search, name)):
@@ -693,16 +695,16 @@ def test_hard_search_shape_is_pinned(monkeypatch):
             return _method(self, *args)
         monkeypatch.setattr(_Search, name, counted)
     assert map_function(HARD, DIM3).status == NO_SOLUTION
-    assert calls["_node"] <= 861, calls
-    assert calls["_finish"] <= 182, calls
-    assert calls["_check_time"] <= 1914, calls
+    assert calls["_node"] <= 291, calls
+    assert calls["_finish"] == 0, calls
+    assert calls["_check_time"] <= 1162, calls
 
 
 def test_negatives_failing_at_the_root_build_no_linked_table(monkeypatch):
     """Terms 2, 4, 6 and 8 of DECOMP_NOSPLIT8 (pool id DECOMP_NOSPLIT8/2468)
     fail at the root on 3x3, where every path's bound is ``full``, so every
     share is in closed form and no ``_linked`` table is built; HARD builds
-    at most 7.  Counted by wrapping ``_linked``."""
+    at most 6.  Counted by wrapping ``_linked``."""
     calls = []
 
     def linked(self, *args, _method=_Search._linked):
@@ -714,7 +716,7 @@ def test_negatives_failing_at_the_root_build_no_linked_table(monkeypatch):
     assert map_function(fn, DIM3).status == NO_SOLUTION
     assert not calls, calls
     assert map_function(HARD, DIM3).status == NO_SOLUTION
-    assert len(calls) <= 7, calls
+    assert len(calls) <= 6, calls
 
 
 def test_search_sets_every_attribute_when_built():
