@@ -10,9 +10,9 @@ constant-1 fillers, the other cells 0 and no completed path outside the part
 pair, or any pair at all, can be missed where this answers NO SOLUTION.
 
 A run fixes one deadline when it starts, before it builds its path set,
-and each mapper call gets the time that remains.  Its first time cut, a call with no time left or an
-inconclusive answer, raises ``OutOfTime`` and ends the run at every layer;
-the memo keeps only definite verdicts.
+and each mapper call gets the time that remains.  Its first time cut, a
+call with no time left or an inconclusive answer, raises ``OutOfTime`` and
+ends the run at every layer; the memo keeps only definite verdicts.
 """
 
 from __future__ import annotations

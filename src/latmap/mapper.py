@@ -27,20 +27,19 @@ Crawford et al., KR 1996).  Connectivity and every check of the search are
 invariant under the three mirrors: left-right, top-bottom and both
 (``PathSet.mirrors``).  Each node carries its stabilizer, a mask with bit j
 for ``mirrors[j]``: the mirrors that map its grid and used paths onto
-themselves, all of them (``ALL_MIRRORS``) at the root.  A term is not
-housed on a path that one of them maps to an earlier path, and on a path
-that one of them maps onto itself, an arrangement is skipped when its
-mirror image comes earlier in the arrangement order.  Both facts depend
-only on the path set and the mask, so the node reads them from the path
-set's tables: it loops over ``canonical[stab]``, the paths that no mirror
-of the mask maps to an earlier path (4 of the 9 on 3x3 at the root), and
-``stab & fixes[pi]`` names the mirrors that map path ``pi`` onto itself.
-A child keeps the mirrors that fix its arrangement, a deferral keeps them
-all, so the rule applies wherever the grid is still symmetric (say, a term
-on the centre column of 3x3) and costs nothing once it is not: mask 0
-loops over every path.  Answers do not change: were the first solution
-under a skipped path or arrangement, its mirror would lie under an earlier
-sibling, whose subtree is searched in full first.
+themselves, all of them (``ALL_MIRRORS``) at the root.  A term is not housed
+on a path that one of them maps to an earlier path, and on a path that one
+of them maps onto itself, an arrangement is skipped when its mirror image
+comes earlier in the arrangement order.  Both facts depend only on the path
+set and the mask, so the node reads them from the path set's tables: it
+loops over ``canonical[stab]``, the paths that no mirror of the mask maps to
+an earlier path, and ``stab & fixes[pi]`` names the mirrors that map path
+``pi`` onto itself.  A child keeps the mirrors that fix its arrangement, a
+deferral keeps them all, so the rule applies wherever the grid is still
+symmetric (say, a term on the centre column of 3x3) and costs nothing once
+it is not: mask 0 loops over every path.  Answers do not change: were the
+first solution under a skipped path or arrangement, its mirror would lie
+under an earlier sibling, whose subtree is searched in full first.
 
 A node keeps the grid, the set of unset cells, each path's bound (the AND
 of its fixed cells' truth-table masks) and the term housed on each path, if
@@ -57,35 +56,33 @@ One loop places every (term, path) pair that passes the pair bound (below):
 it takes the arrangements that pass from one of two sources, picked by how
 many arrangements the pair has (``arrangement_count``), skips those whose
 mirror image comes earlier and opens a node for each other; it returns at a
-solution.  A narrow pair, with at most ``WALK_FROM`` (100), is probed: each
+solution.  A narrow pair, with at most ``WALK_FROM``, is probed: each
 arrangement's option masks are ANDed into a copy of the node's path bounds,
 and it fails ``_passes`` when a path it completes is a live escape (a
 nonzero bound inside no term's mask) or when the reach bound (below) fails,
-at every term.  A share lies inside its path's bound, so where the shares
-cover the function so do the bounds: the reach bound holds that cover test,
-too.  At a leaf of the last term ``_finish``, the one exact test, zeroes
-every unset cell, so a path with unset cells adds 0 and a completed path
-its bound; the reach bound gives each at least that, so it rejects only
-leaves that ``_finish`` rejects.  Which paths a placement completes
-depends only on the node and the path, so they are listed once for all its
-arrangements.  A wide pair is walked (below).  An opened node's cells are
-written to the grid and the copy becomes its bounds.  So a node's
-placements always cover the function.  A deferral keeps its parent's state
-and tests the reach bound under the next term's pool (below).  A node never
-writes its own bounds, so undo is putting them back and clearing the cells.
+at every term.  Which paths a placement completes depends only on the node
+and the path, so they are listed once for all its arrangements.  A wide pair
+is walked (below).  An opened node's cells are written to the grid and the
+copy becomes its bounds.  So a node's placements always cover the function.
+A deferral keeps its parent's state and tests the reach bound under the next
+term's pool (below).  A node never writes its own bounds, so undo is putting
+them back and clearing the cells.
 
-The reach bound: at an accepted leaf every nonzero path product lies inside
-one term's mask (live escapes are rejected, and ``_finish`` sets the paths
-through its 0 cells to 0), and that product is the path's bound b ANDed with
-the literals that later fill its u unset cells.  b and each term T are
-cubes, so the product can lie in T only when b meets T and T needs at most u
-literals that b lacks: ``popcount(b & T) << u >= popcount(b)``.  A path's
-share (``_share`` with k = 0) is b & T for each such T, and all of b when u
-is 0 (a completed path lies inside a term already).  Every path with unset
-cells takes its share: when u is at least the longest term's length, that
-is b & T over every term T that b meets and that passes the pool's test
-(below), which still lies in b and holds the path's final product.  Where
-the shares no longer cover the function no solution lies below.
+The reach bound: at a leaf that ``_finish``, the one exact test, accepts,
+every nonzero path product lies inside one term's mask (live escapes are
+rejected, and ``_finish`` zeroes every unset cell, so the paths through one
+are 0), and that product is the path's bound b ANDed with the literals that
+later fill its u unset cells.  b and each term T are cubes, so the product
+can lie in T only when b meets T and T needs at most u literals that b
+lacks: ``popcount(b & T) << u >= popcount(b)``.  A path's share (``_share``
+with k = 0) is b & T for each such T, and all of b when u is 0 (a completed
+path lies inside a term already).  Every path with unset cells takes its
+share: when u is at least the longest term's length, that is b & T over
+every term T that b meets and that passes the pool's test (below), which
+still lies in b and holds the path's final product.  Where the shares no
+longer cover the function no solution lies below.  A share lies in its
+path's bound, so where the shares cover the function so do the bounds, ORed:
+the reach bound holds that cover test, too.
 
 The literal pool: cells are written only by placements, in term order, and
 a placement of term i writes only its own literals and 1.  So pool i, the
@@ -157,49 +154,35 @@ same order.  At the last term a path with unset cells adds nothing, as
 ``_finish`` zeroes them, so a pair is skipped only where ``_finish`` would
 reject each of its leaves.
 
-That OR needs no cube listed: it is the share's test with u' + min(k, g)
-in place of u.  Every b & c & T lies in b & T, and for each term T the cube
-that brings b closest to T takes min(k, g) of the g literals that the
-placed term and T hold and b lacks; if that cube fails the share's test for
-T, every cube does.  So the OR is b & T over the terms T that b meets and
-that need at most u' + min(k, g) literals beyond b's (for u' = 0, b & c
-lies inside T exactly when T's literals lie in b's and c's).  With k = 0
-that is the share, so ``_share`` is the one bound on what a path can still
-add: one pass over every term, each listed with the literals it shares with
-the placed term, the pool's first (g = 0 for one that shares none), and its
-bare mask, in a table that ``_linked`` builds per pool at first use.  A cube c of
+That OR needs no cube listed: it is the share's test with u' + min(k, g) in
+place of u.  Every b & c & T lies in b & T, and for each term T the cube
+that brings b closest to T takes min(k, g) of the g literals that the placed
+term and T hold and b lacks; if that cube fails the share's test for T,
+every cube does.  So the OR is b & T over the terms T that b meets and that
+need at most u' + min(k, g) literals beyond b's (for u' = 0, b & c lies
+inside T exactly when T's literals lie in b's and c's).  With k = 0 that is
+the share, so ``_share`` is the one bound on what a path can still add: one
+pass over every term, each listed with the literals it shares with the
+placed term, the pool's first (g = 0 for one that shares none), and its bare
+mask, in a table that ``_linked`` builds per pool at first use.  A cube c of
 the placed term's literals adds no literal outside that term's pool, so the
-pool's test reads b alone.  A path with no cell fixed has b = ``full``,
-and there the test is a closed form over small counts: b & T is T, the
-literals T needs beyond b are all n of its own, the g it shares with the
-placed term are all ones b lacks, and the pool's test passes exactly when
-the pool holds T's literals, since no literal's mask is all rows.  So the
-share is the OR of T over the terms in the pool with n <= u + min(k, g) (a
-term with an xx' pair has mask 0), listed as (T, n, g) by ``_untouched``
-per pool from the literal sets alone; a search that fails at the root,
-where every bound is ``full``, builds no ``_linked`` table.  Either way the
-share is memoized for the search, per pool, by (b, u, k), k = 0 for a
-share and u = u' for a pair's bound, and callers ask ``_share`` for every
-share they need.  On HARD (DECOMP_EVEN8 on 3x3, in the tests) the search
-opens 291 interior nodes, the same as without the pair bound, checks no
-leaf, reads the clock 1,162 times, builds 6 ``_linked`` tables and walks
-no pair.
+pool's test reads b alone.  A path with no cell fixed has b = ``full``, and
+there the test is a closed form over small counts: b & T is T, the literals
+T needs beyond b are all n of its own, the g it shares with the placed term
+are all ones b lacks, and the pool's test passes exactly when the pool holds
+T's literals, since no literal's mask is all rows.  So the share is the OR
+of T over the terms in the pool with n <= u + min(k, g) (a term with an xx'
+pair has mask 0), listed as (T, n, g) by ``_untouched`` per pool from the
+literal sets alone; a search that fails at the root, where every bound is
+``full``, builds no ``_linked`` table.  Either way the share is memoized for
+the search, per pool, by (b, u, k), k = 0 for a share and u = u' for a
+pair's bound, and callers ask ``_share`` for every share they need.
 
-The cut-over trades the walk's cost per prefix (a copy of the bounds and
-the reach bound over every path) against the arrangements it cuts unlisted.
-Of the pairs that pass the pair bound, with the share of their
-arrangements, these lie above 100: none of the 1,450 pairs of the
-benchmark's solved library maps on 3x3, 0.2 % with 2 % of 1,076 on 3x4,
-0.6 % with 17 % of 11,629 over the pool negatives on 3x3, and none of the
-235 when synthesizing SYNTH_EIGHT on 3x3.  Neither source alone does as
-well (two runs each of ``tools/ab.py`` and ``tools/bigmaps.py``, with
-``WALK_FROM`` at 0 and at 10**9): walking every pair slows each group of
-``tools/ab.py`` 1.11-1.28 times (the solved maps on 3x3 from 0.055 to
-0.070 s, the pool negatives from 0.123-0.128 to 0.143-0.148 s), and
-probing every pair leaves those groups within 2.2 % but slows DECOMP_EVEN8
-on 6x6 17-19 times (0.14 to 2.4-2.6 s, ``tools/bigmaps.py``) and the other
-4x4 to 6x6 cases 1.4-2.5 times.  Its six 7x7 and 7x8 cases, though, probe
-0.95-1.38 times as fast as the cut-over runs them; see the README.
+Which source a pair takes depends on its arrangement count alone: a pair
+with more than ``WALK_FROM`` arrangements is walked, the others are probed.
+A walk step costs a copy of the bounds and a reach bound over every path, so
+it pays only where a failed prefix cuts many arrangements unlisted; the
+measurements behind the cut-over are in CHANGES.md.
 
 Only subtrees without a solution are cut, so the answers and the first
 solution, its grid and its points of interest stay the same.
@@ -210,8 +193,8 @@ it is given none, and before the search reads the set's tables, which a
 the search is made, and the mirror tables (``mirrors``, ``fixes`` and each
 mask's ``canonical`` paths) at the first node that reads them, after its
 check of the deadline.  The time limit does not cut that work short (the
-README gives its cost on large grids), but it counts against the limit, so
-a shorter limit ends the search at its next check.
+README gives its cost on 8x8), but it counts against the limit, so a
+shorter limit ends the search at its next check.
 
 An arrangement is a tuple of ranks into the term's options, its sorted
 literals and then constant 1.  The arrangements over a path's free cells
@@ -221,10 +204,9 @@ still needed (bit r for rank r), so terms of equal length share them.
 followed by the arrangements of the remaining cells.  Its lists are one
 table shared by every search of the process.  Only narrow pairs read it,
 and the key of a remaining-cells list has no more arrangements than the key
-that asked for it, so each list holds at most ``WALK_FROM`` arrangements;
-after every pool input of the benchmark and its pipeline calls the table
-holds 132 lists, about 0.05 MB.  That order is the one the search has
-always used, so answers are unchanged.
+that asked for it, so each list holds at most ``WALK_FROM`` arrangements.
+That order is the one the search has always used, so answers are
+unchanged.
 """
 
 from __future__ import annotations

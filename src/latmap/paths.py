@@ -24,11 +24,9 @@ so "closed" loses no path.  The fill is bit-parallel, by shifts and ANDs
 with the first and last column masks stopping wrap-around, and its
 verdicts are memoized in a dict keyed by ``inner`` cut to the rows 1 to
 ``r + 1`` ORed with ``y << 64``, made afresh for each enumeration.
-Only upward steps are tested: on 7x8, 126,638 of the walk's 232,512 calls
-recorded no path without the test, 123,198 of them below an upward step
-into a walled-off pocket, and the dead subtrees below side steps held
-3,440 calls.  The test cuts the calls from 67,671 to 28,808 on 7x7, from
-232,512 to 110,480 on 7x8 and from 1,905,362 to 812,301 on 8x8.
+Only upward steps are tested: nearly all of the walk's dead subtrees lie
+below an upward step into a walled-off pocket (CHANGES.md has the call
+counts).
 A path is ``bytes``, its cell numbers in order (``MAX_DIM`` keeps them below
 64), which iterate, index, hash and sort as tuples of the numbers would, in
 a fraction of the memory.

@@ -3,6 +3,7 @@
 import importlib
 import importlib.metadata
 import io
+import random
 import runpy
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 
 import latmap.mapper
 import latmap.synth
-from latmap.cli import main
+from latmap.cli import NO_SOLUTION_MEANS, main
 from latmap.codes import serialize_function
 from latmap.grid import LatticeDim
 from latmap.mapper import SearchBudget
@@ -237,6 +238,13 @@ def test_usage_error_exits_64(tmp_path, capsys, extra):
         assert f"unrecognized arguments: {extra[3]}" in captured.err
 
 
+def test_readme_quotes_the_no_solution_sentence():
+    """The README's verdict paragraph quotes the ``--help`` text of ``map``,
+    ``decompose`` and ``synth`` word for word, whitespace aside."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert " ".join(NO_SOLUTION_MEANS.split()) in " ".join(readme.read_text().split())
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["map", "--help"])
@@ -430,6 +438,62 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, text, argv):
     code, out, err = run(capsys, *(a.format(file=target, fn=fn) for a in argv))
     assert (code, out) == (64, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# what the mutation test inserts: codes, malformed numbers and blanks
+MUTATION_TOKENS = ["0", "3", "25", "26", "99", "100", "101", "997", "1000",
+                   "-1", "2.5", "x", " ", "  ", "\n"]
+
+
+def _mutate(rng, text):
+    """``text`` after 1 to 4 seeded edits, each one of: delete a character,
+    insert a token of ``MUTATION_TOKENS``, replace a character with a digit,
+    a space, a newline or ``-``, or truncate."""
+    for _ in range(rng.randint(1, 4)):
+        at = rng.randrange(len(text) + 1)
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:at] + text[at + 1:]
+        elif edit == 1:
+            text = text[:at] + rng.choice(MUTATION_TOKENS) + text[at:]
+        elif edit == 2:
+            text = text[:at] + rng.choice("0123456789 \n-") + text[at + 1:]
+        else:
+            text = text[:at]
+    return text
+
+
+def test_mutated_inputs_end_with_a_known_exit_code(tmp_path, capsys):
+    """300 seeded mutations of a function file (ab + cd') and a lattice
+    file that realizes it, each fed to one of the five subcommands that read
+    a file, in turn, on 2x2: every run ends with exit 0, 1, 2, 64 or 66,
+    raises nothing but ``SystemExit`` and prints no traceback."""
+    rng = random.Random(7)
+    fn, lat = tmp_path / "f.fn", tmp_path / "g.lat"
+    searching = ["--dim", "2", "2", "--time-limit", "0.2"]
+    commands = [
+        ["map", str(fn), *searching],
+        ["solve", str(lat)],
+        ["verify", str(lat), str(fn)],
+        ["decompose", str(fn), *searching, "--outdir"],
+        ["synth", str(fn), *searching, "--verify", "--outdir"],
+    ]
+    seen = set()
+    for case in range(300):
+        fn.write_text(_mutate(rng, "2\n2 0 1\n2 2 997\n"))
+        lat.write_text(_mutate(rng, "2 2\n0 2\n1 997\n"))
+        argv = commands[case % len(commands)]
+        if argv[-1] == "--outdir":
+            argv = [*argv, str(tmp_path / f"out{case}")]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 64, 66), (argv[0], fn.read_text(), lat.read_text())
+        assert "Traceback" not in err
+        seen.add(code)
+    assert {0, 64} <= seen  # some mutations get past the parsers
 
 
 def test_decompose_inconclusive(tmp_path, capsys, monkeypatch):

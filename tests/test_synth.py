@@ -263,3 +263,16 @@ def test_run_with_no_time_left_maps_nothing(monkeypatch):
     with pytest.raises(OutOfTime):
         _split(run, f({0}, {1}))
     assert run.memo == {}
+
+
+@pytest.mark.parametrize("fn,dim,message", [
+    (f({0}), DIM2, r"unmappable single term \[0\]"),
+    (SYNTH_Q, DIM3, "aux product of length 5 <= LB must map"),
+])
+def test_a_mapper_that_maps_nothing_breaks_an_invariant(monkeypatch, fn, dim, message):
+    """A single term and an auxiliary product, each no longer than the
+    longest path, always map; with ``Run.solve`` answering None for every
+    term list, ``synthesize`` reports the broken invariant, not a plan."""
+    monkeypatch.setattr(Run, "solve", lambda self, terms: None)
+    with pytest.raises(AssertionError, match=message):
+        synthesize(fn, dim)

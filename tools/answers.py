@@ -2,7 +2,9 @@
 
     python3 tools/answers.py > answers.txt
 
-Two checkouts answer alike exactly when their outputs are equal (``diff``).
+Two checkouts answer alike exactly when their outputs are equal (``diff``):
+to check a change, copy the script into a ``git archive`` export of the
+parent revision and compare the two outputs.
 In order, the lines are:
 
 - each dimension r x c with r <= 7 and c <= 8: its path count and the

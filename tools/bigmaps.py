@@ -8,8 +8,7 @@ then times ``map_function`` alone: the minimum of 3 runs when the first takes
 under 2 s, else that one run.  A line holds the case, its answer, a
 digest of the answer (the first 12 hex digits of the sha256 of its status,
 grid codes and points of interest, each as (kind, subject)), the search
-time and the worker's peak RSS.  The whole run takes about a minute on a
-2-core VM (Python 3.11).
+time and the worker's peak RSS.
 
 The script takes no options, reads only under ``bench/`` and imports latmap
 from ``src/`` of its own checkout, so two checkouts' answers and times can

@@ -9,12 +9,12 @@ reached, one per line as ``file:line: source``.  A line is executable when
 some code object compiled from its file has an instruction on it.
 
 It reports lines, not test results.  The suite's own summary is printed
-first, but under a trace function the tests run several times slower (63–71 s
-against 17–19 s plain on a 2-core VM, Python 3.11), so a test that bounds
-wall time or inspects frames or garbage may not pass as it does in a plain
-run.  Standard
-library only; ``coverage`` does the same with more care, where it is
-installed.
+first, but under a trace function the tests run several times slower, so a
+test that bounds wall time or inspects frames or garbage may not pass as it
+does in a plain run.  It exits 1 when it lists a line and 0 when it lists
+none, so it can gate a change on tier-1 running every line of
+``src/latmap``.  Standard library only; ``coverage`` does the same with more
+care, where it is installed.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ def main() -> int:
     finally:
         sys.settrace(None)
 
+    listed = 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text()
         code = compile(source, str(path), "exec", dont_inherit=True)
@@ -69,7 +70,8 @@ def main() -> int:
         missed = _executable(code) - ran.get(str(path), set())
         for line in sorted(missed):
             print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
-    return 0
+        listed += len(missed)
+    return 1 if listed else 0
 
 
 if __name__ == "__main__":
